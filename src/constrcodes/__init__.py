@@ -8,6 +8,7 @@ subcodes, and produces Delsarte-style and sphere-packing LP upper bounds on
 constrained codes, using only numpy and a bundled simplex solver.
 """
 
+from .errors import CapExceeded
 from .gf2 import (
     BinaryLinearCode,
     BitMatrix,
@@ -82,6 +83,7 @@ from .lp import (
     SolverError,
     del_classic,
     del_constrained,
+    del_constrained_orbits,
     del_constrained_sym,
     del_full,
     dual_certificate_bound,

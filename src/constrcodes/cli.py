@@ -2,8 +2,9 @@
 computational subcommands, reference-table reproduction, and the property
 verification suites.
 
-Exit codes: 0 success, 1 verification failure or table mismatch, 2 usage or
-input error, 3 resource cap exceeded, 4 solver iteration limit.
+Exit codes: 0 success, 1 verification failure, table mismatch or internal
+error, 2 usage or input error, 3 resource cap exceeded, 4 solver iteration
+limit.  They follow the exception class, never the message text.
 """
 
 import argparse
@@ -15,17 +16,19 @@ import time
 
 from .constraints import (ConstraintSpec, cardinality, char_sum_int,
                           even_strict, fixed_weight, member_int, odd_relaxed,
-                          odd_strict, parse_constraint, rll, subblock,
-                          two_charge)
+                          odd_strict, orbit_structure, parse_constraint, rll,
+                          subblock, two_charge)
 from .counting import (code_weight_distribution, constrained_weight_distribution,
                        count_brute, count_in_code, count_odd_in_code,
                        macwilliams, rm_subblock_count_plotkin,
                        weight_distribution)
+from .errors import CapExceeded
 from .gf2 import (BinaryLinearCode, BitMatrix, CodeFormatError, dual_code,
                   gf2_rank, hamming_code, load_code, reed_muller,
                   simplex_code, zero_code)
 from .lp import (SolverError, del_classic, del_constrained,
-                 del_constrained_sym, dump_model, gensph)
+                 del_constrained_orbits, del_constrained_sym, dump_model,
+                 gensph)
 from .spectral import krawtchouk_table, weight_class_sums, wht
 
 EXIT_OK = 0
@@ -246,7 +249,7 @@ def run_fourier(args):
         raise ValueError("fourier needs --n or --s")
     n = args.n
     if n > FULL_SPACE_CAP:
-        raise ValueError("full-space pass refuses n=%d > cap %d" % (n, FULL_SPACE_CAP))
+        raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, FULL_SPACE_CAP))
     constraint.check_length(n)
     sums = weight_class_sums(lambda s: char_sum_int(constraint, n, s), n)
     report = {"constraint": str(constraint), "n": n,
@@ -561,14 +564,19 @@ def _suite_fourier(max_n):
 
 
 def _suite_lp_sym(max_n):
-    plans = [(8, two_charge()), (9, two_charge()),
-             (8, subblock(2, 1)), (10, subblock(2, 1))]
+    # the family's symmetry group against the trivial group (the 2^n-row
+    # LP); the trivial rll:d=1 LP at n=10 takes 4126 pivots at d=3 against
+    # 950 at d=5, so that family is checked at d=5 only
+    plans = [(8, two_charge(), (3, 5)), (9, two_charge(), (3, 5)),
+             (8, subblock(2, 1), (3, 5)), (10, subblock(2, 1), (3, 5)),
+             (10, rll(1), (5,)), (10, even_strict(), (3, 5))]
     cases = 0
-    for n, c in plans:
+    for n, c, ds in plans:
         if n > (max_n or 10):
             continue
-        for d in (3, 5):
-            full = del_constrained(n, d, c).lp_value
+        for d in ds:
+            full = del_constrained_orbits(orbit_structure(c, n, trivial=True),
+                                          d).lp_value
             sym = del_constrained_sym(n, d, c).lp_value
             cases += 1
             if abs(full - sym) > 1e-5:
@@ -725,13 +733,15 @@ def main(argv=None):
     except SolverError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
-    except (CodeFormatError, OSError) as exc:
+    except CapExceeded as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_CAP
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_FAIL
+    except (CodeFormatError, OSError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, AssertionError) as exc:
-        message = str(exc)
-        print("error: %s" % message, file=sys.stderr)
-        return EXIT_CAP if "cap" in message else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -13,10 +13,16 @@ import itertools
 import math
 import threading
 
+import numpy as np
+
+from .errors import CapExceeded
 from .gf2 import BitWord
 from .spectral import krawtchouk
 
 MEMBER_ENUM_CAP = 22
+# largest n at which the reversal and trivial groups, which have about
+# 2^(n-1) and 2^n orbits, list their orbits one by one
+ORBIT_LIST_CAP = 16
 
 _KINDS = ("two_charge", "subblock", "rll", "odd_strict", "odd_relaxed",
           "even_strict", "fixed_weight")
@@ -202,7 +208,7 @@ def member(c, x):
 def enumerate_members(c, n, cap=MEMBER_ENUM_CAP):
     """Yield the members of A as BitWord, in lexicographic order."""
     if n > cap:
-        raise ValueError("member enumeration refuses n=%d > cap %d" % (n, cap))
+        raise CapExceeded("member enumeration refuses n=%d > cap %d" % (n, cap))
     c.check_length(n)
     fmt = "0%db" % n
     for m in range(1 << n):
@@ -214,7 +220,7 @@ def enumerate_members(c, n, cap=MEMBER_ENUM_CAP):
 def member_ints(c, n, cap=MEMBER_ENUM_CAP):
     """Members of A as a list of packed ints (enumeration order)."""
     if n > cap:
-        raise ValueError("member enumeration refuses n=%d > cap %d" % (n, cap))
+        raise CapExceeded("member enumeration refuses n=%d > cap %d" % (n, cap))
     c.check_length(n)
     return [x for x in range(1 << n) if member_int(c, n, x)]
 
@@ -452,11 +458,42 @@ def char_sum(c, s):
 # ---------------------------------------------------------------------------
 # orbit structure for symmetrized LPs
 
+# int64 entries per chunk of the character block in OrbitStructure.char_sums
+_CHAR_CHUNK = 1 << 16
+# words per chunk of OrbitStructure.index_chunks
+_INDEX_CHUNK = 1 << 14
+
+
+def _parity(v):
+    """Parity of the set bits of each entry of an int64 array (< 2^32)."""
+    v = v ^ (v >> 16)
+    v ^= v >> 8
+    v ^= v >> 4
+    v ^= v >> 2
+    v ^= v >> 1
+    return v & 1
+
+
+def _popcount(v):
+    """Number of set bits of each entry of an int64 array (< 2^32), by
+    the bit-parallel byte sums."""
+    v = v - ((v >> 1) & 0x55555555)
+    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
+    v = (v + (v >> 4)) & 0x0F0F0F0F
+    return ((v * 0x01010101) & 0xFFFFFFFF) >> 24
+
 
 class OrbitStructure:
-    """Orbits of the constraint's symmetry group acting on {0,1}^n."""
+    """Orbits of a group of coordinate permutations acting on {0,1}^n that
+    maps A onto itself: labels, exact sizes, and canonical representatives.
 
-    __slots__ = ("constraint", "n", "labels", "sizes", "reps", "_buckets")
+    Subclasses define the group through `_keys`: an integer per word of an
+    int64 array, equal exactly for the words of one orbit.
+    """
+
+    __slots__ = ("constraint", "n", "labels", "sizes", "reps", "_index",
+                 "_buckets")
+    group = None
 
     def __init__(self, constraint, n, labels, sizes, reps):
         self.constraint = constraint
@@ -464,23 +501,78 @@ class OrbitStructure:
         self.labels = labels
         self.sizes = sizes
         self.reps = reps
+        self._index = None
         self._buckets = None
 
     def label_of(self, x):
         bits = x.bits if isinstance(x, BitWord) else int(x)
-        return _label_of(self.constraint, self.n, bits)
+        return self.labels[self.orbit_index()[bits]]
+
+    def _keys(self, words):
+        raise NotImplementedError
+
+    def index_chunks(self):
+        """Yield (start, index) over consecutive chunks of the packed words:
+        index[k] is the position in `labels` of the orbit of word start + k.
+        Chunking keeps the working memory small at large n."""
+        if self.n > MEMBER_ENUM_CAP:
+            raise CapExceeded("orbit bucketing refuses n=%d > cap %d"
+                              % (self.n, MEMBER_ENUM_CAP))
+        rep_keys = self._keys(np.array([self.reps[label] for label in self.labels],
+                                       dtype=np.int64))
+        order = np.argsort(rep_keys, kind="stable")
+        sorted_keys = rep_keys[order]
+        counts = np.zeros(len(self.labels), dtype=np.int64)
+        for start in range(0, 1 << self.n, _INDEX_CHUNK):
+            keys = self._keys(np.arange(start, min(start + _INDEX_CHUNK, 1 << self.n),
+                                        dtype=np.int64))
+            index = order[np.searchsorted(sorted_keys, keys).clip(0, len(order) - 1)]
+            if not np.array_equal(rep_keys[index], keys):
+                raise AssertionError("a word's orbit key matches no orbit label")
+            counts += np.bincount(index, minlength=len(counts))
+            yield start, index
+        if counts.tolist() != [self.sizes[label] for label in self.labels]:
+            raise AssertionError("orbit keys disagree with the orbit sizes")
+
+    def orbit_index(self):
+        """int64 array: the position in `labels` of each packed word's orbit."""
+        if self._index is None:
+            self._index = np.concatenate([index for _, index in self.index_chunks()])
+        return self._index
 
     def buckets(self):
-        """label -> list of packed orbit members, by one full-space scan."""
+        """label -> ascending list of the packed members of the orbit."""
         if self._buckets is None:
-            if self.n > MEMBER_ENUM_CAP:
-                raise ValueError("orbit bucketing refuses n=%d > cap %d"
-                                 % (self.n, MEMBER_ENUM_CAP))
-            buckets = {label: [] for label in self.labels}
-            for x in range(1 << self.n):
-                buckets[self.label_of(x)].append(x)
-            self._buckets = buckets
+            index = self.orbit_index()
+            words = np.argsort(index, kind="stable")
+            ends = np.cumsum([self.sizes[label] for label in self.labels])
+            self._buckets = {label: group.tolist() for label, group in
+                             zip(self.labels, np.split(words, ends[:-1]))}
         return self._buckets
+
+    def char_sums(self, columns):
+        """int64 matrix of orbit character sums: entry (i, j) is the sum over
+        the orbit `columns[j]` of (-1)^{x . s}, s the representative of the
+        i-th orbit of `labels`.  Exact, since each entry is at most 2^n in
+        magnitude.  The sums are taken over the members of each orbit, one
+        chunk of row representatives at a time."""
+        reps = np.array([self.reps[label] for label in self.labels],
+                        dtype=np.int64)
+        out = np.zeros((len(reps), len(columns)), dtype=np.int64)
+        if not columns:
+            return out
+        position = {label: i for i, label in enumerate(self.labels)}
+        column_of = np.full(len(self.labels), -1, dtype=np.int64)
+        column_of[[position[label] for label in columns]] = np.arange(len(columns))
+        word_column = column_of[self.orbit_index()]
+        words = np.nonzero(word_column >= 0)[0]
+        words = words[np.argsort(word_column[words], kind="stable")]
+        starts = np.searchsorted(word_column[words], np.arange(len(columns)))
+        step = max(1, _CHAR_CHUNK // len(words))
+        for lo in range(0, len(reps), step):
+            signs = 1 - 2 * _parity(reps[lo:lo + step, None] & words)
+            out[lo:lo + step] = np.add.reduceat(signs, starts, axis=1)
+        return out
 
 
 def _two_charge_pairs(n):
@@ -489,32 +581,15 @@ def _two_charge_pairs(n):
     return list(range(1, last, 2))
 
 
-def _label_of(c, n, bits):
-    if c.kind == "two_charge":
-        b = bits & 1
-        t00 = t11 = 0
-        for low in _two_charge_pairs(n):
-            pair = (bits >> low) & 0b11
-            if pair == 0:
-                t00 += 1
-            elif pair == 0b11:
-                t11 += 1
-        if n % 2:
-            return (b, t00, t11)
-        return (b, t00, t11, (bits >> (n - 1)) & 1)
-    if c.kind == "subblock":
-        width = n // c.p
-        mask = (1 << width) - 1
-        return tuple(sorted((((bits >> (l * width)) & mask).bit_count()
-                             for l in range(c.p)), reverse=True))
-    raise ValueError("orbit structure is only defined for the 2-charge and "
-                     "subblock constraints")
+class _TwoChargeOrbits(OrbitStructure):
+    """Permutations of the coordinate pairs (2i, 2i+1) and swaps inside a
+    pair.  Label (b, t00, t11[, tail]): the first bit, the numbers of 00 and
+    11 pairs, and for even n the last bit."""
 
+    __slots__ = ()
+    group = "pair-permutation"
 
-def orbit_structure(c, n):
-    """Labels, exact sizes, and canonical representatives of all orbits."""
-    c.check_length(n)
-    if c.kind == "two_charge":
+    def __init__(self, c, n):
         pairs = _two_charge_pairs(n)
         np_ = len(pairs)
         labels = []
@@ -542,8 +617,30 @@ def orbit_structure(c, n):
                         labels.append(label)
                         sizes[label] = size
                         reps[label] = rep
-        struct = OrbitStructure(c, n, labels, sizes, reps)
-    elif c.kind == "subblock":
+        super().__init__(c, n, labels, sizes, reps)
+
+    def _keys(self, words):
+        pairs = _two_charge_pairs(self.n)
+        t00 = np.zeros_like(words)
+        t11 = np.zeros_like(words)
+        for low in pairs:
+            pair = (words >> low) & 0b11
+            t00 += pair == 0
+            t11 += pair == 0b11
+        keys = ((words & 1) * (len(pairs) + 1) + t00) * (len(pairs) + 1) + t11
+        if self.n % 2 == 0:
+            keys = 2 * keys + ((words >> (self.n - 1)) & 1)
+        return keys
+
+
+class _SubblockOrbits(OrbitStructure):
+    """Permutations inside each subblock and of the subblocks.  Label: the
+    subblock weights in descending order."""
+
+    __slots__ = ()
+    group = "subblock"
+
+    def __init__(self, c, n):
         width = n // c.p
         labels = [tuple(sorted(t, reverse=True))
                   for t in itertools.combinations_with_replacement(
@@ -561,10 +658,93 @@ def orbit_structure(c, n):
                 rep |= ((1 << a) - 1) << (l * width)
             sizes[label] = size
             reps[label] = rep
-        struct = OrbitStructure(c, n, labels, sizes, reps)
-    else:
-        raise ValueError("orbit structure is only defined for the 2-charge and "
-                         "subblock constraints")
+        super().__init__(c, n, labels, sizes, reps)
+
+    def _blocks(self, bits):
+        width = self.n // self.constraint.p
+        mask = (1 << width) - 1
+        return [(bits >> (l * width)) & mask for l in range(self.constraint.p)]
+
+    def _keys(self, words):
+        # the multiset of subblock weights as a number in base p + 1, whose
+        # digit w counts the subblocks of weight w
+        p = self.constraint.p
+        powers = (p + 1) ** np.arange(self.n // p + 1, dtype=np.int64)
+        keys = np.zeros_like(words)
+        for block in self._blocks(words):
+            keys += powers[_popcount(block)]
+        return keys
+
+    def char_sums(self, columns):
+        """Closed form: the Krawtchouk products of `orbit_char_sum`."""
+        out = np.zeros((len(self.labels), len(columns)), dtype=np.int64)
+        for i, s_label in enumerate(self.labels):
+            s_rep = self.reps[s_label]
+            for j, label in enumerate(columns):
+                out[i, j] = orbit_char_sum(self, label, s_rep)
+        return out
+
+
+def _reverse(words, n):
+    """Each n-bit word with its coordinates in reverse order (int64 array)."""
+    out = np.zeros_like(words)
+    for i in range(n):
+        out |= ((words >> i) & 1) << (n - 1 - i)
+    return out
+
+
+class _ReversalOrbits(OrbitStructure):
+    """Word reversal x_1 ... x_n -> x_n ... x_1.  Every orbit has one or two
+    words; its label and representative is the smaller of x and rev(x)."""
+
+    __slots__ = ()
+    group = "reversal"
+
+    def __init__(self, c, n):
+        if n > ORBIT_LIST_CAP:
+            raise CapExceeded("%s orbit structure refuses n=%d > cap %d"
+                              % (self.group, n, ORBIT_LIST_CAP))
+        words = np.arange(1 << n, dtype=np.int64)
+        reps = np.unique(np.minimum(words, _reverse(words, n)))
+        palindromic = reps == _reverse(reps, n)
+        labels = reps.tolist()
+        sizes = dict(zip(labels, (2 - palindromic).tolist()))
+        super().__init__(c, n, labels, sizes, dict(zip(labels, labels)))
+
+    def _keys(self, words):
+        return np.minimum(words, _reverse(words, self.n))
+
+
+class _TrivialOrbits(OrbitStructure):
+    """The trivial group: one orbit per word, labelled by the word."""
+
+    __slots__ = ()
+    group = "trivial"
+
+    def __init__(self, c, n):
+        if n > ORBIT_LIST_CAP:
+            raise CapExceeded("%s orbit structure refuses n=%d > cap %d"
+                              % (self.group, n, ORBIT_LIST_CAP))
+        labels = list(range(1 << n))
+        super().__init__(c, n, labels, dict.fromkeys(labels, 1),
+                         dict(zip(labels, labels)))
+
+    def _keys(self, words):
+        return words
+
+
+_ORBITS = {"two_charge": _TwoChargeOrbits, "subblock": _SubblockOrbits,
+           "rll": _ReversalOrbits, "odd_strict": _ReversalOrbits,
+           "odd_relaxed": _ReversalOrbits, "even_strict": _ReversalOrbits,
+           "fixed_weight": _ReversalOrbits}
+
+
+def orbit_structure(c, n, trivial=False):
+    """Labels, exact sizes, and canonical representatives of all orbits of
+    the constraint's symmetry group, or of the trivial group (one orbit per
+    word) when `trivial` is set."""
+    c.check_length(n)
+    struct = (_TrivialOrbits if trivial else _ORBITS[c.kind])(c, n)
     if sum(struct.sizes.values()) != 1 << n:
         raise AssertionError("orbit sizes do not partition the space")
     return struct
@@ -574,14 +754,13 @@ def orbit_char_sum(structure, orbit_label, s_rep):
     """Sum over the orbit O of (-1)^{x . s_rep}, exact.
 
     For subblock orbits this is the sum over distinct ordered arrangements
-    of the weight multiset of products of Krawtchouk values; for 2-charge
-    orbits it is computed from a full-space bucketing of the orbit members.
+    of the weight multiset of products of Krawtchouk values; for the other
+    groups it is summed over the orbit's members.
     """
     s_bits = s_rep.bits if isinstance(s_rep, BitWord) else int(s_rep)
-    c = structure.constraint
-    n = structure.n
-    if c.kind == "subblock":
-        width = n // c.p
+    if isinstance(structure, _SubblockOrbits):
+        c = structure.constraint
+        width = structure.n // c.p
         mask = (1 << width) - 1
         s_weights = [((s_bits >> (l * width)) & mask).bit_count()
                      for l in range(c.p)]

@@ -14,6 +14,7 @@ import math
 
 from .constraints import (char_sum_int, member_int, odd_relaxed, odd_strict,
                           two_charge_basis)
+from .errors import CapExceeded
 from .gf2 import (ENUMERATION_CAP, _echelonize, coset_decompose,
                   coset_weight_enumerator, iterate_span, reed_muller,
                   zero_code)
@@ -69,12 +70,12 @@ def count_in_code(code, constraint, method="auto", cap=ENUMERATION_CAP):
         elif k <= cap:
             method = "direct"
         else:
-            raise ValueError(
+            raise CapExceeded(
                 "both 2^%d codewords and 2^%d dual codewords exceed the cap "
                 "of 2^%d" % (k, n - k, cap))
     if method == "dual":
         if n - k > cap:
-            raise ValueError("dual enumeration of 2^%d words exceeds the cap" % (n - k))
+            raise CapExceeded("dual enumeration of 2^%d words exceeds the cap" % (n - k))
         total = sum(char_sum_int(constraint, n, s)
                     for s in iterate_span(code.parity_check.data))
         value, rem = divmod(total, 1 << (n - k))
@@ -86,7 +87,7 @@ def count_in_code(code, constraint, method="auto", cap=ENUMERATION_CAP):
         return CountResult(value, "dual_sum", dual_dimension_used=n - k)
     if method == "direct":
         if k > cap:
-            raise ValueError("enumeration of 2^%d codewords exceeds the cap" % k)
+            raise CapExceeded("enumeration of 2^%d codewords exceeds the cap" % k)
         value = sum(1 for x in iterate_span(code.generator.data)
                     if member_int(constraint, n, x))
         return CountResult(value, "direct_membership")
@@ -96,7 +97,7 @@ def count_in_code(code, constraint, method="auto", cap=ENUMERATION_CAP):
 def count_brute(code, constraint, cap=24):
     """Oracle: enumerate the code and test membership word by word."""
     if code.k > cap:
-        raise ValueError("enumeration of 2^%d codewords exceeds the cap" % code.k)
+        raise CapExceeded("enumeration of 2^%d codewords exceeds the cap" % code.k)
     constraint.check_length(code.n)
     return sum(1 for x in iterate_span(code.generator.data)
                if member_int(constraint, code.n, x))
@@ -109,7 +110,7 @@ def weight_distribution(constraint, n, cap=22):
     weight-j shell; exact division is asserted.
     """
     if n > cap:
-        raise ValueError("full-space pass refuses n=%d > cap %d" % (n, cap))
+        raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, cap))
     constraint.check_length(n)
     shell = weight_class_sums(lambda s: char_sum_int(constraint, n, s), n)
     kraw = krawtchouk_table(n)
@@ -133,9 +134,9 @@ def constrained_weight_distribution(code, constraint, n_cap=18, dual_cap=14):
     """
     n, k = code.n, code.k
     if n > n_cap:
-        raise ValueError("full-space pass refuses n=%d > cap %d" % (n, n_cap))
+        raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, n_cap))
     if n - k > dual_cap:
-        raise ValueError("dual dimension %d exceeds cap %d" % (n - k, dual_cap))
+        raise CapExceeded("dual dimension %d exceeds cap %d" % (n - k, dual_cap))
     constraint.check_length(n)
     dual_words = list(iterate_span(code.parity_check.data))
     gen = code.generator.data
@@ -187,13 +188,13 @@ def code_weight_distribution(code, cap=ENUMERATION_CAP):
     n, k = code.n, code.k
     if k <= n - k:
         if k > cap:
-            raise ValueError("enumeration of 2^%d codewords exceeds the cap" % k)
+            raise CapExceeded("enumeration of 2^%d codewords exceeds the cap" % k)
         counts = [0] * (n + 1)
         for x in iterate_span(code.generator.data):
             counts[x.bit_count()] += 1
         return WeightDistribution(n, counts)
     if n - k > cap:
-        raise ValueError("enumeration of 2^%d dual codewords exceeds the cap" % (n - k))
+        raise CapExceeded("enumeration of 2^%d dual codewords exceeds the cap" % (n - k))
     counts = [0] * (n + 1)
     for x in iterate_span(code.parity_check.data):
         counts[x.bit_count()] += 1
@@ -238,7 +239,7 @@ def two_charge_structure(code, cap=24):
     if n < 3:
         raise ValueError("the 2-charge set needs blocklength n >= 3")
     if n - k > cap:
-        raise ValueError("dual dimension %d exceeds cap %d" % (n - k, cap))
+        raise CapExceeded("dual dimension %d exceeds cap %d" % (n - k, cap))
     inter = _intersect_spans(code.parity_check.data, two_charge_basis(n), n)
     dim = len(inter)
     pairs = range(1, (n - 1 if n % 2 else n - 2), 2)

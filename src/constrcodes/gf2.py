@@ -8,6 +8,8 @@ words is lexicographic order on these strings.
 
 import math
 
+from .errors import CapExceeded
+
 ENUMERATION_CAP = 26
 
 
@@ -287,7 +289,7 @@ def iterate_span(rows):
 def enumerate_codewords(c, cap=ENUMERATION_CAP):
     """Yield all 2^k codewords as BitWord, starting with the all-zeros word."""
     if c.k > cap:
-        raise ValueError(
+        raise CapExceeded(
             "enumeration of 2^%d codewords exceeds the cap of 2^%d; "
             "raise the cap explicitly to proceed" % (c.k, cap))
     for w in iterate_span(c.generator.data):
@@ -327,7 +329,7 @@ def coset_decompose(super_code, sub_code, cap=ENUMERATION_CAP):
     if len(comp) != m_dim:
         raise AssertionError("complement dimension mismatch")
     if m_dim > cap:
-        raise ValueError("coset count 2^%d exceeds the cap of 2^%d" % (m_dim, cap))
+        raise CapExceeded("coset count 2^%d exceeds the cap of 2^%d" % (m_dim, cap))
     reps = sorted((_reduce(w, sub_basis) for w in iterate_span(comp)),
                   key=lambda b: _lex_key(b, super_code.n))
     if len(set(reps)) != 1 << m_dim:
@@ -339,7 +341,7 @@ def coset_decompose(super_code, sub_code, cap=ENUMERATION_CAP):
 def coset_weight_enumerator(rep, sub_code, cap=ENUMERATION_CAP):
     """Weight enumerator (counts indexed 0..n) of the coset rep + sub_code."""
     if sub_code.k > cap:
-        raise ValueError("enumeration of 2^%d codewords exceeds the cap" % sub_code.k)
+        raise CapExceeded("enumeration of 2^%d codewords exceeds the cap" % sub_code.k)
     r = rep.bits if isinstance(rep, BitWord) else int(rep)
     counts = [0] * (sub_code.n + 1)
     for w in iterate_span(sub_code.generator.data):

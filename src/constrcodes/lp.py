@@ -10,14 +10,16 @@ import math
 
 import numpy as np
 
-from .constraints import cardinality, member_int, member_ints, orbit_structure, \
-    orbit_char_sum
+from .constraints import cardinality, member_int, orbit_structure
+from .errors import CapExceeded
 from .spectral import krawtchouk_table, self_convolution_counts, wht
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 ITERATION_LIMIT = 10 ** 6
 REINVERT_EVERY = 250
+# most orbits (= transform rows) of a constrained Delsarte LP
+ORBIT_ROW_CAP = 1 << 12
 
 
 class LpModel:
@@ -433,7 +435,7 @@ def del_classic(n, d):
 def del_full(n, d, cap=12):
     """The 2^n-variable Delsarte LP, for cross-validating symmetrization."""
     if n > cap:
-        raise ValueError("del_full refuses n=%d > cap %d" % (n, cap))
+        raise CapExceeded("del_full refuses n=%d > cap %d" % (n, cap))
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     # f(0) = 1 substituted; f = 0 below distance d drops those variables
@@ -449,78 +451,85 @@ def del_full(n, d, cap=12):
     return BoundReport(n, d, None, value, value, solution=sol, model=model)
 
 
-def del_constrained(n, d, constraint, cap=12):
-    """The constrained Delsarte LP on all 2^n points.
+def _check_orbit_invariant(structure, conv):
+    """The orbit LP has the full LP's optimum exactly when the pointwise
+    bounds, the self-convolution counts, are constant on every orbit: the
+    LP depends on A only through them."""
+    conv = np.asarray(conv, dtype=np.int64)
+    at_reps = conv[[structure.reps[label] for label in structure.labels]]
+    if not np.array_equal(conv, at_reps[structure.orbit_index()]):
+        raise AssertionError(
+            "self-convolution counts of %s at n=%d are not constant on the "
+            "orbits of the %s group" % (structure.constraint, structure.n,
+                                        structure.group))
+
+
+def del_constrained_orbits(structure, d, conv=None):
+    """The constrained Delsarte LP reduced over the orbits of a symmetry
+    group of A (`orbit_structure`): one variable per orbit, one transform
+    row per orbit representative.
 
     max sum f(x) with f >= 0, the transform of f nonnegative, f = 0 at
     weights 1..d-1, f(0) bounded by the classic optimum, and f bounded
-    pointwise by the self-convolution counts of A.  The code-size bound is
-    the square root of the optimum.
+    pointwise by the self-convolution counts `conv` of A.  Averaging an
+    optimum over the group keeps it feasible and optimal, so the optimum
+    is the same for every group that fixes A; the trivial group (one orbit
+    per word) gives the unsymmetrized 2^n-row LP.  The code-size bound is
+    the square root of the optimum.  Refuses groups with more than
+    ORBIT_ROW_CAP orbits (the 2^12 rows of the trivial group at n = 12),
+    since the model is a dense row-by-column tableau.
     """
-    if n > cap:
-        raise ValueError("del_constrained refuses n=%d > cap %d" % (n, cap))
+    n = structure.n
+    constraint = structure.constraint
+    if len(structure.labels) > ORBIT_ROW_CAP:
+        raise CapExceeded("constrained Delsarte LP refuses %d orbits of the %s "
+                          "group at n=%d > cap %d" % (len(structure.labels),
+                                                      structure.group, n,
+                                                      ORBIT_ROW_CAP))
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
-    constraint.check_length(n)
-    conv = self_convolution_counts(lambda x: member_int(constraint, n, x), n)
+    if conv is None:
+        conv = self_convolution_counts(lambda x: member_int(constraint, n, x), n)
+    _check_orbit_invariant(structure, conv)
     delsarte = del_classic(n, d).lp_value
     size = cardinality(constraint, n)
     # substitute f(0) = u0 - h with 0 <= h <= u0: the h column makes every
     # right-hand side -u0 < 0, so the all-slack origin is strictly feasible
-    # and no phase 1 is needed
+    # and no phase 1 is needed; the zero word is always a singleton orbit
+    # with unit character-sum coefficient
     u0 = min(float(conv[0]), delsarte)
-    keep = [x for x in range(1, 1 << n) if x.bit_count() >= d and conv[x] > 0]
-    rows = []
-    for s in range(1 << n):
-        coeffs = [1.0 if ((x & s).bit_count() & 1) == 0 else -1.0
-                  for x in keep]
-        rows.append((coeffs + [-1.0], ">=", -u0))
-    ubs = {j: float(conv[x]) for j, x in enumerate(keep)}
-    ubs[len(keep)] = u0
-    model = LpModel("max", [1.0] * len(keep) + [-1.0], _dedupe(rows),
-                    upper_bounds=ubs)
-    sol = _solved(model, "del_constrained(%d, %d, %s)" % (n, d, constraint))
+    reps = structure.reps
+    labels = [lbl for lbl in structure.labels
+              if reps[lbl].bit_count() >= d and conv[reps[lbl]] > 0]
+    rows = [(coeffs + [-1], ">=", -u0)
+            for coeffs in structure.char_sums(labels).tolist()]
+    ubs = {j: float(conv[reps[lbl]]) for j, lbl in enumerate(labels)}
+    ubs[len(labels)] = u0
+    objective = [float(structure.sizes[lbl]) for lbl in labels] + [-1.0]
+    model = LpModel("max", objective, _dedupe(rows), upper_bounds=ubs)
+    sol = _solved(model, "constrained Delsarte LP (%d, %d, %s) over the %s "
+                  "group" % (n, d, constraint, structure.group))
     value = u0 + sol.value
     bound = math.sqrt(max(value, 0.0))
     return BoundReport(n, d, constraint, value, bound,
                        comparators={"delsarte": delsarte,
                                     "cardinality": size},
                        solution=sol, model=model)
+
+
+def del_constrained(n, d, constraint, cap=12):
+    """The constrained Delsarte LP, solved over the orbits of the
+    constraint's symmetry group (see `del_constrained_orbits`)."""
+    if n > cap:
+        raise CapExceeded("del_constrained refuses n=%d > cap %d" % (n, cap))
+    return del_constrained_orbits(orbit_structure(constraint, n), d)
 
 
 def del_constrained_sym(n, d, constraint, conv=None):
-    """The constrained Delsarte LP symmetrized by the constraint's symmetry
-    group: one variable per orbit, one transform row per orbit representative.
-    """
-    if not 1 <= d <= n:
-        raise ValueError("need 1 <= d <= n")
-    constraint.check_length(n)
-    struct = orbit_structure(constraint, n)
-    if conv is None:
-        conv = self_convolution_counts(lambda x: member_int(constraint, n, x), n)
-    delsarte = del_classic(n, d).lp_value
-    size = cardinality(constraint, n)
-    # same f(0) = u0 - h substitution as in del_constrained; the zero word
-    # is always a singleton orbit with unit character-sum coefficient
-    u0 = min(float(conv[0]), delsarte)
-    labels = [lbl for lbl in struct.labels
-              if struct.reps[lbl].bit_count() >= d and conv[struct.reps[lbl]] > 0]
-    rows = []
-    for s_lbl in struct.labels:
-        s_rep = struct.reps[s_lbl]
-        coeffs = [float(orbit_char_sum(struct, lbl, s_rep)) for lbl in labels]
-        rows.append((coeffs + [-1.0], ">=", -u0))
-    ubs = {j: float(conv[struct.reps[lbl]]) for j, lbl in enumerate(labels)}
-    ubs[len(labels)] = u0
-    objective = [float(struct.sizes[lbl]) for lbl in labels] + [-1.0]
-    model = LpModel("max", objective, _dedupe(rows), upper_bounds=ubs)
-    sol = _solved(model, "del_constrained_sym(%d, %d, %s)" % (n, d, constraint))
-    value = u0 + sol.value
-    bound = math.sqrt(max(value, 0.0))
-    return BoundReport(n, d, constraint, value, bound,
-                       comparators={"delsarte": delsarte,
-                                    "cardinality": size},
-                       solution=sol, model=model)
+    """The constrained Delsarte LP over the orbits of the constraint's
+    symmetry group, capped by the number of orbits instead of n, with
+    optionally precomputed self-convolution counts."""
+    return del_constrained_orbits(orbit_structure(constraint, n), d, conv)
 
 
 def _ball(x, n, t):
@@ -536,11 +545,40 @@ def _ball(x, n, t):
     return set(out)
 
 
-def _gensph_symmetrized(n, t, constraint):
-    """The packing LP aggregated over the orbits of the constraint's symmetry
-    group: variables U_O = total weight on orbit O, one row per member orbit.
-    Averaging over the group preserves feasibility and the objective, so the
-    optimum is unchanged."""
+def _undominated(matrix):
+    """Ascending indices of the columns of a nonnegative matrix left after
+    dropping every column that is entrywise at least a kept column (of
+    identical columns the first is kept).  Columns are visited by their
+    sum, so a column's dominators come before it."""
+    kept = np.empty_like(matrix)
+    out = []
+    for j in np.argsort(matrix.sum(axis=0), kind="stable"):
+        column = matrix[:, j:j + 1]
+        if (kept[:, :len(out)] <= column).all(axis=0).any():
+            continue
+        kept[:, len(out)] = column[:, 0]
+        out.append(j)
+    return sorted(out)
+
+
+def gensph(n, d, constraint, cap=16):
+    """Generalized sphere-packing bound with radius t = floor((d-1)/2).
+
+    The bound is the minimum fractional transversal: weights on the members
+    of A such that every point within distance t of A is covered by total
+    weight at least 1.  Solved in the dual (max) form aggregated over the
+    orbits of the constraint's symmetry group: variables U_O = total weight
+    on orbit O, one row per orbit of members.  Averaging over the group
+    preserves feasibility and the objective, so the optimum is unchanged.
+    Every column has objective 1 and every row is <= 1 with nonnegative
+    coefficients, so a column entrywise at least another is dominated (its
+    weight can move to the other) and is dropped.
+    """
+    if n > cap:
+        raise CapExceeded("gensph refuses n=%d > cap %d" % (n, cap))
+    if not 1 <= d <= n:
+        raise ValueError("need 1 <= d <= n")
+    t = (d - 1) // 2
     struct = orbit_structure(constraint, n)
     member_labels = [lbl for lbl in struct.labels
                      if member_int(constraint, n, struct.reps[lbl])]
@@ -553,64 +591,17 @@ def _gensph_symmetrized(n, t, constraint):
             counts[y_lbl] = counts.get(y_lbl, 0) + 1
         ball_counts.append(counts)
         union.update(counts)
-    columns = sorted(union)
-    rows = [([counts.get(o, 0) / struct.sizes[o] for o in columns], "<=", 1.0)
-            for counts in ball_counts]
-    model = LpModel("max", [1.0] * len(columns), rows)
+    position = {o: j for j, o in enumerate(sorted(union))}
+    matrix = np.zeros((len(ball_counts), len(position)))
+    for i, counts in enumerate(ball_counts):
+        for o, k in counts.items():
+            matrix[i, position[o]] = k / struct.sizes[o]
+    rows = [(coeffs, "<=", 1.0)
+            for coeffs in matrix[:, _undominated(matrix)].tolist()]
+    model = LpModel("max", [1.0] * len(rows[0][0]), rows)
     sol = _solved(model, "gensph(%d, 2t+1=%d, %s)" % (n, 2 * t + 1, constraint))
-    return sol, model
-
-
-def gensph(n, d, constraint, cap=16):
-    """Generalized sphere-packing bound with radius t = floor((d-1)/2).
-
-    The bound is the minimum fractional transversal: weights on the members
-    of A such that every point within distance t of A is covered by total
-    weight at least 1.  Solved in the dual (max) form, whose rows are the
-    members of A, after deduplicating and pruning dominated columns; for the
-    constraint families with an orbit structure the LP is first aggregated
-    over the symmetry group, which leaves the optimum unchanged.
-    """
-    if n > cap:
-        raise ValueError("gensph refuses n=%d > cap %d" % (n, cap))
-    if not 1 <= d <= n:
-        raise ValueError("need 1 <= d <= n")
-    constraint.check_length(n)
-    t = (d - 1) // 2
-    if constraint.kind in ("two_charge", "subblock"):
-        sol, model = _gensph_symmetrized(n, t, constraint)
-        return BoundReport(n, d, constraint, sol.value, sol.value,
-                           comparators={"cardinality": cardinality(constraint, n)},
-                           solution=sol, model=model)
-    members = member_ints(constraint, n, cap=cap)
-    index = {x: i for i, x in enumerate(members)}
-    size = len(members)
-    # cover set of y = the members within distance t of y
-    covers = {}
-    for x in members:
-        for y in _ball(x, n, t):
-            covers.setdefault(y, set()).add(x)
-    # dedupe identical cover sets, then keep only minimal ones
-    distinct = {frozenset(c) for c in covers.values()}
-    by_size = sorted(distinct, key=len)
-    kept = []
-    for cand in by_size:
-        if not any(k <= cand for k in kept):
-            kept.append(cand)
-    rows_touching = [[] for _ in range(size)]
-    for j, cover in enumerate(kept):
-        for x in cover:
-            rows_touching[index[x]].append(j)
-    rows = []
-    for i in range(size):
-        coeffs = [0.0] * len(kept)
-        for j in rows_touching[i]:
-            coeffs[j] = 1.0
-        rows.append((coeffs, "<=", 1.0))
-    model = LpModel("max", [1.0] * len(kept), rows)
-    sol = _solved(model, "gensph(%d, %d, %s)" % (n, d, constraint))
     return BoundReport(n, d, constraint, sol.value, sol.value,
-                       comparators={"cardinality": size},
+                       comparators={"cardinality": cardinality(constraint, n)},
                        solution=sol, model=model)
 
 
@@ -626,7 +617,7 @@ def dual_certificate_bound(n, d, constraint, beta, tol=1e-9, cap=16):
     The certified bound is beta(0) * min(classic optimum, |A|).
     """
     if n > cap:
-        raise ValueError("dual_certificate_bound refuses n=%d > cap %d" % (n, cap))
+        raise CapExceeded("dual_certificate_bound refuses n=%d > cap %d" % (n, cap))
     beta = [float(v) for v in beta]
     if len(beta) != 1 << n:
         raise ValueError("beta must have 2^%d entries" % n)

@@ -9,6 +9,8 @@ coordinate i of a word is bit i-1 of its integer index.
 import math
 import threading
 
+from .errors import CapExceeded
+
 WHT_CAP = 26
 
 
@@ -42,7 +44,7 @@ def wht(spec):
         if len(vals) != 1 << n:
             raise ValueError("input length must be a power of two")
     if n > WHT_CAP:
-        raise ValueError("wht refuses n=%d > cap %d" % (n, WHT_CAP))
+        raise CapExceeded("wht refuses n=%d > cap %d" % (n, WHT_CAP))
     h = 1
     size = 1 << n
     while h < size:
@@ -137,7 +139,7 @@ def weight_class_sums(charsum_provider, n):
     F(s) = 2^n * fourier coefficient of the set indicator at s.
     """
     if n > WHT_CAP:
-        raise ValueError("weight_class_sums refuses n=%d > cap %d" % (n, WHT_CAP))
+        raise CapExceeded("weight_class_sums refuses n=%d > cap %d" % (n, WHT_CAP))
     out = [0] * (n + 1)
     for s in range(1 << n):
         out[s.bit_count()] += charsum_provider(s)
@@ -150,7 +152,7 @@ def self_convolution_counts(member_predicate, n):
     Equals 2^n (1_A * 1_A)(x) where * is the normalized convolution.
     """
     if n > 22:
-        raise ValueError("self_convolution_counts refuses n=%d > cap 22" % n)
+        raise CapExceeded("self_convolution_counts refuses n=%d > cap 22" % n)
     f = [1 if member_predicate(x) else 0 for x in range(1 << n)]
     spec = wht(f)
     squared = [v * v for v in spec.values]

@@ -181,12 +181,37 @@ def test_exit_code_usage_error(capsys):
     assert code == 2
 
 
+def test_exit_code_bad_parameter_mentioning_cap(capsys):
+    # a usage error whose message happens to contain "cap"
+    code, _ = run(capsys, "count", "--code", "hamming:m=3",
+                  "--constraint", "weight:i=cap")
+    assert code == 2
+
+
+def test_exit_code_internal_error(capsys, monkeypatch):
+    import constrcodes.cli as cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant violated")
+
+    monkeypatch.setattr(cli, "count_in_code", broken)
+    code = main(["count", "--code", "hamming:m=3", "--constraint", "rll:d=1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("internal error: invariant violated")
+
+
 def test_exit_code_resource_cap(capsys):
     code, _ = run(capsys, "weight-dist", "--constraint", "2charge",
                   "--n", "30")
     assert code == 3
     code, _ = run(capsys, "bound", "--n", "25", "--d", "3",
                   "--constraint", "rll:d=1", "--lp", "gensph")
+    assert code == 3
+    code, _ = run(capsys, "bound", "--n", "20", "--d", "3",
+                  "--constraint", "rll:d=1", "--lp", "del")
+    assert code == 3
+    code, _ = run(capsys, "bound", "--n", "20", "--d", "3",
+                  "--constraint", "rll:d=1", "--lp", "del-sym")
     assert code == 3
 
 

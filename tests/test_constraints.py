@@ -154,30 +154,61 @@ def test_two_charge_spectrum_support():
                 assert value == 0
 
 
+def reversal_families(n):
+    out = [rll(1), rll(2), rll(3), even_strict(), odd_strict()]
+    out += [fixed_weight(i) for i in range(n + 1)]
+    if n % 2 == 0:
+        out.append(odd_relaxed())
+    return out
+
+
+def test_reversal_families_are_reversal_invariant():
+    for n in range(1, 11):
+        for c in reversal_families(n):
+            for x in range(1 << n):
+                rev = int(format(x, "0%db" % n)[::-1], 2)
+                assert member_int(c, n, rev) == member_int(c, n, x), (str(c), n, x)
+
+
+def test_reversal_orbits():
+    for c, n in [(rll(1), 7), (even_strict(), 8), (fixed_weight(3), 6)]:
+        struct = orbit_structure(c, n)
+        assert struct.group == "reversal"
+        for x in range(1 << n):
+            rev = int(format(x, "0%db" % n)[::-1], 2)
+            label = struct.label_of(x)
+            assert label == struct.reps[label] == min(x, rev)
+            assert struct.sizes[label] == (1 if x == rev else 2)
+            assert sorted(struct.buckets()[label]) == sorted({x, rev})
+
+
 def test_orbit_structure_partitions_space():
     for c, n in [(two_charge(), 7), (two_charge(), 8),
-                 (subblock(2, 1), 8), (subblock(3, 2), 9)]:
-        struct = orbit_structure(c, n)
-        assert sum(struct.sizes.values()) == 1 << n
-        buckets = struct.buckets()
-        for label in struct.labels:
-            assert len(buckets[label]) == struct.sizes[label]
-            assert struct.label_of(struct.reps[label]) == label
-            # labels are constant on orbits by construction of label_of
-            assert all(struct.label_of(x) == label for x in buckets[label])
+                 (subblock(2, 1), 8), (subblock(3, 2), 9), (rll(2), 9),
+                 (odd_relaxed(), 8), (fixed_weight(4), 8)]:
+        for trivial in (False, True):
+            struct = orbit_structure(c, n, trivial=trivial)
+            assert sum(struct.sizes.values()) == 1 << n
+            buckets = struct.buckets()
+            for label in struct.labels:
+                assert len(buckets[label]) == struct.sizes[label]
+                assert struct.label_of(struct.reps[label]) == label
 
 
 def test_orbit_members_share_membership_and_weight_profile():
-    for c, n in [(two_charge(), 9), (subblock(2, 2), 8)]:
+    for c, n in [(two_charge(), 9), (subblock(2, 2), 8), (rll(1), 9),
+                 (even_strict(), 10), (odd_strict(), 9), (odd_relaxed(), 10),
+                 (fixed_weight(5), 10)]:
         struct = orbit_structure(c, n)
         for label, xs in struct.buckets().items():
             flags = {member_int(c, n, x) for x in xs}
             assert len(flags) == 1
+            assert len({x.bit_count() for x in xs}) == 1
 
 
 def test_orbit_char_sum_matches_brute():
     for c, n in [(two_charge(), 7), (two_charge(), 8), (subblock(2, 1), 8),
-                 (subblock(3, 2), 9)]:
+                 (subblock(3, 2), 9), (rll(1), 7), (even_strict(), 8)]:
         struct = orbit_structure(c, n)
         buckets = struct.buckets()
         for label in struct.labels:
@@ -186,3 +217,21 @@ def test_orbit_char_sum_matches_brute():
                 brute = sum(1 if (x & s_rep).bit_count() % 2 == 0 else -1
                             for x in buckets[other])
                 assert orbit_char_sum(struct, other, s_rep) == brute
+
+
+def test_orbit_char_sum_matrix_matches_scalar():
+    # the vectorized (and, for subblock, closed-form) matrix against the
+    # scalar orbit sums, for every group including the trivial one
+    for c, n in [(two_charge(), 7), (two_charge(), 8), (subblock(2, 1), 8),
+                 (subblock(3, 2), 9), (rll(1), 8), (odd_relaxed(), 8),
+                 (fixed_weight(3), 7)]:
+        for trivial in (False, True):
+            struct = orbit_structure(c, n, trivial=trivial)
+            columns = struct.labels[1::3]
+            matrix = struct.char_sums(columns)
+            assert matrix.shape == (len(struct.labels), len(columns))
+            for i, s_label in enumerate(struct.labels):
+                s_rep = struct.reps[s_label]
+                assert matrix[i].tolist() == [orbit_char_sum(struct, label, s_rep)
+                                              for label in columns]
+            assert struct.char_sums([]).shape == (len(struct.labels), 0)

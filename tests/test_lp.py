@@ -2,14 +2,20 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from constrcodes import (BinaryLinearCode, BitMatrix, CertificateRejected,
-                         LpModel, SolverError, cardinality, count_brute,
-                         del_classic, del_constrained, del_constrained_sym,
-                         del_full, dual_certificate_bound, dump_model,
-                         gf2_rank, gensph, iterate_span, member_ints, rll,
-                         solve, subblock, two_charge)
+from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
+                         CertificateRejected, LpModel, SolverError,
+                         cardinality, count_brute, del_classic,
+                         del_constrained, del_constrained_orbits,
+                         del_constrained_sym, del_full, dual_certificate_bound,
+                         dump_model, even_strict, fixed_weight, gf2_rank,
+                         gensph, iterate_span, member_int, member_ints,
+                         odd_relaxed, odd_strict, orbit_structure, rll, solve,
+                         subblock, two_charge)
+from constrcodes.lp import _undominated
+from constrcodes.spectral import self_convolution_counts
 
 TOL = 1e-6
 
@@ -141,11 +147,37 @@ def test_del_full_matches_symmetrized_classic():
 
 
 def test_del_constrained_matches_symmetrized():
-    for c, n in [(two_charge(), 8), (two_charge(), 9), (subblock(2, 1), 8)]:
+    # the family's symmetry group against the trivial group, whose orbit LP
+    # is the unsymmetrized 2^n-row LP
+    for c, n in [(two_charge(), 8), (two_charge(), 9), (two_charge(), 7),
+                 (subblock(2, 1), 8), (rll(1), 8), (rll(2), 8),
+                 (even_strict(), 8), (odd_strict(), 7), (odd_relaxed(), 8),
+                 (fixed_weight(3), 8)]:
+        trivial = orbit_structure(c, n, trivial=True)
         for d in (2, 3, 5):
-            full = del_constrained(n, d, c).lp_value
-            sym = del_constrained_sym(n, d, c).lp_value
-            assert full == pytest.approx(sym, abs=1e-5)
+            full = del_constrained_orbits(trivial, d).lp_value
+            assert full == pytest.approx(del_constrained(n, d, c).lp_value,
+                                         abs=1e-5)
+            assert full == pytest.approx(del_constrained_sym(n, d, c).lp_value,
+                                         abs=1e-5)
+
+
+def test_orbit_lp_is_smaller():
+    n, d, c = 8, 3, rll(1)
+    full = del_constrained_orbits(orbit_structure(c, n, trivial=True), d)
+    sym = del_constrained(n, d, c)
+    assert len(sym.model.rows) < len(full.model.rows) <= 1 << n
+    assert sym.model.nvars() < full.model.nvars()
+
+
+def test_orbit_lp_rejects_conv_not_constant_on_orbits():
+    n, d, c = 8, 3, rll(1)
+    conv = self_convolution_counts(lambda x: member_int(c, n, x), n)
+    conv[0b00000011] += 1  # its reversal 0b11000000 keeps the old count
+    with pytest.raises(AssertionError):
+        del_constrained_sym(n, d, c, conv=conv)
+    # every conv is constant on the singleton orbits of the trivial group
+    del_constrained_orbits(orbit_structure(c, n, trivial=True), d, conv=conv)
 
 
 def test_del_constrained_monotone_in_d():
@@ -197,26 +229,26 @@ def test_gensph_known_values():
 
 def test_gensph_sandwiches_max_clique():
     # gensph upper-bounds the largest subset of A with pairwise distance >= d
-    n, d, c = 6, 3, rll(1)
-    members = member_ints(c, n)
-
-    def clique(chosen, rest):
+    def clique(chosen, rest, d):
         best = len(chosen)
         for i, x in enumerate(rest):
             if all((x ^ y).bit_count() >= d for y in chosen):
-                best = max(best, clique(chosen + [x], rest[i + 1:]))
+                best = max(best, clique(chosen + [x], rest[i + 1:], d))
         return best
 
-    lower = clique([], members)
-    assert lower >= 2
-    assert gensph(n, d, c).lp_value + TOL >= lower
+    for n, d, c in [(6, 3, rll(1)), (8, 3, rll(2)), (8, 3, even_strict())]:
+        lower = clique([], member_ints(c, n), d)
+        assert lower >= 2
+        assert gensph(n, d, c).lp_value + TOL >= lower
 
 
 def test_gensph_orbit_aggregation_matches_direct():
     # the symmetrized LP must agree with a direct run on the raw member form
     from constrcodes.lp import _ball
 
-    for c, n, d in [(two_charge(), 8, 3), (subblock(2, 1), 8, 5)]:
+    for c, n, d in [(two_charge(), 8, 3), (subblock(2, 1), 8, 5),
+                    (rll(1), 8, 3), (rll(1), 9, 7), (rll(2), 8, 3),
+                    (rll(2), 8, 5), (even_strict(), 8, 3), (even_strict(), 7, 5)]:
         t = (d - 1) // 2
         members = member_ints(c, n)
         covers = {}
@@ -235,11 +267,22 @@ def test_gensph_orbit_aggregation_matches_direct():
         assert gensph(n, d, c).lp_value == pytest.approx(direct.value, abs=1e-6)
 
 
+def test_undominated_columns():
+    # column 1 is at least column 0 everywhere; column 3 repeats column 2
+    matrix = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
+    assert _undominated(matrix) == [0, 2]
+
+
 def test_bound_caps():
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded):
         del_constrained(20, 3, rll(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded):
         gensph(20, 3, rll(1))
+    # the reversal group of rll has 4160 orbits at n = 13, too many rows
+    with pytest.raises(CapExceeded):
+        del_constrained_sym(13, 3, rll(1))
+    with pytest.raises(CapExceeded):
+        del_constrained_sym(20, 3, rll(1))
 
 
 # -- dual certificates ---------------------------------------------------------
