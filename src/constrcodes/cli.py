@@ -14,10 +14,9 @@ import random
 import sys
 import time
 
-from .constraints import (ConstraintSpec, cardinality, char_sum_int,
-                          even_strict, fixed_weight, member_int, odd_relaxed,
-                          odd_strict, orbit_structure, parse_constraint, rll,
-                          subblock, two_charge)
+from .constraints import (char_sum_int, even_strict, fixed_weight, member_int,
+                          odd_relaxed, odd_strict, orbit_structure,
+                          parse_constraint, rll, subblock, two_charge)
 from .counting import (code_weight_distribution, constrained_weight_distribution,
                        count_brute, count_in_code, count_odd_in_code,
                        macwilliams, rm_subblock_count_plotkin,
@@ -187,7 +186,7 @@ def _primary_bound(n, d, constraint, which):
             return del_classic(n, d), "del_classic"
         raise ValueError("--lp %s needs --constraint" % which)
     if which == "auto":
-        which = "del-sym" if constraint.kind in ("two_charge", "subblock") else "del"
+        which = constraint.auto_lp
     if which == "del":
         return del_constrained(n, d, constraint), "del_constrained"
     if which == "del-sym":

@@ -5,13 +5,14 @@ For a constrained set A of length-n binary words, the character sum at s is
     F_A(s) = sum_{x in A} (-1)^{x . s},
 
 an exact integer equal to 2^n times the Fourier coefficient of A's
-indicator at s.  Each family implements F via a closed form or recurrence;
-brute-force enumeration is available as an oracle for every family.
+indicator at s.  Each family is one subclass of `ConstraintSpec` that
+defines its membership rule and F via a closed form or recurrence; the
+cardinality |A| = F_A(0) follows, and brute-force enumeration is available
+as an oracle for every family.
 """
 
 import itertools
 import math
-import threading
 
 import numpy as np
 
@@ -23,131 +24,6 @@ MEMBER_ENUM_CAP = 22
 # largest n at which the reversal and trivial groups, which have about
 # 2^(n-1) and 2^n orbits, list their orbits one by one
 ORBIT_LIST_CAP = 16
-
-_KINDS = ("two_charge", "subblock", "rll", "odd_strict", "odd_relaxed",
-          "even_strict", "fixed_weight")
-
-
-class ConstraintSpec:
-    """Tagged description of one constraint family plus its parameters."""
-
-    __slots__ = ("kind", "p", "z", "d", "i")
-
-    def __init__(self, kind, p=None, z=None, d=None, i=None):
-        if kind not in _KINDS:
-            raise ValueError("unknown constraint kind %r" % kind)
-        if kind == "subblock":
-            if p is None or z is None or p < 1 or z < 0:
-                raise ValueError("subblock needs p >= 1 and z >= 0")
-        if kind == "rll" and (d is None or d < 1):
-            raise ValueError("rll needs d >= 1")
-        if kind == "fixed_weight" and (i is None or i < 0):
-            raise ValueError("fixed_weight needs i >= 0")
-        self.kind = kind
-        self.p = p
-        self.z = z
-        self.d = d
-        self.i = i
-
-    def check_length(self, n):
-        if n < 1:
-            raise ValueError("blocklength must be positive")
-        if self.kind == "subblock":
-            if n % self.p:
-                raise ValueError("subblock requires p | n (p=%d, n=%d)" % (self.p, n))
-            if self.z > n // self.p:
-                raise ValueError("subblock weight z=%d exceeds subblock length %d"
-                                 % (self.z, n // self.p))
-        if self.kind == "odd_relaxed" and n % 2:
-            raise ValueError("the relaxed odd constraint is only supported for even n")
-        if self.kind == "fixed_weight" and self.i > n:
-            raise ValueError("fixed weight i=%d exceeds blocklength %d" % (self.i, n))
-
-    def __str__(self):
-        if self.kind == "two_charge":
-            return "2charge"
-        if self.kind == "subblock":
-            return "subblock:p=%d,z=%d" % (self.p, self.z)
-        if self.kind == "rll":
-            return "rll:d=%d" % self.d
-        if self.kind == "odd_strict":
-            return "odd-strict"
-        if self.kind == "odd_relaxed":
-            return "odd"
-        if self.kind == "even_strict":
-            return "even-strict"
-        return "weight:i=%d" % self.i
-
-    def __repr__(self):
-        return "ConstraintSpec(%r)" % str(self)
-
-    def __eq__(self, other):
-        return isinstance(other, ConstraintSpec) and str(self) == str(other)
-
-    def __hash__(self):
-        return hash(str(self))
-
-
-def two_charge():
-    return ConstraintSpec("two_charge")
-
-
-def subblock(p, z):
-    return ConstraintSpec("subblock", p=p, z=z)
-
-
-def rll(d):
-    return ConstraintSpec("rll", d=d)
-
-
-def odd_strict():
-    return ConstraintSpec("odd_strict")
-
-
-def odd_relaxed():
-    return ConstraintSpec("odd_relaxed")
-
-
-def even_strict():
-    return ConstraintSpec("even_strict")
-
-
-def fixed_weight(i):
-    return ConstraintSpec("fixed_weight", i=i)
-
-
-def parse_constraint(text):
-    """Parse the CLI grammar: `2charge`, `subblock:p=<int>,z=<int>`,
-    `rll:d=<int>`, `odd-strict`, `odd`, `even-strict`, `weight:i=<int>`."""
-    head, _, rest = text.partition(":")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq or not val:
-                raise ValueError("bad constraint parameter %r in %r" % (item, text))
-            try:
-                params[key] = int(val)
-            except ValueError as exc:
-                raise ValueError("non-integer parameter %r in %r" % (item, text)) from exc
-    try:
-        if head == "2charge":
-            return ConstraintSpec("two_charge", **params)
-        if head == "subblock":
-            return ConstraintSpec("subblock", **params)
-        if head == "rll":
-            return ConstraintSpec("rll", **params)
-        if head == "odd-strict":
-            return ConstraintSpec("odd_strict", **params)
-        if head == "odd":
-            return ConstraintSpec("odd_relaxed", **params)
-        if head == "even-strict":
-            return ConstraintSpec("even_strict", **params)
-        if head == "weight":
-            return ConstraintSpec("fixed_weight", **params)
-    except TypeError as exc:
-        raise ValueError("bad parameters for constraint %r" % text) from exc
-    raise ValueError("unknown constraint %r" % text)
 
 
 # ---------------------------------------------------------------------------
@@ -168,36 +44,9 @@ def _zero_runs(bits, n):
 def member_int(c, n, bits):
     """Membership test on a packed word (bit i-1 = coordinate i)."""
     c.check_length(n)
-    if c.kind == "two_charge":
-        # running sums of (-1)^{x_i} must stay within [0, 2]
-        total = 0
-        for i in range(n):
-            total += 1 - 2 * ((bits >> i) & 1)
-            if not 0 <= total <= 2:
-                return False
-        return True
-    if c.kind == "subblock":
-        width = n // c.p
-        mask = (1 << width) - 1
-        return all(((bits >> (l * width)) & mask).bit_count() == c.z
-                   for l in range(c.p))
-    if c.kind == "rll":
-        positions = [i for i in range(n) if (bits >> i) & 1]
-        return all(positions[j + 1] - positions[j] > c.d
-                   for j in range(len(positions) - 1))
-    if c.kind == "odd_strict":
-        if bits == 0:
-            return True
-        return all(r % 2 == 1 for r in _zero_runs(bits, n))
-    if c.kind == "odd_relaxed":
-        if bits == 0:
-            return True
-        return all(r % 2 == 1 for r in _zero_runs(bits, n)[1:-1])
-    if c.kind == "even_strict":
-        if bits == 0:
-            return True
-        return all(r % 2 == 0 for r in _zero_runs(bits, n))
-    return bits.bit_count() == c.i
+    if bits >> n:
+        raise ValueError("word does not fit in n=%d coordinates" % n)
+    return c.member(n, bits)
 
 
 def member(c, x):
@@ -226,28 +75,6 @@ def member_ints(c, n, cap=MEMBER_ENUM_CAP):
 
 
 # ---------------------------------------------------------------------------
-# cardinalities
-
-
-def cardinality(c, n):
-    """|A|, exact; closed form where available, brute count otherwise."""
-    c.check_length(n)
-    if c.kind == "two_charge":
-        return 1 << (n // 2)
-    if c.kind == "subblock":
-        return math.comb(n // c.p, c.z) ** c.p
-    if c.kind == "rll":
-        return char_sum_rll(n, c.d, 0)
-    if c.kind == "odd_strict":
-        return 1 << (n // 2) if n % 2 else 1
-    if c.kind == "odd_relaxed":
-        return (1 << (n // 2 + 1)) - 1
-    if c.kind == "even_strict":
-        return char_sum_even(n, 0)
-    return math.comb(n, c.i)
-
-
-# ---------------------------------------------------------------------------
 # character sums
 
 
@@ -262,169 +89,6 @@ def two_charge_basis(n):
     return basis
 
 
-def char_sum_two_charge(n, s):
-    """F(s) for the 2-charge set: 0 outside span(B), otherwise
-    (+-) 2^{floor(n/2)} with sign (-1)^{number of double-one pairs in s}."""
-    if n < 3:
-        raise ValueError("char_sum_two_charge requires n >= 3")
-    rest = s >> 1
-    neg_pairs = 0
-    pairs = (n + 1) // 2 - 1
-    for _ in range(pairs):
-        pair = rest & 0b11
-        if pair == 0b11:
-            neg_pairs ^= 1
-        elif pair:
-            return 0
-        rest >>= 2
-    if rest:
-        # coordinates beyond the last pair (even n) must be zero
-        return 0
-    mag = 1 << (n // 2)
-    return -mag if neg_pairs else mag
-
-
-def char_sum_subblock(n, p, z, s):
-    """F(s) = product over subblocks of K_z^{(n/p)}(weight of s's subblock)."""
-    if n % p:
-        raise ValueError("subblock requires p | n")
-    width = n // p
-    if not 0 <= z <= width:
-        raise ValueError("need 0 <= z <= n/p")
-    mask = (1 << width) - 1
-    out = 1
-    for l in range(p):
-        out *= krawtchouk(width, z, ((s >> (l * width)) & mask).bit_count())
-        if not out:
-            return 0
-    return out
-
-
-def _rll_base(m, d, suffix):
-    """F for suffix length m <= d+1: members are 0^m and the m single-one
-    words, so F = 1 + (m - 2 w(suffix))."""
-    return 1 + m - 2 * suffix.bit_count()
-
-
-def char_sum_rll(n, d, s):
-    """F(s) for the (d, infinity)-RLL set via the suffix recurrence
-
-        F^(m)(t) = F^(m-1)(t >> 1) + (-1)^{t & 1} F^(m-d-1)(t >> (d+1)),
-
-    valid for m >= d+2; shorter suffixes by direct formula."""
-    if d < 1:
-        raise ValueError("rll requires d >= 1")
-    if s >> n:
-        raise ValueError("s does not fit in n coordinates")
-    if n <= d + 1:
-        return _rll_base(n, d, s)
-    # vals[m] = F^(m) at the length-m suffix of s (the top m coordinates)
-    vals = [0] * (n + 1)
-    for m in range(d + 2):
-        vals[m] = _rll_base(m, d, s >> (n - m))
-    for m in range(d + 2, n + 1):
-        t = s >> (n - m)
-        sign = -1 if t & 1 else 1
-        vals[m] = vals[m - 1] + sign * vals[m - d - 1]
-    return vals[n]
-
-
-_EVEN_BASE = {}
-_EVEN_LOCK = threading.Lock()
-
-
-def _even_base(m, suffix):
-    """F for the strict-even set at lengths m in {0, 1, 2}, by enumeration."""
-    key = m
-    table = _EVEN_BASE.get(key)
-    if table is None:
-        with _EVEN_LOCK:
-            table = _EVEN_BASE.get(key)
-            if table is None:
-                spec = even_strict()
-                members = [x for x in range(1 << m) if member_int(spec, m, x)] if m else [0]
-                table = []
-                for s in range(1 << m):
-                    table.append(sum(-1 if (x & s).bit_count() & 1 else 1
-                                     for x in members))
-                _EVEN_BASE[key] = table
-    return table[suffix]
-
-
-def char_sum_even(n, s):
-    """F(s) for the strict-even set via the four-case suffix recurrence:
-
-        m even, s1 = 0:  F^(m) =  F^(m-1) + F^(m-2) - 1
-        m even, s1 = 1:  F^(m) = -F^(m-1) + F^(m-2) + 1
-        m odd,  s1 = 0:  F^(m) =  F^(m-1) + F^(m-2)
-        m odd,  s1 = 1:  F^(m) = -F^(m-1) + F^(m-2)
-
-    where F^(m-1), F^(m-2) are taken at the corresponding suffixes of s."""
-    if n < 1:
-        raise ValueError("blocklength must be positive")
-    if s >> n:
-        raise ValueError("s does not fit in n coordinates")
-    if n <= 2:
-        return _even_base(n, s)
-    vals = [0] * (n + 1)
-    vals[1] = _even_base(1, s >> (n - 1))
-    vals[2] = _even_base(2, s >> (n - 2))
-    for m in range(3, n + 1):
-        t = s >> (n - m)
-        if t & 1:
-            vals[m] = -vals[m - 1] + vals[m - 2] + (1 if m % 2 == 0 else 0)
-        else:
-            vals[m] = vals[m - 1] + vals[m - 2] - (1 if m % 2 == 0 else 0)
-    return vals[n]
-
-
-_ODD_COORD_MASKS = {}
-
-
-def _odd_coordinate_mask(n):
-    """Packed mask of the odd coordinate positions 1, 3, 5, ..."""
-    mask = _ODD_COORD_MASKS.get(n)
-    if mask is None:
-        mask = sum(1 << i for i in range(0, n, 2))
-        _ODD_COORD_MASKS[n] = mask
-    return mask
-
-
-def char_sum_odd_strict(n, s):
-    """F(s) for the strict-odd set (n odd): members form the subspace of
-    words supported on even coordinates, so F(s) = 2^{floor(n/2)} exactly
-    when s is supported on odd coordinates, else 0.  For even n the set is
-    just {0^n} by the all-zeros convention, so F(s) = 1."""
-    if s >> n:
-        raise ValueError("s does not fit in n coordinates")
-    if n % 2 == 0:
-        return 1
-    if s & ~_odd_coordinate_mask(n):
-        return 0
-    return 1 << (n // 2)
-
-
-def char_sum_odd_relaxed(n, s):
-    """F(s) for the relaxed odd set (n even): 2^{n/2+1}-1 at s = 0,
-    2^{n/2}-1 when s is itself a nonzero member, and -1 otherwise."""
-    if n % 2:
-        raise ValueError("the relaxed odd constraint is only supported for even n")
-    if s >> n:
-        raise ValueError("s does not fit in n coordinates")
-    if s == 0:
-        return (1 << (n // 2 + 1)) - 1
-    if member_int(odd_relaxed(), n, s):
-        return (1 << (n // 2)) - 1
-    return -1
-
-
-def char_sum_fixed_weight(n, i, s):
-    """F(s) for the weight-i sphere: K_i^{(n)}(w(s))."""
-    if not 0 <= i <= n:
-        raise ValueError("need 0 <= i <= n")
-    return krawtchouk(n, i, s.bit_count())
-
-
 def char_sum_brute(c, n, s, cap=MEMBER_ENUM_CAP):
     """Oracle: direct sum over enumerated members."""
     return sum(-1 if (x & s).bit_count() & 1 else 1 for x in member_ints(c, n, cap))
@@ -433,26 +97,19 @@ def char_sum_brute(c, n, s, cap=MEMBER_ENUM_CAP):
 def char_sum_int(c, n, s):
     """Dispatch the exact character sum F_A(s) on packed input."""
     c.check_length(n)
-    if c.kind == "two_charge":
-        if n < 3:
-            return char_sum_brute(c, n, s)
-        return char_sum_two_charge(n, s)
-    if c.kind == "subblock":
-        return char_sum_subblock(n, c.p, c.z, s)
-    if c.kind == "rll":
-        return char_sum_rll(n, c.d, s)
-    if c.kind == "odd_strict":
-        return char_sum_odd_strict(n, s)
-    if c.kind == "odd_relaxed":
-        return char_sum_odd_relaxed(n, s)
-    if c.kind == "even_strict":
-        return char_sum_even(n, s)
-    return char_sum_fixed_weight(n, c.i, s)
+    if s >> n:
+        raise ValueError("s does not fit in n=%d coordinates" % n)
+    return c.char_sum(n, s)
 
 
 def char_sum(c, s):
     """Exact character sum F_A(s) for a BitWord s."""
     return char_sum_int(c, s.n, s.bits)
+
+
+def cardinality(c, n):
+    """|A| = F_A(0), exact."""
+    return char_sum_int(c, n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +206,12 @@ class OrbitStructure:
             self._buckets = {label: group.tolist() for label, group in
                              zip(self.labels, np.split(words, ends[:-1]))}
         return self._buckets
+
+    def orbit_char_sum(self, label, s_bits):
+        """Sum over the orbit `label` of (-1)^{x . s_bits}, exact, summed
+        over the orbit's members."""
+        return sum(-1 if (x & s_bits).bit_count() & 1 else 1
+                   for x in self.buckets()[label])
 
     def char_sums(self, columns):
         """int64 matrix of orbit character sums: entry (i, j) is the sum over
@@ -660,20 +323,29 @@ class _SubblockOrbits(OrbitStructure):
             reps[label] = rep
         super().__init__(c, n, labels, sizes, reps)
 
-    def _blocks(self, bits):
-        width = self.n // self.constraint.p
-        mask = (1 << width) - 1
-        return [(bits >> (l * width)) & mask for l in range(self.constraint.p)]
-
     def _keys(self, words):
         # the multiset of subblock weights as a number in base p + 1, whose
         # digit w counts the subblocks of weight w
         p = self.constraint.p
         powers = (p + 1) ** np.arange(self.n // p + 1, dtype=np.int64)
         keys = np.zeros_like(words)
-        for block in self._blocks(words):
+        for block in self.constraint.blocks(self.n, words):
             keys += powers[_popcount(block)]
         return keys
+
+    def orbit_char_sum(self, label, s_bits):
+        """Closed form: the sum over the distinct ordered arrangements of the
+        weight multiset `label` of products of Krawtchouk values."""
+        width = self.n // self.constraint.p
+        s_weights = [block.bit_count()
+                     for block in self.constraint.blocks(self.n, s_bits)]
+        total = 0
+        for arrangement in set(itertools.permutations(label)):
+            term = 1
+            for a, w in zip(arrangement, s_weights):
+                term *= krawtchouk(width, a, w)
+            total += term
+        return total
 
     def char_sums(self, columns):
         """Closed form: the Krawtchouk products of `orbit_char_sum`."""
@@ -733,43 +405,355 @@ class _TrivialOrbits(OrbitStructure):
         return words
 
 
-_ORBITS = {"two_charge": _TwoChargeOrbits, "subblock": _SubblockOrbits,
-           "rll": _ReversalOrbits, "odd_strict": _ReversalOrbits,
-           "odd_relaxed": _ReversalOrbits, "even_strict": _ReversalOrbits,
-           "fixed_weight": _ReversalOrbits}
-
-
 def orbit_structure(c, n, trivial=False):
     """Labels, exact sizes, and canonical representatives of all orbits of
     the constraint's symmetry group, or of the trivial group (one orbit per
     word) when `trivial` is set."""
     c.check_length(n)
-    struct = (_TrivialOrbits if trivial else _ORBITS[c.kind])(c, n)
+    struct = (_TrivialOrbits if trivial else c.orbits)(c, n)
     if sum(struct.sizes.values()) != 1 << n:
         raise AssertionError("orbit sizes do not partition the space")
     return struct
 
 
 def orbit_char_sum(structure, orbit_label, s_rep):
-    """Sum over the orbit O of (-1)^{x . s_rep}, exact.
-
-    For subblock orbits this is the sum over distinct ordered arrangements
-    of the weight multiset of products of Krawtchouk values; for the other
-    groups it is summed over the orbit's members.
-    """
+    """Sum over the orbit O of (-1)^{x . s_rep}, exact: the group's
+    `OrbitStructure.orbit_char_sum` (for subblock orbits the closed form)."""
     s_bits = s_rep.bits if isinstance(s_rep, BitWord) else int(s_rep)
-    if isinstance(structure, _SubblockOrbits):
-        c = structure.constraint
-        width = structure.n // c.p
-        mask = (1 << width) - 1
-        s_weights = [((s_bits >> (l * width)) & mask).bit_count()
-                     for l in range(c.p)]
+    return structure.orbit_char_sum(orbit_label, s_bits)
+
+
+# ---------------------------------------------------------------------------
+# constraint families
+
+
+class ConstraintSpec:
+    """A constraint family plus its parameters; one subclass per family.
+
+    A family class gives its grammar head `head` and parameter names
+    `params` (the text form is `head` or `head:name=<int>,...`), validates
+    the parameters in `__init__` and the blocklength in `check_length`, and
+    defines on packed words that fit in n coordinates the membership rule
+    `member` and the exact character sum `char_sum`.  `orbits` is the
+    orbit-group class of a symmetry group of the set, and `auto_lp` the
+    bound program `bound --lp auto` solves.
+    """
+
+    kind = None  # family tag
+    head = None
+    params = ()
+    p = z = d = i = None  # the parameters, set by the families that take them
+    orbits = None
+    auto_lp = "del"
+
+    def check_length(self, n):
+        if n < 1:
+            raise ValueError("blocklength must be positive")
+
+    def member(self, n, bits):
+        raise NotImplementedError
+
+    def char_sum(self, n, s):
+        raise NotImplementedError
+
+    def __str__(self):
+        if not self.params:
+            return self.head
+        return "%s:%s" % (self.head, ",".join(
+            "%s=%d" % (name, getattr(self, name)) for name in self.params))
+
+    def __repr__(self):
+        return "ConstraintSpec(%r)" % str(self)
+
+    def __eq__(self, other):
+        return isinstance(other, ConstraintSpec) and str(self) == str(other)
+
+    def __hash__(self):
+        return hash(str(self))
+
+
+class TwoCharge(ConstraintSpec):
+    """The 2-charge set: running sums of (-1)^{x_i} stay within [0, 2]."""
+
+    kind = "two_charge"
+    head = "2charge"
+    orbits = _TwoChargeOrbits
+    auto_lp = "del-sym"
+
+    def member(self, n, bits):
         total = 0
-        for arrangement in set(itertools.permutations(orbit_label)):
-            term = 1
-            for a, w in zip(arrangement, s_weights):
-                term *= krawtchouk(width, a, w)
-            total += term
-        return total
-    members = structure.buckets()[orbit_label]
-    return sum(-1 if (x & s_bits).bit_count() & 1 else 1 for x in members)
+        for i in range(n):
+            total += 1 - 2 * ((bits >> i) & 1)
+            if not 0 <= total <= 2:
+                return False
+        return True
+
+    def char_sum(self, n, s):
+        """0 outside span(B) (see `two_charge_basis`), otherwise
+        (+-) 2^{floor(n/2)} with sign (-1)^{number of double-one pairs in s}."""
+        rest = s >> 1
+        neg_pairs = 0
+        for _ in range((n + 1) // 2 - 1):
+            pair = rest & 0b11
+            if pair == 0b11:
+                neg_pairs ^= 1
+            elif pair:
+                return 0
+            rest >>= 2
+        if rest:
+            # coordinates beyond the last pair (even n) must be zero
+            return 0
+        mag = 1 << (n // 2)
+        return -mag if neg_pairs else mag
+
+
+class Subblock(ConstraintSpec):
+    """Each of the p subblocks of length n/p has weight z."""
+
+    kind = "subblock"
+    head = "subblock"
+    params = ("p", "z")
+    orbits = _SubblockOrbits
+    auto_lp = "del-sym"
+
+    def __init__(self, p=None, z=None):
+        if p is None or z is None or p < 1 or z < 0:
+            raise ValueError("subblock needs p >= 1 and z >= 0")
+        self.p = p
+        self.z = z
+
+    def check_length(self, n):
+        ConstraintSpec.check_length(self, n)
+        if n % self.p:
+            raise ValueError("subblock requires p | n (p=%d, n=%d)" % (self.p, n))
+        if self.z > n // self.p:
+            raise ValueError("subblock weight z=%d exceeds subblock length %d"
+                             % (self.z, n // self.p))
+
+    def blocks(self, n, bits):
+        """The p subblocks of a packed word, or of each word of an int64
+        array, first subblock first."""
+        width = n // self.p
+        mask = (1 << width) - 1
+        out = []
+        for shift in range(0, n, width):
+            out.append((bits >> shift) & mask)
+        return out
+
+    def member(self, n, bits):
+        return all(block.bit_count() == self.z for block in self.blocks(n, bits))
+
+    def char_sum(self, n, s):
+        """Product over subblocks of K_z^{(n/p)}(weight of s's subblock)."""
+        width = n // self.p
+        out = 1
+        for block in self.blocks(n, s):
+            out *= krawtchouk(width, self.z, block.bit_count())
+            if not out:
+                return 0
+        return out
+
+
+class Rll(ConstraintSpec):
+    """The (d, infinity)-RLL set: any two ones are at least d + 1 apart."""
+
+    kind = "rll"
+    head = "rll"
+    params = ("d",)
+    orbits = _ReversalOrbits
+
+    def __init__(self, d=None):
+        if d is None or d < 1:
+            raise ValueError("rll needs d >= 1")
+        self.d = d
+
+    def member(self, n, bits):
+        positions = [i for i in range(n) if (bits >> i) & 1]
+        return all(positions[j + 1] - positions[j] > self.d
+                   for j in range(len(positions) - 1))
+
+    def char_sum(self, n, s):
+        """The suffix recurrence
+
+            F^(m)(t) = F^(m-1)(t >> 1) + (-1)^{t & 1} F^(m-d-1)(t >> (d+1)),
+
+        valid for m >= d+2, over the length-m suffixes t of s (its top m
+        coordinates).  For m <= d+1 the members are 0^m and the m single-one
+        words, so F^(m)(t) = 1 + m - 2 w(t)."""
+        d = self.d
+        vals = [1 + m - 2 * (s >> (n - m)).bit_count()
+                for m in range(min(n, d + 1) + 1)]
+        for m in range(d + 2, n + 1):
+            if (s >> (n - m)) & 1:
+                vals.append(vals[m - 1] - vals[m - d - 1])
+            else:
+                vals.append(vals[m - 1] + vals[m - d - 1])
+        return vals[n]
+
+
+class OddStrict(ConstraintSpec):
+    """Every run of zeros, the leading and trailing runs included, has odd
+    length; the all-zeros word is a member by convention."""
+
+    kind = "odd_strict"
+    head = "odd-strict"
+    orbits = _ReversalOrbits
+
+    def member(self, n, bits):
+        return bits == 0 or all(r % 2 == 1 for r in _zero_runs(bits, n))
+
+    def char_sum(self, n, s):
+        """For odd n the members form the subspace of words supported on
+        even coordinates, so F(s) = 2^{floor(n/2)} exactly when s is
+        supported on the odd coordinates 1, 3, ..., n, else 0.  For even n
+        the set is just {0^n} by the all-zeros convention, so F(s) = 1."""
+        if n % 2 == 0:
+            return 1
+        # ((1 << (n + 1)) - 1) // 3 has bits 0, 2, ..., n - 1 set
+        if s & ~(((1 << (n + 1)) - 1) // 3):
+            return 0
+        return 1 << (n // 2)
+
+
+class OddRelaxed(ConstraintSpec):
+    """Every internal run of zeros has odd length (even n only); the
+    all-zeros word is a member by convention."""
+
+    kind = "odd_relaxed"
+    head = "odd"
+    orbits = _ReversalOrbits
+
+    def check_length(self, n):
+        ConstraintSpec.check_length(self, n)
+        if n % 2:
+            raise ValueError("the relaxed odd constraint is only supported for even n")
+
+    def member(self, n, bits):
+        return bits == 0 or all(r % 2 == 1 for r in _zero_runs(bits, n)[1:-1])
+
+    def char_sum(self, n, s):
+        """2^{n/2+1}-1 at s = 0, 2^{n/2}-1 when s is itself a nonzero
+        member, and -1 otherwise."""
+        if s == 0:
+            return (1 << (n // 2 + 1)) - 1
+        if self.member(n, s):
+            return (1 << (n // 2)) - 1
+        return -1
+
+
+# F at lengths 1 and 2: the members are 0 and 1, and 00 and 11
+_EVEN_BASE = {1: (2, 0), 2: (2, 0, 0, 2)}
+
+
+class EvenStrict(ConstraintSpec):
+    """Every run of zeros, the leading and trailing runs included, has even
+    length; the all-zeros word is a member by convention."""
+
+    kind = "even_strict"
+    head = "even-strict"
+    orbits = _ReversalOrbits
+
+    def member(self, n, bits):
+        return bits == 0 or all(r % 2 == 0 for r in _zero_runs(bits, n))
+
+    def char_sum(self, n, s):
+        """The four-case suffix recurrence:
+
+            m even, s1 = 0:  F^(m) =  F^(m-1) + F^(m-2) - 1
+            m even, s1 = 1:  F^(m) = -F^(m-1) + F^(m-2) + 1
+            m odd,  s1 = 0:  F^(m) =  F^(m-1) + F^(m-2)
+            m odd,  s1 = 1:  F^(m) = -F^(m-1) + F^(m-2)
+
+        where F^(m-1), F^(m-2) are taken at the corresponding suffixes of s."""
+        if n <= 2:
+            return _EVEN_BASE[n][s]
+        vals = [0, _EVEN_BASE[1][s >> (n - 1)], _EVEN_BASE[2][s >> (n - 2)]]
+        for m in range(3, n + 1):
+            t = s >> (n - m)
+            if t & 1:
+                vals.append(-vals[m - 1] + vals[m - 2] + (1 if m % 2 == 0 else 0))
+            else:
+                vals.append(vals[m - 1] + vals[m - 2] - (1 if m % 2 == 0 else 0))
+        return vals[n]
+
+
+class FixedWeight(ConstraintSpec):
+    """The weight-i sphere."""
+
+    kind = "fixed_weight"
+    head = "weight"
+    params = ("i",)
+    orbits = _ReversalOrbits
+
+    def __init__(self, i=None):
+        if i is None or i < 0:
+            raise ValueError("fixed_weight needs i >= 0")
+        self.i = i
+
+    def check_length(self, n):
+        ConstraintSpec.check_length(self, n)
+        if self.i > n:
+            raise ValueError("fixed weight i=%d exceeds blocklength %d" % (self.i, n))
+
+    def member(self, n, bits):
+        return bits.bit_count() == self.i
+
+    def char_sum(self, n, s):
+        """K_i^{(n)}(w(s))."""
+        return krawtchouk(n, self.i, s.bit_count())
+
+
+# grammar head -> family class
+FAMILIES = {cls.head: cls for cls in (TwoCharge, Subblock, Rll, OddStrict,
+                                      OddRelaxed, EvenStrict, FixedWeight)}
+
+
+def two_charge():
+    return TwoCharge()
+
+
+def subblock(p, z):
+    return Subblock(p, z)
+
+
+def rll(d):
+    return Rll(d)
+
+
+def odd_strict():
+    return OddStrict()
+
+
+def odd_relaxed():
+    return OddRelaxed()
+
+
+def even_strict():
+    return EvenStrict()
+
+
+def fixed_weight(i):
+    return FixedWeight(i)
+
+
+def parse_constraint(text):
+    """Parse the CLI grammar: `2charge`, `subblock:p=<int>,z=<int>`,
+    `rll:d=<int>`, `odd-strict`, `odd`, `even-strict`, `weight:i=<int>`."""
+    head, _, rest = text.partition(":")
+    params = {}
+    if rest:
+        for item in rest.split(","):
+            key, eq, val = item.partition("=")
+            if not eq or not val:
+                raise ValueError("bad constraint parameter %r in %r" % (item, text))
+            try:
+                params[key] = int(val)
+            except ValueError as exc:
+                raise ValueError("non-integer parameter %r in %r" % (item, text)) from exc
+    family = FAMILIES.get(head)
+    if family is None:
+        raise ValueError("unknown constraint %r" % text)
+    try:
+        return family(**params)
+    except TypeError as exc:
+        raise ValueError("bad parameters for constraint %r" % text) from exc

@@ -12,8 +12,8 @@ high-rate codes of large blocklength stay tractable.
 
 import math
 
-from .constraints import (char_sum_int, member_int, odd_relaxed, odd_strict,
-                          two_charge_basis)
+from .constraints import (_two_charge_pairs, char_sum_int, member_int,
+                          odd_relaxed, odd_strict, two_charge_basis)
 from .errors import CapExceeded
 from .gf2 import (ENUMERATION_CAP, _echelonize, coset_decompose,
                   coset_weight_enumerator, iterate_span, reed_muller,
@@ -242,7 +242,7 @@ def two_charge_structure(code, cap=24):
         raise CapExceeded("dual dimension %d exceeds cap %d" % (n - k, cap))
     inter = _intersect_spans(code.parity_check.data, two_charge_basis(n), n)
     dim = len(inter)
-    pairs = range(1, (n - 1 if n % 2 else n - 2), 2)
+    pairs = _two_charge_pairs(n)
 
     def sign_bit(v):
         return sum(((v >> low) & 0b11) == 0b11 for low in pairs) & 1

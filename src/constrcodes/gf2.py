@@ -6,8 +6,6 @@ coordinate 1 first, so "10100" means x1=1, x3=1.  Lexicographic order on
 words is lexicographic order on these strings.
 """
 
-import math
-
 from .errors import CapExceeded
 
 ENUMERATION_CAP = 26

@@ -1,6 +1,3 @@
-import itertools
-import math
-
 import pytest
 
 from constrcodes import (cardinality, char_sum_brute, char_sum_int,
@@ -8,6 +5,7 @@ from constrcodes import (cardinality, char_sum_brute, char_sum_int,
                          member_int, member_ints, odd_relaxed, odd_strict,
                          orbit_char_sum, orbit_structure, parse_constraint,
                          rll, subblock, two_charge, two_charge_basis, wht)
+from constrcodes.constraints import FAMILIES
 from constrcodes.gf2 import BitWord, iterate_span
 
 
@@ -18,6 +16,13 @@ def all_constraints(n):
         if n % p == 0:
             out.append(subblock(p, min(2, n // p)))
     return out
+
+
+def test_all_constraints_covers_every_family():
+    # the char-sum, membership and orbit tests run over all_constraints, so a
+    # family it never produces would go untested
+    produced = {type(c) for n in range(3, 13) for c in all_constraints(n)}
+    assert set(FAMILIES.values()) <= produced
 
 
 # -- independent membership oracles on coordinate tuples ---------------------
@@ -102,7 +107,7 @@ def test_parse_constraint_roundtrip():
 
 def test_parse_constraint_rejects_garbage():
     for text in ["", "blah", "subblock:p=2", "rll:d=x", "subblock:p=,z=1",
-                 "weight", "rll:d=0"]:
+                 "weight", "rll:d=0", "rll:d=1,p=2", "2charge:p=1"]:
         with pytest.raises(ValueError):
             parse_constraint(text)
 
@@ -119,7 +124,7 @@ def test_check_length_errors():
 
 
 def test_char_sums_match_brute_all_s():
-    for n in range(3, 9):
+    for n in range(1, 9):
         for c in all_constraints(n):
             for s in range(1 << n):
                 assert char_sum_int(c, n, s) == char_sum_brute(c, n, s), \
@@ -138,7 +143,17 @@ def test_char_sums_match_wht_larger_n():
 def test_char_sum_at_zero_is_cardinality():
     for n in (6, 9, 12, 15):
         for c in all_constraints(n):
-            assert char_sum_int(c, n, 0) == cardinality(c, n)
+            assert char_sum_int(c, n, 0) == len(member_ints(c, n)), (str(c), n)
+
+
+def test_words_outside_n_coordinates_are_rejected():
+    for n in (6, 7):
+        for c in all_constraints(n):
+            for s in (1 << n, -1, 0b110000 << n):
+                with pytest.raises(ValueError):
+                    char_sum_int(c, n, s)
+                with pytest.raises(ValueError):
+                    member_int(c, n, s)
 
 
 def test_two_charge_spectrum_support():

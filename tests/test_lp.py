@@ -1,13 +1,12 @@
 import itertools
-import math
 import random
 
 import numpy as np
 import pytest
 
 from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
-                         CertificateRejected, LpModel, SolverError,
-                         cardinality, count_brute, del_classic,
+                         CertificateRejected, LpModel, cardinality,
+                         count_brute, del_classic,
                          del_constrained, del_constrained_orbits,
                          del_constrained_sym, del_full, dual_certificate_bound,
                          dump_model, even_strict, fixed_weight, gf2_rank,
