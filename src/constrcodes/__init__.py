@@ -42,12 +42,14 @@ from .constraints import (
     OrbitStructure,
     cardinality,
     char_sum,
+    char_sum_array,
     char_sum_brute,
     char_sum_int,
     enumerate_members,
     even_strict,
     fixed_weight,
     member,
+    member_array,
     member_int,
     member_ints,
     odd_relaxed,

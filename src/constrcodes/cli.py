@@ -14,9 +14,12 @@ import random
 import sys
 import time
 
-from .constraints import (char_sum_int, even_strict, fixed_weight, member_int,
-                          odd_relaxed, odd_strict, orbit_structure,
-                          parse_constraint, rll, subblock, two_charge)
+import numpy as np
+
+from .constraints import (char_sum_array, char_sum_int, even_strict,
+                          fixed_weight, member_array, member_int, odd_relaxed,
+                          odd_strict, orbit_structure, parse_constraint, rll,
+                          subblock, two_charge)
 from .counting import (code_weight_distribution, constrained_weight_distribution,
                        count_brute, count_in_code, count_odd_in_code,
                        macwilliams, rm_subblock_count_plotkin,
@@ -27,7 +30,7 @@ from .gf2 import (BinaryLinearCode, BitMatrix, CodeFormatError, dual_code,
                   simplex_code, zero_code)
 from .lp import (SolverError, del_classic, del_constrained,
                  del_constrained_orbits, del_constrained_sym, dump_model,
-                 gensph)
+                 gensph, self_convolution)
 from .spectral import krawtchouk_table, weight_class_sums, wht
 
 EXIT_OK = 0
@@ -250,7 +253,7 @@ def run_fourier(args):
     if n > FULL_SPACE_CAP:
         raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, FULL_SPACE_CAP))
     constraint.check_length(n)
-    sums = weight_class_sums(lambda s: char_sum_int(constraint, n, s), n)
+    sums = weight_class_sums(lambda s: char_sum_array(constraint, n, s), n)
     report = {"constraint": str(constraint), "n": n,
               "weight_class_sums": [str(v) for v in sums]}
     csv_rows = [("weight", "class_sum")] + [(j, v) for j, v in enumerate(sums)]
@@ -261,6 +264,18 @@ def run_fourier(args):
 
 # ---------------------------------------------------------------------------
 # reference tables
+
+
+def _once(compute):
+    """`compute` wrapped to run at the first call only, so that the cells of
+    one table share a value; each table builds its own."""
+    memo = []
+
+    def value():
+        if not memo:
+            memo.append(compute())
+        return memo[0]
+    return value
 
 
 def _cell(column, provenance, expected, compute, places=3):
@@ -286,11 +301,13 @@ def _table_II():
     sym = [64, 45.255, 45.255, 22.627, 17.889, 5.657, 4.619, 2.828, 2.619]
     gsp = [64, 64, 64, 64, 64, 32, 32, 16, 16]
     dcl = [4096, 512, 292.571, 64, 40, 8, 5.333, 3.333, 2.857]
+    conv = _once(lambda: self_convolution(two_charge(), 13))
     rows = []
     for i, d in enumerate(range(2, 11)):
         rows.append(("d=%d" % d, [
             _cell("sqrt(Del)", "del_constrained_sym", sym[i],
-                  lambda d=d: del_constrained_sym(13, d, two_charge()).code_size_bound),
+                  lambda d=d: del_constrained_sym(13, d, two_charge(),
+                                                  conv=conv()).code_size_bound),
             _cell("GenSph", "gensph", gsp[i],
                   lambda d=d: gensph(13, d, two_charge()).code_size_bound),
             _cell("Del(n,d)", "del_classic", dcl[i],
@@ -306,11 +323,13 @@ def _table_III():
     sym = [1000, 826.236, 826.236, 156.767, 110.851, 22.627]
     gsp = [1000, 1000, 1000, 333.333, 333.333, 166.667]
     c = subblock(3, 2)
+    conv = _once(lambda: self_convolution(c, 15))
     rows = []
     for i, d in enumerate(range(2, 8)):
         rows.append(("d=%d" % d, [
             _cell("sqrt(Del)", "del_constrained_sym", sym[i],
-                  lambda d=d: del_constrained_sym(15, d, c).code_size_bound),
+                  lambda d=d: del_constrained_sym(15, d, c,
+                                                  conv=conv()).code_size_bound),
             _cell("GenSph", "gensph", gsp[i],
                   lambda d=d: gensph(15, d, c).code_size_bound)]))
     return "upper bounds for subblock-constrained codes at (n,p,z)=(15,3,2)", rows
@@ -319,11 +338,13 @@ def _table_III():
 def _table_IV():
     sym = [556.38, 556.38, 227.111, 165.247, 38.118, 28.540, 4.472]
     c = subblock(2, 2)
+    conv = _once(lambda: self_convolution(c, 18))
     rows = []
     for i, d in enumerate(range(3, 10)):
         rows.append(("d=%d" % d, [
             _cell("sqrt(Del)", "del_constrained_sym", sym[i],
-                  lambda d=d: del_constrained_sym(18, d, c).code_size_bound)]))
+                  lambda d=d: del_constrained_sym(18, d, c,
+                                                  conv=conv()).code_size_bound)]))
     return "upper bounds for subblock-constrained codes at (n,p,z)=(18,2,2)", rows
 
 
@@ -377,19 +398,12 @@ def _table_even_counts():
 
 def _table_even_weights():
     expected = (1, 9, 0, 120, 0, 462, 0, 792, 0, 715, 0, 364, 0, 105, 0, 16, 0, 1)
-    dist = None
-
-    def compute(i):
-        nonlocal dist
-        if dist is None:
-            dist = weight_distribution(even_strict(), 17)
-        return str(dist.counts[i])
-
+    dist = _once(lambda: weight_distribution(even_strict(), 17))
     rows = []
     for i, exp in enumerate(expected):
         rows.append(("w=%d" % i, [
             _cell("count", "weight_distribution", str(exp),
-                  lambda i=i: compute(i))]))
+                  lambda i=i: str(dist().counts[i]))]))
     return "weight distribution of the strict even-run set at n=17", rows
 
 
@@ -498,6 +512,9 @@ def _suite_charsum(max_n, fault=False):
         for c in _constraints_for(n):
             indicator = [1 if member_int(c, n, x) else 0 for x in range(1 << n)]
             spectrum = wht(indicator)
+            words = np.arange(1 << n, dtype=np.int64)
+            members = member_array(c, n, words).tolist()
+            sums = char_sum_array(c, n, words).tolist()
             for s in range(1 << n):
                 expected = spectrum[s] + (1 if fault and s == 3 else 0)
                 got = char_sum_int(c, n, s)
@@ -505,6 +522,12 @@ def _suite_charsum(max_n, fault=False):
                 if got != expected:
                     return False, cases, {"constraint": str(c), "n": n, "s": s,
                                           "char_sum": got, "brute": expected}
+                if sums[s] != got or members[s] != indicator[s]:
+                    return False, cases, {"constraint": str(c), "n": n, "s": s,
+                                          "char_sum": got,
+                                          "char_sum_array": sums[s],
+                                          "member": indicator[s],
+                                          "member_array": int(members[s])}
     return True, cases, None
 
 

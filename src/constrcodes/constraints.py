@@ -6,9 +6,10 @@ For a constrained set A of length-n binary words, the character sum at s is
 
 an exact integer equal to 2^n times the Fourier coefficient of A's
 indicator at s.  Each family is one subclass of `ConstraintSpec` that
-defines its membership rule and F via a closed form or recurrence; the
-cardinality |A| = F_A(0) follows, and brute-force enumeration is available
-as an oracle for every family.
+defines its membership rule and F via a closed form or recurrence, on one
+packed word and, vectorized, on an int64 array of words; the cardinality
+|A| = F_A(0) follows, and brute-force enumeration is available as an oracle
+for every family.
 """
 
 import itertools
@@ -18,9 +19,12 @@ import numpy as np
 
 from .errors import CapExceeded
 from .gf2 import BitWord
-from .spectral import krawtchouk
+from .spectral import _popcount, krawtchouk, krawtchouk_table, word_chunks
 
 MEMBER_ENUM_CAP = 22
+# largest n of the array methods: every word and every shift of it stays a
+# nonnegative int64
+ARRAY_CAP = 62
 # largest n at which the reversal and trivial groups, which have about
 # 2^(n-1) and 2^n orbits, list their orbits one by one
 ORBIT_LIST_CAP = 16
@@ -32,13 +36,35 @@ ORBIT_LIST_CAP = 16
 
 def _zero_runs(bits, n):
     """Lengths of the leading, internal, and trailing runs of zeros."""
-    positions = [i for i in range(n) if (bits >> i) & 1]
-    if not positions:
-        return [n]
-    runs = [positions[0]]
-    runs.extend(positions[j + 1] - positions[j] - 1 for j in range(len(positions) - 1))
-    runs.append(n - 1 - positions[-1])
+    runs = []
+    last = -1
+    while bits:
+        low = bits & -bits
+        position = low.bit_length() - 1
+        runs.append(position - last - 1)
+        last = position
+        bits ^= low
+    runs.append(n - 1 - last)
     return runs
+
+
+def _zero_runs_array(n, words, odd_runs, ends):
+    """Whether every internal run of zeros of each word of an int64 array,
+    and the leading and trailing runs too when `ends`, has odd length (if
+    `odd_runs`) or even length; the all-zeros word passes.  One scan over
+    the coordinates keeps the parity of the current run."""
+    odd = np.zeros(words.shape, dtype=bool)  # the current run's parity
+    seen = np.zeros(words.shape, dtype=bool)  # a one has been read
+    ok = np.ones(words.shape, dtype=bool)
+    for i in range(n):
+        one = ((words >> i) & 1).astype(bool)
+        closed = one if ends else one & seen
+        ok &= ~closed | (odd == odd_runs)
+        seen |= one
+        odd = ~one & ~odd
+    if ends:
+        ok &= odd == odd_runs
+    return ok | (words == 0)
 
 
 def member_int(c, n, bits):
@@ -52,6 +78,24 @@ def member_int(c, n, bits):
 def member(c, x):
     """Membership test on a BitWord."""
     return member_int(c, x.n, x.bits)
+
+
+def _word_array(c, n, words):
+    """The packed words as an int64 array, after one length check and one
+    range check of all entries."""
+    c.check_length(n)
+    if n > ARRAY_CAP:
+        raise CapExceeded("array methods refuse n=%d > cap %d" % (n, ARRAY_CAP))
+    words = np.asarray(words)
+    if words.size and (words.dtype.kind not in "iu" or words.min() < 0
+                       or words.max() >> n):
+        raise ValueError("words must be integers in [0, 2^%d)" % n)
+    return words.astype(np.int64, copy=False)
+
+
+def member_array(c, n, words):
+    """Membership of each packed word of an integer array, as a bool array."""
+    return c.member_array(n, _word_array(c, n, words))
 
 
 def enumerate_members(c, n, cap=MEMBER_ENUM_CAP):
@@ -107,6 +151,14 @@ def char_sum(c, s):
     return char_sum_int(c, s.n, s.bits)
 
 
+def char_sum_array(c, n, words):
+    """Exact F_A(s) for each packed word s of an integer array, as int64.
+    |F_A(s)| <= |A| <= 2^n, and every family's intermediate values are
+    character sums of shorter sets or partial products bounded the same
+    way, so nothing overflows at n <= ARRAY_CAP."""
+    return c.char_sum_array(n, _word_array(c, n, words))
+
+
 def cardinality(c, n):
     """|A| = F_A(0), exact."""
     return char_sum_int(c, n, 0)
@@ -117,27 +169,17 @@ def cardinality(c, n):
 
 # int64 entries per chunk of the character block in OrbitStructure.char_sums
 _CHAR_CHUNK = 1 << 16
-# words per chunk of OrbitStructure.index_chunks
-_INDEX_CHUNK = 1 << 14
 
 
 def _parity(v):
-    """Parity of the set bits of each entry of an int64 array (< 2^32)."""
-    v = v ^ (v >> 16)
+    """Parity of the set bits of each entry of a nonnegative int64 array."""
+    v = v ^ (v >> 32)
+    v ^= v >> 16
     v ^= v >> 8
     v ^= v >> 4
     v ^= v >> 2
     v ^= v >> 1
     return v & 1
-
-
-def _popcount(v):
-    """Number of set bits of each entry of an int64 array (< 2^32), by
-    the bit-parallel byte sums."""
-    v = v - ((v >> 1) & 0x55555555)
-    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-    v = (v + (v >> 4)) & 0x0F0F0F0F
-    return ((v * 0x01010101) & 0xFFFFFFFF) >> 24
 
 
 class OrbitStructure:
@@ -169,8 +211,8 @@ class OrbitStructure:
         raise NotImplementedError
 
     def index_chunks(self):
-        """Yield (start, index) over consecutive chunks of the packed words:
-        index[k] is the position in `labels` of the orbit of word start + k.
+        """Yield (start, index) over the chunks of `word_chunks(n)`: index[k]
+        is the position in `labels` of the orbit of word start + k.
         Chunking keeps the working memory small at large n."""
         if self.n > MEMBER_ENUM_CAP:
             raise CapExceeded("orbit bucketing refuses n=%d > cap %d"
@@ -180,14 +222,13 @@ class OrbitStructure:
         order = np.argsort(rep_keys, kind="stable")
         sorted_keys = rep_keys[order]
         counts = np.zeros(len(self.labels), dtype=np.int64)
-        for start in range(0, 1 << self.n, _INDEX_CHUNK):
-            keys = self._keys(np.arange(start, min(start + _INDEX_CHUNK, 1 << self.n),
-                                        dtype=np.int64))
+        for words in word_chunks(self.n):
+            keys = self._keys(words)
             index = order[np.searchsorted(sorted_keys, keys).clip(0, len(order) - 1)]
             if not np.array_equal(rep_keys[index], keys):
                 raise AssertionError("a word's orbit key matches no orbit label")
             counts += np.bincount(index, minlength=len(counts))
-            yield start, index
+            yield int(words[0]), index
         if counts.tolist() != [self.sizes[label] for label in self.labels]:
             raise AssertionError("orbit keys disagree with the orbit sizes")
 
@@ -434,7 +475,9 @@ class ConstraintSpec:
     `params` (the text form is `head` or `head:name=<int>,...`), validates
     the parameters in `__init__` and the blocklength in `check_length`, and
     defines on packed words that fit in n coordinates the membership rule
-    `member` and the exact character sum `char_sum`.  `orbits` is the
+    `member` and the exact character sum `char_sum`, and their vectorized
+    forms over an int64 array of such words, `member_array` (bool) and
+    `char_sum_array` (int64).  `orbits` is the
     orbit-group class of a symmetry group of the set, and `auto_lp` the
     bound program `bound --lp auto` solves.
     """
@@ -454,6 +497,12 @@ class ConstraintSpec:
         raise NotImplementedError
 
     def char_sum(self, n, s):
+        raise NotImplementedError
+
+    def member_array(self, n, words):
+        raise NotImplementedError
+
+    def char_sum_array(self, n, s):
         raise NotImplementedError
 
     def __str__(self):
@@ -506,6 +555,27 @@ class TwoCharge(ConstraintSpec):
         mag = 1 << (n // 2)
         return -mag if neg_pairs else mag
 
+    def member_array(self, n, words):
+        charge = np.zeros_like(words)
+        ok = np.ones(words.shape, dtype=bool)
+        for i in range(n):
+            charge += 1 - 2 * ((words >> i) & 1)
+            ok &= (charge >= 0) & (charge <= 2)
+        return ok
+
+    def char_sum_array(self, n, s):
+        """The pair scan of `char_sum` on every word at once."""
+        rest = s >> 1
+        negative = np.zeros(s.shape, dtype=bool)
+        spanned = np.ones(s.shape, dtype=bool)
+        for _ in range((n + 1) // 2 - 1):
+            pair = rest & 0b11
+            negative ^= pair == 0b11
+            spanned &= (pair == 0) | (pair == 0b11)
+            rest = rest >> 2
+        spanned &= rest == 0
+        return np.where(spanned, 1 - 2 * negative, 0) << (n // 2)
+
 
 class Subblock(ConstraintSpec):
     """Each of the p subblocks of length n/p has weight z."""
@@ -553,6 +623,21 @@ class Subblock(ConstraintSpec):
                 return 0
         return out
 
+    def member_array(self, n, words):
+        ok = np.ones(words.shape, dtype=bool)
+        for block in self.blocks(n, words):
+            ok &= _popcount(block) == self.z
+        return ok
+
+    def char_sum_array(self, n, s):
+        """A Krawtchouk-row lookup on each subblock weight; every partial
+        product is at most C(n/p, z)^p = |A| in magnitude."""
+        row = np.array(krawtchouk_table(n // self.p).table[self.z], dtype=np.int64)
+        out = np.ones_like(s)
+        for block in self.blocks(n, s):
+            out *= row[_popcount(block)]
+        return out
+
 
 class Rll(ConstraintSpec):
     """The (d, infinity)-RLL set: any two ones are at least d + 1 apart."""
@@ -568,9 +653,21 @@ class Rll(ConstraintSpec):
         self.d = d
 
     def member(self, n, bits):
-        positions = [i for i in range(n) if (bits >> i) & 1]
-        return all(positions[j + 1] - positions[j] > self.d
-                   for j in range(len(positions) - 1))
+        last = -self.d - 1
+        while bits:
+            low = bits & -bits
+            position = low.bit_length() - 1
+            if position - last <= self.d:
+                return False
+            last = position
+            bits ^= low
+        return True
+
+    def member_array(self, n, words):
+        ok = np.ones(words.shape, dtype=bool)
+        for j in range(1, min(self.d, n - 1) + 1):
+            ok &= (words & (words >> j)) == 0
+        return ok
 
     def char_sum(self, n, s):
         """The suffix recurrence
@@ -590,6 +687,18 @@ class Rll(ConstraintSpec):
                 vals.append(vals[m - 1] + vals[m - d - 1])
         return vals[n]
 
+    def char_sum_array(self, n, s):
+        """The suffix recurrence of `char_sum` on every word at once, keeping
+        the last d + 1 arrays; |F^(m)| <= 2^m."""
+        d = self.d
+        vals = [1 + m - 2 * _popcount(s >> (n - m))
+                for m in range(1, min(n, d + 1) + 1)]
+        for m in range(d + 2, n + 1):
+            sign = 1 - 2 * ((s >> (n - m)) & 1)
+            vals.append(vals[-1] + sign * vals[-d - 1])
+            del vals[0]
+        return vals[-1]
+
 
 class OddStrict(ConstraintSpec):
     """Every run of zeros, the leading and trailing runs included, has odd
@@ -602,6 +711,12 @@ class OddStrict(ConstraintSpec):
     def member(self, n, bits):
         return bits == 0 or all(r % 2 == 1 for r in _zero_runs(bits, n))
 
+    @staticmethod
+    def odd_coordinates(n):
+        """The word with ones on the coordinates 1, 3, ..., n (bits 0, 2,
+        ..., n - 1)."""
+        return ((1 << (n + 1)) - 1) // 3
+
     def char_sum(self, n, s):
         """For odd n the members form the subspace of words supported on
         even coordinates, so F(s) = 2^{floor(n/2)} exactly when s is
@@ -609,10 +724,22 @@ class OddStrict(ConstraintSpec):
         the set is just {0^n} by the all-zeros convention, so F(s) = 1."""
         if n % 2 == 0:
             return 1
-        # ((1 << (n + 1)) - 1) // 3 has bits 0, 2, ..., n - 1 set
-        if s & ~(((1 << (n + 1)) - 1) // 3):
+        if s & ~self.odd_coordinates(n):
             return 0
         return 1 << (n // 2)
+
+    def member_array(self, n, words):
+        """The closed form of `char_sum`: for odd n the members are the
+        words with no one on the odd coordinates, for even n only the
+        all-zeros word."""
+        if n % 2 == 0:
+            return words == 0
+        return (words & self.odd_coordinates(n)) == 0
+
+    def char_sum_array(self, n, s):
+        if n % 2 == 0:
+            return np.ones_like(s)
+        return ((s & ~self.odd_coordinates(n)) == 0) << (n // 2)
 
 
 class OddRelaxed(ConstraintSpec):
@@ -639,6 +766,14 @@ class OddRelaxed(ConstraintSpec):
         if self.member(n, s):
             return (1 << (n // 2)) - 1
         return -1
+
+    def member_array(self, n, words):
+        return _zero_runs_array(n, words, odd_runs=True, ends=False)
+
+    def char_sum_array(self, n, s):
+        out = np.where(self.member_array(n, s), (1 << (n // 2)) - 1, -1)
+        out[s == 0] = (1 << (n // 2 + 1)) - 1
+        return out
 
 
 # F at lengths 1 and 2: the members are 0 and 1, and 00 and 11
@@ -676,6 +811,21 @@ class EvenStrict(ConstraintSpec):
                 vals.append(vals[m - 1] + vals[m - 2] - (1 if m % 2 == 0 else 0))
         return vals[n]
 
+    def member_array(self, n, words):
+        return _zero_runs_array(n, words, odd_runs=False, ends=True)
+
+    def char_sum_array(self, n, s):
+        """The recurrence of `char_sum` on every word at once, keeping the
+        last two arrays; |F^(m)| <= 2^m."""
+        if n <= 2:
+            return np.array(_EVEN_BASE[n], dtype=np.int64)[s]
+        prev2 = np.array(_EVEN_BASE[1], dtype=np.int64)[s >> (n - 1)]
+        prev1 = np.array(_EVEN_BASE[2], dtype=np.int64)[s >> (n - 2)]
+        for m in range(3, n + 1):
+            sign = 1 - 2 * ((s >> (n - m)) & 1)
+            prev2, prev1 = prev1, sign * (prev1 - (1 - m % 2)) + prev2
+        return prev1
+
 
 class FixedWeight(ConstraintSpec):
     """The weight-i sphere."""
@@ -701,6 +851,13 @@ class FixedWeight(ConstraintSpec):
     def char_sum(self, n, s):
         """K_i^{(n)}(w(s))."""
         return krawtchouk(n, self.i, s.bit_count())
+
+    def member_array(self, n, words):
+        return _popcount(words) == self.i
+
+    def char_sum_array(self, n, s):
+        """A lookup in the Krawtchouk row K_i^{(n)}; |K_i(j)| <= C(n, i)."""
+        return np.array(krawtchouk_table(n).table[self.i], dtype=np.int64)[_popcount(s)]
 
 
 # grammar head -> family class

@@ -12,13 +12,16 @@ high-rate codes of large blocklength stay tractable.
 
 import math
 
-from .constraints import (_two_charge_pairs, char_sum_int, member_int,
-                          odd_relaxed, odd_strict, two_charge_basis)
+import numpy as np
+
+from .constraints import (_parity, _two_charge_pairs, char_sum_array,
+                          char_sum_int, member_int, odd_relaxed, odd_strict,
+                          two_charge_basis)
 from .errors import CapExceeded
 from .gf2 import (ENUMERATION_CAP, _echelonize, coset_decompose,
                   coset_weight_enumerator, iterate_span, reed_muller,
                   zero_code)
-from .spectral import krawtchouk_table, weight_class_sums
+from .spectral import krawtchouk_table, weight_class_sums, word_chunks
 
 
 class CountResult:
@@ -112,7 +115,7 @@ def weight_distribution(constraint, n, cap=22):
     if n > cap:
         raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, cap))
     constraint.check_length(n)
-    shell = weight_class_sums(lambda s: char_sum_int(constraint, n, s), n)
+    shell = weight_class_sums(lambda s: char_sum_array(constraint, n, s), n)
     kraw = krawtchouk_table(n)
     counts = []
     for i in range(n + 1):
@@ -128,9 +131,9 @@ def constrained_weight_distribution(code, constraint, n_cap=18, dual_cap=14):
     """Weight distribution of C ∩ A.
 
     a_i = (|C| / 4^n) * sum_j K_i(j) * sum_{w(s)=j} T(s), where
-    T(s) = sum over the dual coset s + C-perp of F_A.  T is constant on each
-    coset, so it is memoized by the coset label (the parities of s against
-    the generator rows).
+    T(s) = sum over the dual coset s + C-perp of F_A.  The coset of s is
+    labelled by its syndrome, the parities of s against the generator rows,
+    so one pass over all s sums F_A per syndrome.
     """
     n, k = code.n, code.k
     if n > n_cap:
@@ -138,19 +141,21 @@ def constrained_weight_distribution(code, constraint, n_cap=18, dual_cap=14):
     if n - k > dual_cap:
         raise CapExceeded("dual dimension %d exceeds cap %d" % (n - k, dual_cap))
     constraint.check_length(n)
-    dual_words = list(iterate_span(code.parity_check.data))
-    gen = code.generator.data
-    shell = [0] * (n + 1)
-    memo = {}
-    for s in range(1 << n):
-        sig = 0
-        for g in gen:
-            sig = (sig << 1) | ((g & s).bit_count() & 1)
-        t = memo.get(sig)
-        if t is None:
-            t = sum(char_sum_int(constraint, n, s ^ z) for z in dual_words)
-            memo[sig] = t
-        shell[s.bit_count()] += t
+
+    def syndrome(words):
+        sig = np.zeros_like(words)
+        for g in code.generator.data:
+            sig = (sig << 1) | _parity(words & g)
+        return sig
+
+    # int64 is exact: a coset sum has 2^(n-k) terms of magnitude at most
+    # |A| <= 2^n, so |T| <= 2^(2n-k), which the default caps keep below 2^36
+    if 2 * n - k > 62:
+        raise CapExceeded("dual-coset sums of 2^%d words exceed int64" % (2 * n - k))
+    coset_sums = np.zeros(1 << k, dtype=np.int64)
+    for words in word_chunks(n):
+        np.add.at(coset_sums, syndrome(words), char_sum_array(constraint, n, words))
+    shell = weight_class_sums(lambda s: coset_sums[syndrome(s)], n)
     kraw = krawtchouk_table(n)
     # |C| / 4^n = 1 / 2^(2n - k)
     denom = 1 << (2 * n - k)

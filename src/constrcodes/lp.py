@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
-from .constraints import cardinality, member_int, orbit_structure
+from .constraints import cardinality, member_array, member_int, orbit_structure
 from .errors import CapExceeded
-from .spectral import krawtchouk_table, self_convolution_counts, wht
+from .spectral import (_check_conv_cap, krawtchouk_table,
+                       self_convolution_counts, wht)
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -451,6 +452,14 @@ def del_full(n, d, cap=12):
     return BoundReport(n, d, None, value, value, solution=sol, model=model)
 
 
+def self_convolution(constraint, n):
+    """The self-convolution counts of A at length n (`self_convolution_counts`
+    of its membership array), an int64 array over the packed words."""
+    _check_conv_cap(n)
+    words = np.arange(1 << n, dtype=np.int64)
+    return self_convolution_counts(member_array(constraint, n, words), n)
+
+
 def _check_orbit_invariant(structure, conv):
     """The orbit LP has the full LP's optimum exactly when the pointwise
     bounds, the self-convolution counts, are constant on every orbit: the
@@ -489,7 +498,7 @@ def del_constrained_orbits(structure, d, conv=None):
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     if conv is None:
-        conv = self_convolution_counts(lambda x: member_int(constraint, n, x), n)
+        conv = self_convolution(constraint, n)
     _check_orbit_invariant(structure, conv)
     delsarte = del_classic(n, d).lp_value
     size = cardinality(constraint, n)

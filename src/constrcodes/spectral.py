@@ -1,17 +1,25 @@
 """Exact Walsh-Hadamard transforms, Krawtchouk polynomials, set convolutions.
 
-All arithmetic is done with arbitrary-precision Python integers; the
-transform is unnormalized, (Hf)(s) = sum_x f(x) (-1)^{x.s}, so applying it
-twice multiplies by 2^n.  Word indices follow the package convention:
-coordinate i of a word is bit i-1 of its integer index.
+The transform is unnormalized, (Hf)(s) = sum_x f(x) (-1)^{x.s}, so applying
+it twice multiplies by 2^n.  It runs as numpy butterflies: in int64 where a
+bound proves that no entry can overflow, otherwise in exact Python integers
+(object dtype); float input stays float64.  Krawtchouk tables and every
+combination of shell sums with them are Python integers.  Word indices
+follow the package convention: coordinate i of a word is bit i-1 of its
+integer index.
 """
 
 import math
 import threading
 
+import numpy as np
+
 from .errors import CapExceeded
 
 WHT_CAP = 26
+CONV_CAP = 22
+# words per chunk of the whole-space passes (see `word_chunks`)
+_CHUNK = 1 << 16
 
 
 class IntSpectrum:
@@ -34,26 +42,41 @@ class IntSpectrum:
                 and self.values == other.values)
 
 
+def _butterflies(vals):
+    """Unnormalized WHT of a numpy array of length 2^n, in the order of the
+    in-place butterflies: pass h = 1, 2, 4, ... pairs entry i with entry
+    i + h inside each block of 2h and writes (a + b, a - b) there, so float
+    input rounds exactly as that loop does.  After pass h every entry is a
+    signed sum of 2h input entries."""
+    size = len(vals)
+    h = 1
+    while h < size:
+        pairs = vals.reshape(-1, 2, h)
+        a, b = pairs[:, 0], pairs[:, 1]
+        vals = np.stack((a + b, a - b), axis=1).reshape(size)
+        h *= 2
+    return vals
+
+
 def wht(spec):
-    """Unnormalized Walsh-Hadamard transform, exact integer butterflies."""
-    if isinstance(spec, IntSpectrum):
-        n, vals = spec.n, list(spec.values)
-    else:
-        vals = list(spec)
-        n = (len(vals) - 1).bit_length()
-        if len(vals) != 1 << n:
-            raise ValueError("input length must be a power of two")
+    """Unnormalized Walsh-Hadamard transform of 2^n numbers, exact for
+    integer input, as an IntSpectrum of Python numbers."""
+    vals = np.asarray(spec.values if isinstance(spec, IntSpectrum) else spec)
+    n = (len(vals) - 1).bit_length()
+    if vals.ndim != 1 or len(vals) != 1 << n:
+        raise ValueError("input length must be a power of two")
     if n > WHT_CAP:
         raise CapExceeded("wht refuses n=%d > cap %d" % (n, WHT_CAP))
-    h = 1
-    size = 1 << n
-    while h < size:
-        for start in range(0, size, h * 2):
-            for i in range(start, start + h):
-                a, b = vals[i], vals[i + h]
-                vals[i], vals[i + h] = a + b, a - b
-        h *= 2
-    return IntSpectrum(n, vals)
+    if vals.dtype.kind in "biu":
+        # every output entry is a signed sum of 2^n inputs, so int64 is
+        # exact when 2^n max|v| < 2^63; otherwise use Python integers
+        if max(int(vals.max()), -int(vals.min())) << n >= 1 << 63:
+            vals = vals.astype(object)
+        else:
+            vals = vals.astype(np.int64)
+    elif vals.dtype.kind == "f":
+        vals = vals.astype(np.float64)
+    return IntSpectrum(n, _butterflies(vals).tolist())
 
 
 class Krawtchouk:
@@ -132,36 +155,78 @@ def krawtchouk(n, i, j):
     return krawtchouk_table(n).value(i, j)
 
 
-def weight_class_sums(charsum_provider, n):
-    """W(j) = sum over words s of weight j of F(s), exact.
+def word_chunks(n):
+    """The packed words 0 .. 2^n - 1 as consecutive int64 arrays of at most
+    2^16 words, so that a whole-space pass holds one chunk at a time."""
+    for start in range(0, 1 << n, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
 
-    charsum_provider maps a packed word (int) to the exact character sum
-    F(s) = 2^n * fourier coefficient of the set indicator at s.
+
+def _popcount(v):
+    """Number of set bits of each entry of a nonnegative int64 array, by
+    the bit-parallel byte sums.  The last product wraps modulo 2^64, but
+    its top byte, the sum of the eight byte counts, is at most 63, so the
+    shifted result is exact and nonnegative."""
+    v = v - ((v >> 1) & 0x5555555555555555)
+    v = (v & 0x3333333333333333) + ((v >> 2) & 0x3333333333333333)
+    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0F
+    return (v * 0x0101010101010101) >> 56
+
+
+def weight_class_sums(char_sums, n):
+    """W(j) = sum over words s of weight j of F(s), exact, as Python ints.
+
+    char_sums maps an int64 array of packed words to the int64 array of
+    their exact character sums F(s) = 2^n * fourier coefficient of the set
+    indicator at s; it is called on one chunk of `word_chunks(n)` at a time.
     """
     if n > WHT_CAP:
         raise CapExceeded("weight_class_sums refuses n=%d > cap %d" % (n, WHT_CAP))
+    chunk = min(_CHUNK, 1 << n)
+    # a chunk starts at a multiple of its length, so a word's weight is the
+    # weight of its chunk's start plus that of its offset in the chunk
+    low = _popcount(np.arange(chunk, dtype=np.int64))
+    order = np.argsort(low, kind="stable")
+    starts = np.searchsorted(low[order], np.arange(low[-1] + 1))
     out = [0] * (n + 1)
-    for s in range(1 << n):
-        out[s.bit_count()] += charsum_provider(s)
+    for words in word_chunks(n):
+        values = np.asarray(char_sums(words))
+        if values.shape != words.shape or values.dtype != np.int64:
+            raise ValueError("char_sums must give one int64 per word")
+        values = values[order]
+        # a class sum of a chunk has at most 2^16 terms, so int64 is exact
+        # for |F| < 2^47 (character sums are at most 2^n); otherwise the
+        # class sums are taken in Python integers
+        if max(int(values.max()), -int(values.min())) >> 47:
+            values = values.astype(object)
+        high = int(words[0]).bit_count()
+        for j, total in enumerate(np.add.reduceat(values, starts).tolist()):
+            out[high + j] += total
     return out
 
 
-def self_convolution_counts(member_predicate, n):
-    """v(x) = #{z : z in A and x ^ z in A}, exact, via WHT square.
+def _check_conv_cap(n):
+    if n > CONV_CAP:
+        raise CapExceeded("self_convolution_counts refuses n=%d > cap %d"
+                          % (n, CONV_CAP))
 
-    Equals 2^n (1_A * 1_A)(x) where * is the normalized convolution.
+
+def self_convolution_counts(indicator, n):
+    """v(x) = #{z : z in A and x ^ z in A}, exact, via WHT square, as an
+    int64 array indexed by the packed word x.
+
+    indicator is the 0/1 indicator of A over the 2^n packed words.  Equals
+    2^n (1_A * 1_A)(x) where * is the normalized convolution.
     """
-    if n > 22:
-        raise CapExceeded("self_convolution_counts refuses n=%d > cap 22" % n)
-    f = [1 if member_predicate(x) else 0 for x in range(1 << n)]
-    spec = wht(f)
-    squared = [v * v for v in spec.values]
-    back = wht(squared)
-    size = 1 << n
-    out = []
-    for v in back.values:
-        q, r = divmod(v, size)
-        if r:
-            raise AssertionError("self-convolution not divisible by 2^n")
-        out.append(q)
-    return out
+    _check_conv_cap(n)
+    f = np.asarray(indicator).astype(np.int64)
+    if f.shape != (1 << n,) or ((f != 0) & (f != 1)).any():
+        raise ValueError("indicator must be 2^%d zeros and ones" % n)
+    # int64 is exact for n <= 31: every entry of the first transform is a
+    # signed partial sum of the indicator, at most |A| <= 2^n; the second
+    # transform's input F^2 is nonnegative, so each of its entries is at
+    # most sum F^2 = 2^n |A| <= 2^(2n) (Parseval)
+    back = _butterflies(np.square(_butterflies(f)))
+    if (back & ((1 << n) - 1)).any():
+        raise AssertionError("self-convolution not divisible by 2^n")
+    return back >> n

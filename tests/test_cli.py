@@ -167,6 +167,20 @@ def test_verify_injected_fault(capsys):
     assert "counterexample" in out
 
 
+def test_verify_charsum_checks_array_methods(capsys, monkeypatch):
+    from constrcodes.constraints import EvenStrict, Rll
+    for cls, method, wrong in (
+            (Rll, "char_sum_array", lambda value: value + (value == 1)),
+            (EvenStrict, "member_array", lambda value: ~value)):
+        original = getattr(cls, method)
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, method, lambda self, n, words, original=original,
+                          wrong=wrong: wrong(original(self, n, words)))
+            code, out = run(capsys, "verify", "--max-n", "5", "--suites", "charsum")
+        assert code == 1
+        assert '"%s": ' % method in out
+
+
 def test_verify_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "--suites", "bogus")
     assert code == 2

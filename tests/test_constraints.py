@@ -1,7 +1,11 @@
+import random
+
+import numpy as np
 import pytest
 
-from constrcodes import (cardinality, char_sum_brute, char_sum_int,
-                         enumerate_members, even_strict, fixed_weight, member,
+from constrcodes import (CapExceeded, cardinality, char_sum_array,
+                         char_sum_brute, char_sum_int, enumerate_members,
+                         even_strict, fixed_weight, member, member_array,
                          member_int, member_ints, odd_relaxed, odd_strict,
                          orbit_char_sum, orbit_structure, parse_constraint,
                          rll, subblock, two_charge, two_charge_basis, wht)
@@ -10,7 +14,7 @@ from constrcodes.gf2 import BitWord, iterate_span
 
 
 def all_constraints(n):
-    out = [two_charge(), rll(1), rll(2), even_strict(), fixed_weight(n // 2)]
+    out = [two_charge(), rll(1), rll(2), rll(3), even_strict(), fixed_weight(n // 2)]
     out.append(odd_relaxed() if n % 2 == 0 else odd_strict())
     for p in (2, 3):
         if n % p == 0:
@@ -154,6 +158,53 @@ def test_words_outside_n_coordinates_are_rejected():
                     char_sum_int(c, n, s)
                 with pytest.raises(ValueError):
                     member_int(c, n, s)
+
+
+def test_array_methods_match_scalar_on_every_word():
+    for n in range(1, 15):
+        words = np.arange(1 << n)
+        for c in all_constraints(n):
+            members = member_array(c, n, words)
+            sums = char_sum_array(c, n, words)
+            assert members.dtype == bool and sums.dtype == np.int64
+            assert members.tolist() == [member_int(c, n, x) for x in words.tolist()], \
+                (str(c), n)
+            assert sums.tolist() == [char_sum_int(c, n, x) for x in words.tolist()], \
+                (str(c), n)
+
+
+def test_array_methods_match_scalar_on_long_words():
+    # uniform words, sparse words (where the run-length sets have members)
+    # and words off the odd coordinates (the odd-strict members)
+    rng = random.Random(17)
+    for n in range(33, 63):
+        words = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(60)]
+        words += [sum(1 << i for i in rng.sample(range(n), rng.randint(1, 6)))
+                  for _ in range(60)]
+        words += [rng.getrandbits(n) & ~(((1 << (n + 1)) - 1) // 3)
+                  for _ in range(20)]
+        for c in all_constraints(n) + [fixed_weight(2), fixed_weight(n - 1)]:
+            assert member_array(c, n, words).tolist() == \
+                [member_int(c, n, x) for x in words], (str(c), n)
+            assert char_sum_array(c, n, words).tolist() == \
+                [char_sum_int(c, n, x) for x in words], (str(c), n)
+
+
+def test_array_methods_check_words_and_cap():
+    for n in (6, 7):
+        for c in all_constraints(n):
+            for words in ([1 << n], [3, -1], [0, 0b110000 << n], [2 ** 70]):
+                with pytest.raises(ValueError):
+                    member_array(c, n, words)
+                with pytest.raises(ValueError):
+                    char_sum_array(c, n, words)
+    for c in (two_charge(), rll(1), fixed_weight(3)):
+        with pytest.raises(CapExceeded):
+            member_array(c, 63, [0])
+        with pytest.raises(CapExceeded):
+            char_sum_array(c, 63, [0])
+    with pytest.raises(ValueError):
+        member_array(subblock(2, 2), 7, [0])
 
 
 def test_two_charge_spectrum_support():

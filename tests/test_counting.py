@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from constrcodes import (BinaryLinearCode, BitMatrix, code_weight_distribution,
+from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
+                         code_weight_distribution,
                          constrained_weight_distribution, count_brute,
                          count_in_code, count_odd_in_code, dual_code,
                          even_strict, fixed_weight, gf2_rank, hamming_code,
@@ -100,6 +101,24 @@ def test_constrained_weight_distribution_against_brute():
                 brute[w.bit_count()] += 1
         assert dist.counts == brute
         assert dist.total() == count_in_code(code, c).value
+    rng = random.Random(23)
+    for n in (6, 7, 8, 9, 10):
+        code = random_code(rng, n)
+        for c in (two_charge(), rll(1), rll(2), even_strict(), fixed_weight(n // 2),
+                  odd_relaxed() if n % 2 == 0 else odd_strict(),
+                  subblock(2, 1) if n % 2 == 0 else subblock(n, 1)):
+            brute = [0] * (n + 1)
+            for w in iterate_span(code.generator.data):
+                if member_int(c, n, w):
+                    brute[w.bit_count()] += 1
+            assert constrained_weight_distribution(code, c).counts == brute, (str(c), n)
+
+
+def test_constrained_weight_distribution_refuses_int64_overflow():
+    # dual-coset sums reach 2^(2n-k) = 2^64 here
+    with pytest.raises(CapExceeded):
+        constrained_weight_distribution(zero_code(32), rll(1), n_cap=32,
+                                        dual_cap=32)
 
 
 def test_macwilliams_identity_on_dual_pairs():

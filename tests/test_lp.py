@@ -171,7 +171,7 @@ def test_orbit_lp_is_smaller():
 
 def test_orbit_lp_rejects_conv_not_constant_on_orbits():
     n, d, c = 8, 3, rll(1)
-    conv = self_convolution_counts(lambda x: member_int(c, n, x), n)
+    conv = self_convolution_counts([member_int(c, n, x) for x in range(1 << n)], n)
     conv[0b00000011] += 1  # its reversal 0b11000000 keeps the old count
     with pytest.raises(AssertionError):
         del_constrained_sym(n, d, c, conv=conv)
