@@ -3,16 +3,21 @@ programs: Delsarte's LP (classic, full, constrained, symmetrized), the
 generalized sphere-packing baseline, and dual-certificate verification.
 
 All programs are small and dense by LP standards, so a tableau simplex with
-numpy suffices; no external solver is required.
+numpy suffices; no external solver is required.  The solver keeps the
+condensed tableau B^-1 A_N, m rows by the nonbasic columns only: a pivot
+exchanges one basic and one nonbasic label and rewrites m x |N| entries,
+not the m x (|N| + m) of a full tableau whose basic columns are the
+identity.  A refactorization factors the basis matrix once and solves for
+the nonbasic columns and the right-hand side together.
 """
 
 import math
 
 import numpy as np
 
-from .constraints import cardinality, member_array, member_int, orbit_structure
+from .constraints import cardinality, member_array, orbit_structure
 from .errors import CapExceeded
-from .spectral import (_check_conv_cap, krawtchouk_table,
+from .spectral import (_check_conv_cap, _popcount, krawtchouk_table,
                        self_convolution_counts, wht)
 
 PIVOT_TOL = 1e-9
@@ -21,6 +26,8 @@ ITERATION_LIMIT = 10 ** 6
 REINVERT_EVERY = 250
 # most orbits (= transform rows) of a constrained Delsarte LP
 ORBIT_ROW_CAP = 1 << 12
+# most ball points gensph maps to orbits at once
+BALL_BLOCK = 1 << 20
 
 
 class LpModel:
@@ -49,15 +56,20 @@ class LpModel:
 
 
 class LpSolution:
-    """Solver outcome: status, objective value, primal point, pivot count."""
+    """Solver outcome: status, objective value, primal point, iteration
+    count (pivots plus bound flips), and the solver counters in `stats`:
+    degenerate pivots, bound flips, basis refactorizations (the final
+    evaluation included) and whether Bland's rule took over."""
 
-    __slots__ = ("status", "value", "primal", "iterations")
+    __slots__ = ("status", "value", "primal", "iterations", "stats")
 
-    def __init__(self, status, value=None, primal=None, iterations=0):
+    def __init__(self, status, value=None, primal=None, iterations=0,
+                 stats=None):
         self.status = status
         self.value = value
         self.primal = primal
         self.iterations = iterations
+        self.stats = stats or {}
 
     def __repr__(self):
         return "LpSolution(status=%r, value=%r, iterations=%d)" % (
@@ -78,82 +90,109 @@ def dump_model(model, path):
             fh.write("%s <= %.17g\n" % (" ".join(row), model.upper_bounds[j]))
 
 
-def _reinvert(orig, orig_rhs, tab, xb, basis, ub, at_upper):
-    """Rebuild the tableau and basic values from the original row data for
-    the current basis, discarding the rounding error accumulated by rank-1
-    updates.  Nonbasic variables sitting at their upper bound contribute to
-    the basic values."""
-    base = orig[:, basis]
+def _reinvert(orig, orig_rhs, tab, xb, basis, nonbasic, ub, at_upper, state):
+    """Rebuild the condensed tableau B^-1 A_N and the basic values from the
+    original row data for the current basis, discarding the rounding error
+    accumulated by the exchanges.  One factorization of B solves for the
+    nonbasic columns and the right-hand side together; nonbasic variables
+    sitting at their upper bound move the right-hand side."""
+    uppers = np.nonzero(at_upper)[0]
+    rhs = orig_rhs - orig[:, uppers] @ ub[uppers]
     try:
-        tab[:] = np.linalg.solve(base, orig)
-        xb[:] = np.linalg.solve(base, orig_rhs)
+        solved = np.linalg.solve(orig[:, basis],
+                                 np.column_stack((orig[:, nonbasic], rhs)))
     except np.linalg.LinAlgError:
         return False
-    uppers = np.nonzero(at_upper)[0]
-    if len(uppers):
-        xb -= tab[:, uppers] @ ub[uppers]
+    state["refactorizations"] += 1
+    tab[:] = solved[:, :-1]
+    xb[:] = solved[:, -1]
     np.clip(xb, 0.0, ub[basis], out=xb)
     return True
 
 
-def _simplex_phase(orig, orig_rhs, tab, xb, basis, ub, at_upper, cost,
-                   limit, state):
+def _exchange(tab, r, q):
+    """Pivot the condensed tableau on entry (r, q): the basic variable of row
+    r and the nonbasic variable of column q trade places, so column q then
+    belongs to the leaving variable.  Returns the entering column as it was
+    before the pivot, with entry r zeroed."""
+    piv = tab[r, q]
+    u = tab[:, q].copy()
+    u[r] = 0.0
+    tab[r] /= piv
+    tab -= np.outer(u, tab[r])
+    tab[:, q] = u / -piv
+    tab[r, q] = 1.0 / piv
+    return u
+
+
+def _enter_at_zero(tab, xb, basis, nonbasic, r, q):
+    """Exchange a nonbasic variable resting at 0 into the basis at row r,
+    outside the pricing loop (crash basis, artificial drive-out)."""
+    theta = xb[r] / tab[r, q]
+    xb -= theta * _exchange(tab, r, q)
+    xb[r] = theta
+    basis[r], nonbasic[q] = nonbasic[q], basis[r]
+
+
+def _simplex_phase(orig, orig_rhs, tab, xb, basis, nonbasic, ub, at_upper,
+                   cost, limit, state):
     """Run bounded-variable simplex pivots until optimal or interrupted.
 
-    tab is m x N in the current basis and xb holds the basic values.
-    Nonbasic variables rest at 0 or, where at_upper is set, at their upper
-    bound ub.  orig and orig_rhs hold the untouched row data so the tableau
-    can be refactorized periodically and before declaring optimality.  cost
-    is the length-N objective to minimize.  state carries the
-    degenerate-pivot count and the Bland flag across phases.  Returns
+    tab is the condensed m x |N| tableau B^-1 A_N: row i belongs to the
+    basic variable basis[i] and column j to the nonbasic variable
+    nonbasic[j], and xb holds the basic values.  Variables are labelled by
+    their columns in orig.  Nonbasic variables rest at 0 or, where at_upper
+    is set, at their upper bound ub.  orig and orig_rhs hold the untouched
+    row data so the tableau can be refactorized periodically and before
+    declaring optimality.  cost is the objective to minimize, by label.
+    state carries the counters and the Bland flag across phases.  Returns
     'optimal', 'unbounded', or 'iteration_limit'.
     """
     m, nn = tab.shape
-    bland_after = 5 * (m + nn)
-    in_basis = np.zeros(nn, dtype=bool)
-    in_basis[basis] = True
+    bland_after = 5 * (m + nn + m)  # rows plus all columns, basic included
     gamma = np.ones(nn)  # Devex reference weights
     fresh = False
     since_reinvert = 0
-    reduced = cost - cost[basis] @ tab
+    reduced = cost[nonbasic] - cost[basis] @ tab
     while True:
         if state["iterations"] >= limit:
             return "iteration_limit"
         if since_reinvert >= REINVERT_EVERY:
-            fresh = _reinvert(orig, orig_rhs, tab, xb, basis, ub, at_upper)
+            fresh = _reinvert(orig, orig_rhs, tab, xb, basis, nonbasic, ub,
+                              at_upper, state)
             since_reinvert = 0
-            reduced = cost - cost[basis] @ tab
+            reduced = cost[nonbasic] - cost[basis] @ tab
             gamma[:] = 1.0
         # a nonbasic variable improves the objective by rising off 0 when its
         # reduced cost is negative, or dropping off its upper bound when
         # positive
-        eligible = ~in_basis & ((~at_upper & (reduced < -PIVOT_TOL))
-                                | (at_upper & (reduced > PIVOT_TOL)))
+        upper = at_upper[nonbasic]
+        eligible = np.where(upper, reduced > PIVOT_TOL, reduced < -PIVOT_TOL)
+        if not eligible.any():
+            if fresh:
+                return "optimal"
+            # recheck optimality against a freshly factored tableau
+            if not _reinvert(orig, orig_rhs, tab, xb, basis, nonbasic, ub,
+                             at_upper, state):
+                return "optimal"
+            fresh = True
+            since_reinvert = 0
+            reduced = cost[nonbasic] - cost[basis] @ tab
+            gamma[:] = 1.0
+            continue
         if state["bland"]:
-            idx = np.nonzero(eligible)[0]
-            entering = int(idx[0]) if len(idx) else -1
-        elif not eligible.any():
-            entering = -1
+            cand = np.nonzero(eligible)[0]
         else:
             # Devex pricing: largest reduced cost relative to the reference
             # weights, approximating the steepest-edge criterion
             score = np.where(eligible, reduced * reduced / gamma, 0.0)
-            entering = int(np.argmax(score))
-        if entering < 0:
-            if fresh:
-                return "optimal"
-            # recheck optimality against a freshly factored tableau
-            if not _reinvert(orig, orig_rhs, tab, xb, basis, ub, at_upper):
-                return "optimal"
-            fresh = True
-            since_reinvert = 0
-            reduced = cost - cost[basis] @ tab
-            gamma[:] = 1.0
-            continue
+            cand = np.nonzero(score == score.max())[0]
+        # ties, and every choice under Bland's rule, go to the smallest label
+        q = int(cand[np.argmin(nonbasic[cand])])
+        entering = nonbasic[q]
         # col is the rate of decrease of each basic value per unit step of
         # the entering variable away from its current bound
-        sigma = -1.0 if at_upper[entering] else 1.0
-        col = sigma * tab[:, entering]
+        col = tab[:, q] * (-1.0 if upper[q] else 1.0)
         ubb = ub[basis]
         drops = col > PIVOT_TOL
         rises = (col < -PIVOT_TOL) & np.isfinite(ubb)
@@ -173,202 +212,184 @@ def _simplex_phase(orig, orig_rhs, tab, xb, basis, ub, at_upper, cost,
             if not np.isfinite(ub[entering]):
                 return "unbounded"
             xb -= ub[entering] * col
-            np.clip(xb, 0.0, ub[basis], out=xb)
-            at_upper[entering] = not at_upper[entering]
+            np.clip(xb, 0.0, ubb, out=xb)
+            at_upper[entering] = not upper[q]
+            state["bound_flips"] += 1
             state["iterations"] += 1
             since_reinvert += 1
             fresh = False
             continue
         cand = np.nonzero(ratios <= t_lim)[0]
-        leaving = int(cand[np.argmax(np.abs(col[cand]))])
-        leave_at_upper = bool(rises[leaving])
-        best = max(float(ratios[leaving]), 0.0)
+        r = int(cand[np.argmax(np.abs(col[cand]))])
+        best = max(float(ratios[r]), 0.0)
         if best < PIVOT_TOL:
-            state["degenerate"] += 1
-            if state["degenerate"] > bland_after:
+            state["degenerate_pivots"] += 1
+            if state["degenerate_pivots"] > bland_after:
                 state["bland"] = True
-        leave_var = basis[leaving]
-        piv = tab[leaving, entering]
+        leaving = basis[r]
         xb -= best * col
-        xb[leaving] = ub[entering] - best if at_upper[entering] else best
-        # Devex weight update from the pre-pivot row of the leaving variable
-        ge = gamma[entering]
-        np.maximum(gamma, (tab[leaving] / piv) ** 2 * ge, out=gamma)
-        gamma[leave_var] = max(ge / (piv * piv), 1.0)
+        xb[r] = ub[entering] - best if upper[q] else best
+        d_q = reduced[q]
+        g_q = gamma[q]
+        _exchange(tab, r, q)
+        # reduced costs and Devex weights follow the same exchange, from the
+        # pivot row after the pivot
+        row = tab[r]
+        reduced -= d_q * row
+        reduced[q] = -d_q * row[q]
+        np.maximum(gamma, row * row * g_q, out=gamma)
+        gamma[q] = max(g_q * row[q] * row[q], 1.0)
         if gamma.max() > 1e12:
             gamma[:] = 1.0
-        tab[leaving] /= piv
-        update = tab[:, entering].copy()
-        update[leaving] = 0.0
-        tab -= np.outer(update, tab[leaving])
-        reduced = reduced - reduced[entering] * tab[leaving]
-        basis[leaving] = entering
-        in_basis[entering] = True
-        in_basis[leave_var] = False
+        basis[r] = entering
+        nonbasic[q] = leaving
         at_upper[entering] = False
-        at_upper[leave_var] = leave_at_upper
+        at_upper[leaving] = bool(rises[r])
         np.clip(xb, 0.0, ub[basis], out=xb)
         state["iterations"] += 1
         since_reinvert += 1
         fresh = False
 
 
+def _solution(status, state, value=None, primal=None):
+    stats = {k: v for k, v in state.items() if k != "iterations"}
+    return LpSolution(status, value, primal, state["iterations"], stats)
+
+
 def solve(model, limit=ITERATION_LIMIT):
-    """Two-phase dense primal simplex over the model (0 <= x <= ub)."""
+    """Two-phase bounded primal simplex over the model (0 <= x <= ub), on a
+    condensed tableau of the nonbasic columns."""
     nvars = model.nvars()
+    state = {"iterations": 0, "degenerate_pivots": 0, "bound_flips": 0,
+             "refactorizations": 0, "bland": False}
     obj = np.array(model.objective, dtype=float)
     if model.sense == "max":
         obj = -obj
     if any(u < 0 for u in model.upper_bounds.values()):
-        return LpSolution("infeasible")
+        return _solution("infeasible", state)
 
-    rows = list(model.rows)
+    m = len(model.rows)
+    coeffs = np.array([row[0] for row in model.rows],
+                      dtype=float).reshape(m, nvars)
+    b = np.array([row[2] for row in model.rows], dtype=float)
+    le_raw = np.array([row[1] == "<=" for row in model.rows], dtype=bool)
+    ge_raw = np.array([row[1] == ">=" for row in model.rows], dtype=bool)
 
     # normalize: scale each row by its largest coefficient, flip so rhs >= 0
-    norm = []
-    for coeffs, rel, rhs in rows:
-        arr = np.array(coeffs, dtype=float)
-        scale = np.max(np.abs(arr))
-        if scale > 0:
-            arr = arr / scale
-            rhs = rhs / scale
-        if rhs < 0:
-            arr = -arr
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        norm.append((arr, rel, rhs))
+    scale = np.abs(coeffs).max(axis=1, initial=0.0)
+    scale[scale == 0] = 1.0
+    arr = coeffs / scale[:, None]
+    rhs = b / scale
+    flip = rhs < 0
+    arr[flip] = -arr[flip]
+    rhs[flip] = -rhs[flip]
+    le = np.where(flip, ge_raw, le_raw)
 
-    m = len(norm)
-    n_slack = sum(1 for _, rel, _ in norm if rel != "=")
-    n_art = sum(1 for _, rel, _ in norm if rel != "<=")
-    total = nvars + n_slack + n_art
-    tab = np.zeros((m, total))
-    rhs = np.zeros(m)
+    # columns: the variables, one slack per inequality (+1 on <=, -1 on >=),
+    # one artificial per >= or = row; the slacks of <= rows and the
+    # artificials form the starting basis B = I
+    slack_rows = np.nonzero(le_raw | ge_raw)[0]
+    art_rows = np.nonzero(~le)[0]
+    a0 = nvars + len(slack_rows)
+    total = a0 + len(art_rows)
+    orig = np.zeros((m, total))
+    orig[:, :nvars] = arr
+    orig[slack_rows, nvars + np.arange(len(slack_rows))] = \
+        np.where(le[slack_rows], 1.0, -1.0)
+    orig[art_rows, a0 + np.arange(len(art_rows))] = 1.0
     basis = np.zeros(m, dtype=int)
-    s_at = nvars
-    a_at = nvars + n_slack
-    art_cols = []
-    for i, (arr, rel, b) in enumerate(norm):
-        tab[i, :nvars] = arr
-        rhs[i] = b
-        if rel == "<=":
-            tab[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        elif rel == ">=":
-            tab[i, s_at] = -1.0
-            s_at += 1
-            tab[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-        else:
-            tab[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
+    basis[slack_rows] = nvars + np.arange(len(slack_rows))
+    basis[art_rows] = a0 + np.arange(len(art_rows))
+    is_nonbasic = np.ones(total, dtype=bool)
+    is_nonbasic[basis] = False
+    nonbasic = np.nonzero(is_nonbasic)[0]
+    tab = np.ascontiguousarray(orig[:, nonbasic])
 
-    state = {"iterations": 0, "degenerate": 0, "bland": False}
-    orig = tab.copy()
-    true_rhs = rhs.copy()
-    # anti-degeneracy: perturb the right-hand sides so ratio-test ties become
-    # generically unique; which bases are optimal depends only on the reduced
-    # costs, so the true optimum is recovered at the end by refactorizing the
-    # final basis against the unperturbed right-hand sides
-    rng = np.random.default_rng(1)
-    orig_rhs = true_rhs + 1e-6 * (0.5 + 0.5 * rng.random(m)) \
-        * np.maximum(1.0, np.abs(true_rhs))
-    rhs += orig_rhs - true_rhs
+    true_rhs = rhs
+    xb = rhs.copy()
     ub = np.full(total, np.inf)
     for j, u in model.upper_bounds.items():
         ub[j] = u
     at_upper = np.zeros(total, dtype=bool)
-    xb = rhs
 
     # crash: a >= or = row whose only use of some positive column is that row
     # can start with that column basic instead of an artificial, avoiding the
-    # degenerate vertex a full phase 1 would end at
-    art_set = set(art_cols)
-    col_nnz = (np.abs(tab[:, :nvars]) > PIVOT_TOL).sum(axis=0)
-    for i in range(m):
-        if basis[i] not in art_set:
-            continue
+    # degenerate vertex a full phase 1 would end at; columns 0..nvars-1 of
+    # the starting tableau are the variables
+    col_nnz = (np.abs(arr) > PIVOT_TOL).sum(axis=0)
+    for i in art_rows:
         row = tab[i, :nvars]
-        for j in np.nonzero((row > PIVOT_TOL) & (col_nnz == 1))[0]:
+        for j in np.nonzero((row > PIVOT_TOL) & (col_nnz == 1)
+                            & (nonbasic[:nvars] < nvars))[0]:
             if xb[i] / row[j] <= ub[j]:
-                piv = row[j]
-                tab[i] /= piv
-                xb[i] /= piv
-                basis[i] = int(j)
+                _enter_at_zero(tab, xb, basis, nonbasic, i, j)
                 break
 
-    if art_cols:
+    if len(art_rows):
         cost1 = np.zeros(total)
-        cost1[art_cols] = 1.0
-        status = _simplex_phase(orig, orig_rhs, tab, xb, basis, ub, at_upper,
-                                cost1, limit, state)
+        cost1[a0:] = 1.0
+        status = _simplex_phase(orig, true_rhs, tab, xb, basis, nonbasic, ub,
+                                at_upper, cost1, limit, state)
         if status != "optimal":
-            return LpSolution(status, iterations=state["iterations"])
-        if xb[np.isin(basis, art_cols)].sum() > FEAS_TOL:
-            return LpSolution("infeasible", iterations=state["iterations"])
+            return _solution(status, state)
+        if xb[basis >= a0].sum() > FEAS_TOL:
+            return _solution("infeasible", state)
         # drive residual artificials out of the basis, or drop their rows
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] not in art_set:
-                continue
-            row = np.abs(tab[i, : nvars + n_slack])
-            row[at_upper[: nvars + n_slack]] = 0.0
-            pivots = np.nonzero(row > PIVOT_TOL)[0]
-            if len(pivots):
-                j = int(pivots[0])
-                piv = tab[i, j]
-                tab[i] /= piv
-                xb[i] /= piv
-                update = tab[:, j].copy()
-                update[i] = 0.0
-                tab -= np.outer(update, tab[i])
-                xb -= update * xb[i]
-                basis[i] = j
+        for i in np.nonzero(basis >= a0)[0]:
+            row = np.abs(tab[i])
+            row[(nonbasic >= a0) | at_upper[nonbasic]] = 0.0
+            cand = np.nonzero(row > PIVOT_TOL)[0]
+            if len(cand):
+                q = int(cand[np.argmin(nonbasic[cand])])
+                _enter_at_zero(tab, xb, basis, nonbasic, i, q)
             else:
                 keep[i] = False
-        if not keep.all():
-            tab = tab[keep]
-            xb = xb[keep]
-            basis = basis[keep]
-            orig = orig[keep]
-            orig_rhs = orig_rhs[keep]
-            true_rhs = true_rhs[keep]
-            m = len(basis)
-        tab = tab[:, : nvars + n_slack]
-        orig = orig[:, : nvars + n_slack]
-        ub = ub[: nvars + n_slack]
-        at_upper = at_upper[: nvars + n_slack]
+        real = nonbasic < a0
+        tab = np.ascontiguousarray(tab[keep][:, real])
+        nonbasic = nonbasic[real]
+        xb, basis, true_rhs = xb[keep], basis[keep], true_rhs[keep]
+        orig = orig[keep, :a0]
+        ub, at_upper = ub[:a0], at_upper[:a0]
+        m = len(basis)
 
-    cost2 = np.zeros(tab.shape[1])
+    # anti-degeneracy: raise each basic value by a tiny random amount, that
+    # is, perturb the right-hand sides along the basis, so ratio-test ties
+    # become generically unique while the basis stays feasible and the rows
+    # stay consistent (phase 1 runs unperturbed, so a duplicated equality
+    # row is dropped, not taken for an infeasible one).  Which bases are
+    # optimal depends only on the reduced costs, so the true optimum is
+    # recovered at the end by refactorizing the final basis against the
+    # true right-hand sides
+    rng = np.random.default_rng(1)
+    lift = 1e-6 * (0.5 + 0.5 * rng.random(m)) \
+        * np.maximum(1.0, np.abs(true_rhs))
+    orig_rhs = true_rhs + orig[:, basis] @ lift
+    xb += lift
+    np.clip(xb, 0.0, ub[basis], out=xb)
+
+    cost2 = np.zeros(len(ub))
     cost2[:nvars] = obj
-    status = _simplex_phase(orig, orig_rhs, tab, xb, basis, ub, at_upper,
-                            cost2, limit, state)
+    status = _simplex_phase(orig, orig_rhs, tab, xb, basis, nonbasic, ub,
+                            at_upper, cost2, limit, state)
     if status != "optimal":
-        return LpSolution(status, iterations=state["iterations"])
+        return _solution(status, state)
     # evaluate the optimal basis against the unperturbed right-hand sides
-    _reinvert(orig, true_rhs, tab, xb, basis, ub, at_upper)
-    x = np.zeros(tab.shape[1])
+    _reinvert(orig, true_rhs, tab, xb, basis, nonbasic, ub, at_upper, state)
+    x = np.zeros(len(ub))
     x[at_upper] = ub[at_upper]
     x[basis] = xb
     primal = x[:nvars]
     # re-verify primal feasibility against the original model
-    for coeffs, rel, b in model.rows:
-        arr = np.array(coeffs, dtype=float)
-        lhs = float(arr @ primal)
-        slack = FEAS_TOL * max(1.0, abs(b), float(np.abs(arr * primal).sum()))
-        bad = (rel == "<=" and lhs > b + slack) \
-            or (rel == ">=" and lhs < b - slack) \
-            or (rel == "=" and abs(lhs - b) > slack)
-        if bad:
-            return LpSolution("numerical_error",
-                              iterations=state["iterations"])
+    lhs = coeffs @ primal
+    slack = FEAS_TOL * np.maximum(np.maximum(1.0, np.abs(b)),
+                                  np.abs(coeffs) @ np.abs(primal))
+    bad = np.where(le_raw, lhs > b + slack,
+                   np.where(ge_raw, lhs < b - slack, np.abs(lhs - b) > slack))
+    if bad.any():
+        return _solution("numerical_error", state)
     value = float(np.dot(np.array(model.objective), primal))
-    return LpSolution("optimal", value, primal.tolist(), state["iterations"])
+    return _solution("optimal", state, value, primal.tolist())
 
 
 class BoundReport:
@@ -541,19 +562,6 @@ def del_constrained_sym(n, d, constraint, conv=None):
     return del_constrained_orbits(orbit_structure(constraint, n), d, conv)
 
 
-def _ball(x, n, t):
-    out = [x]
-    frontier = [x]
-    for _ in range(t):
-        nxt = []
-        for y in frontier:
-            for i in range(n):
-                nxt.append(y ^ (1 << i))
-        frontier = nxt
-        out.extend(nxt)
-    return set(out)
-
-
 def _undominated(matrix):
     """Ascending indices of the columns of a nonnegative matrix left after
     dropping every column that is entrywise at least a kept column (of
@@ -589,22 +597,33 @@ def gensph(n, d, constraint, cap=16):
         raise ValueError("need 1 <= d <= n")
     t = (d - 1) // 2
     struct = orbit_structure(constraint, n)
-    member_labels = [lbl for lbl in struct.labels
-                     if member_int(constraint, n, struct.reps[lbl])]
-    ball_counts = []
-    union = set()
-    for lbl in member_labels:
-        counts = {}
-        for y in _ball(struct.reps[lbl], n, t):
-            y_lbl = struct.label_of(y)
-            counts[y_lbl] = counts.get(y_lbl, 0) + 1
-        ball_counts.append(counts)
-        union.update(counts)
-    position = {o: j for j, o in enumerate(sorted(union))}
-    matrix = np.zeros((len(ball_counts), len(position)))
-    for i, counts in enumerate(ball_counts):
-        for o, k in counts.items():
-            matrix[i, position[o]] = k / struct.sizes[o]
+    labels = struct.labels
+    reps = np.array([struct.reps[lbl] for lbl in labels], dtype=np.int64)
+    members = reps[member_array(constraint, n, reps)]
+    # the radius-t ball around x is x XOR each word of weight <= t
+    words = np.arange(1 << n, dtype=np.int64)
+    masks = words[_popcount(words) <= t]
+    index = struct.orbit_index()
+    # (member row, orbit position) keys with their ball counts, a bounded
+    # block of member balls at a time
+    keys, counts = [], []
+    step = max(1, BALL_BLOCK // len(masks))
+    for lo in range(0, len(members), step):
+        block = members[lo:lo + step]
+        offset = np.arange(lo, lo + len(block))[:, None] * len(labels)
+        key, count = np.unique(offset + index[block[:, None] ^ masks],
+                               return_counts=True)
+        keys.append(key)
+        counts.append(count)
+    row, orbit = np.divmod(np.concatenate(keys), len(labels))
+    # columns: the covered orbits in label order, entry k / |orbit| for k
+    # points of the orbit in the member's ball
+    covered = sorted(np.unique(orbit).tolist(), key=labels.__getitem__)
+    column = np.zeros(len(labels), dtype=np.int64)
+    column[covered] = np.arange(len(covered))
+    sizes = np.array([struct.sizes[lbl] for lbl in labels], dtype=np.int64)
+    matrix = np.zeros((len(members), len(covered)))
+    matrix[row, column[orbit]] = np.concatenate(counts) / sizes[orbit]
     rows = [(coeffs, "<=", 1.0)
             for coeffs in matrix[:, _undominated(matrix)].tolist()]
     model = LpModel("max", [1.0] * len(rows[0][0]), rows)

@@ -112,6 +112,99 @@ def test_solve_randomized_against_enumeration():
         assert sol.value == pytest.approx(best, abs=1e-6)
 
 
+def test_solve_reports_counters():
+    # x1 hits its upper bound before any row blocks it: one bound flip
+    model = LpModel("max", [1, 2], [([1, 1], "<=", 10)],
+                    upper_bounds={0: 3, 1: 4})
+    sol = solve(model)
+    assert set(sol.stats) == {"degenerate_pivots", "bound_flips",
+                              "refactorizations", "bland"}
+    assert sol.stats["bound_flips"] >= 1
+    assert sol.stats["refactorizations"] >= 1
+    assert sol.stats["bland"] is False
+    assert sol.iterations >= sol.stats["bound_flips"]
+
+
+def _highs(model):
+    """Status and optimum of the model from scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    sign = -1.0 if model.sense == "max" else 1.0
+    ub_rows = [(c, r) if rel == "<=" else ([-v for v in c], -r)
+               for c, rel, r in model.rows if rel != "="]
+    eq_rows = [(c, r) for c, rel, r in model.rows if rel == "="]
+    res = linprog(
+        sign * np.array(model.objective),
+        A_ub=np.array([c for c, _ in ub_rows]) if ub_rows else None,
+        b_ub=np.array([r for _, r in ub_rows]) if ub_rows else None,
+        A_eq=np.array([c for c, _ in eq_rows]) if eq_rows else None,
+        b_eq=np.array([r for _, r in eq_rows]) if eq_rows else None,
+        bounds=[(0, model.upper_bounds.get(j)) for j in range(model.nvars())],
+        method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (sign * res.fun if res.status == 0 else None)
+
+
+def _random_bounded_lp(rng, m, n):
+    """A random LP over 0 <= x <= ub (some variables unbounded) mixing <=,
+    >= and = rows; most are feasible by construction around a random point,
+    some have random right-hand sides, and some repeat an equality row."""
+    ubs = {j: float(rng.integers(1, 6)) for j in range(n)
+           if rng.random() < 0.7}
+    x0 = np.array([rng.uniform(0, ubs.get(j, 5.0)) for j in range(n)])
+    feasible = rng.random() < 0.8
+    rows = []
+    for _ in range(m):
+        coeffs = rng.integers(-3, 4, size=n).astype(float)
+        rel = ("<=", ">=", "=")[rng.choice(3, p=[0.45, 0.35, 0.2])]
+        at = float(coeffs @ x0) if feasible else float(rng.integers(-5, 10))
+        rhs = {"<=": at + rng.uniform(0, 2), ">=": at - rng.uniform(0, 2),
+               "=": at}[rel]
+        rows.append((coeffs.tolist(), rel, rhs))
+    eqs = [row for row in rows if row[1] == "="]
+    if eqs and rng.random() < 0.5:
+        rows.append(eqs[0])
+    objective = rng.integers(-4, 5, size=n).tolist()
+    return LpModel(("max", "min")[int(rng.integers(2))], objective, rows, ubs)
+
+
+def test_solve_random_lps_against_highs():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for m, n in [(8, 4), (12, 5), (3, 7), (5, 12), (6, 6)]:
+        for _ in range(30):
+            model = _random_bounded_lp(rng, m, n)
+            ours = solve(model)
+            status, value = _highs(model)
+            assert ours.status == status
+            if status == "optimal":
+                assert ours.value == pytest.approx(value, rel=1e-6, abs=1e-6)
+            seen.add(status)
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_solve_duplicated_equality_rows_against_highs():
+    # a repeated equality row leaves an artificial basic in a redundant row,
+    # which phase 1 must drop
+    model = LpModel("min", [1, 2, 3],
+                    [([1, 1, 1], "=", 4), ([1, 1, 1], "=", 4),
+                     ([2, 2, 2], "=", 8), ([1, -1, 0], ">=", 1)],
+                    upper_bounds={2: 2})
+    status, value = _highs(model)
+    sol = solve(model)
+    assert sol.status == status == "optimal"
+    assert sol.value == pytest.approx(value, rel=1e-6)
+
+
+@pytest.mark.parametrize("dd,d", [(2, 4), (2, 5), (2, 6), (2, 7), (1, 6),
+                                  (1, 7)])
+def test_constrained_delsarte_models_against_highs(dd, d):
+    model = del_constrained(10, d, rll(dd)).model
+    status, value = _highs(model)
+    sol = solve(model)
+    assert sol.status == status == "optimal"
+    assert sol.value == pytest.approx(value, rel=1e-6)
+
+
 def test_dump_model(tmp_path):
     model = LpModel("max", [1, 2], [([1, 1], "<=", 3)], upper_bounds={1: 2})
     path = tmp_path / "model.lp"
@@ -241,10 +334,39 @@ def test_gensph_sandwiches_max_clique():
         assert gensph(n, d, c).lp_value + TOL >= lower
 
 
+def _ball(x, n, t):
+    """The words within distance t of x, one bit flip at a time."""
+    out = {x}
+    for _ in range(t):
+        out |= {y ^ (1 << i) for y in out for i in range(n)}
+    return out
+
+
+def test_gensph_model_matches_word_by_word_build():
+    # the array build of the ball-count matrix against one ball per member
+    # representative, mapped to orbit labels word by word
+    for c, n, d in [(two_charge(), 8, 3), (subblock(2, 1), 10, 5),
+                    (rll(1), 9, 5), (rll(2), 10, 3), (even_strict(), 8, 5),
+                    (odd_strict(), 9, 3), (odd_relaxed(), 8, 7),
+                    (fixed_weight(4), 9, 3), (rll(1), 7, 1)]:
+        struct = orbit_structure(c, n)
+        t = (d - 1) // 2
+        counts = []
+        for lbl in struct.labels:
+            if member_int(c, n, struct.reps[lbl]):
+                counts.append({})
+                for y in _ball(struct.reps[lbl], n, t):
+                    o = struct.label_of(y)
+                    counts[-1][o] = counts[-1].get(o, 0) + 1
+        union = sorted(set().union(*counts))
+        matrix = np.array([[cnt.get(o, 0) / struct.sizes[o] for o in union]
+                           for cnt in counts])
+        expected = matrix[:, _undominated(matrix)].tolist()
+        assert [row[0] for row in gensph(n, d, c).model.rows] == expected
+
+
 def test_gensph_orbit_aggregation_matches_direct():
     # the symmetrized LP must agree with a direct run on the raw member form
-    from constrcodes.lp import _ball
-
     for c, n, d in [(two_charge(), 8, 3), (subblock(2, 1), 8, 5),
                     (rll(1), 8, 3), (rll(1), 9, 7), (rll(2), 8, 3),
                     (rll(2), 8, 5), (even_strict(), 8, 3), (even_strict(), 7, 5)]:
