@@ -140,7 +140,7 @@ def run_count(args):
     started = time.perf_counter()
     code = parse_code(args.code)
     constraint = parse_constraint(args.constraint)
-    cap = args.max_n if args.max_n else 24
+    cap = 24 if args.max_n is None else args.max_n
     if args.method == "brute":
         value, method = count_brute(code, constraint, cap=cap), "brute_enumeration"
     else:

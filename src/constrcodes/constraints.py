@@ -13,7 +13,6 @@ for every family.
 """
 
 import itertools
-import math
 
 import numpy as np
 
@@ -25,9 +24,6 @@ MEMBER_ENUM_CAP = 22
 # largest n of the array methods: every word and every shift of it stays a
 # nonnegative int64
 ARRAY_CAP = 62
-# largest n at which the reversal and trivial groups, which have about
-# 2^(n-1) and 2^n orbits, list their orbits one by one
-ORBIT_LIST_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -184,97 +180,54 @@ def _parity(v):
 
 class OrbitStructure:
     """Orbits of a group of coordinate permutations acting on {0,1}^n that
-    maps A onto itself: labels, exact sizes, and canonical representatives.
+    maps A onto itself.
 
-    Subclasses define the group through `_keys`: an integer per word of an
-    int64 array, equal exactly for the words of one orbit.
+    A group is a name, `group`, and a canonical key, `_keys`: a nonnegative
+    integer per word of an int64 array, equal exactly for the words of one
+    orbit.  The orbits are numbered by ascending key, and three int64
+    arrays describe them: `sizes[i]` and `reps[i]`, the size and the
+    smallest word of orbit i, and `index[x]`, the orbit of each packed word
+    x.  All three come from one pass: the keys of every word, taken one
+    chunk of `word_chunks(n)` at a time, and their `np.bincount`.
     """
 
-    __slots__ = ("constraint", "n", "labels", "sizes", "reps", "_index",
-                 "_buckets")
+    __slots__ = ("constraint", "n", "sizes", "reps", "index")
     group = None
 
-    def __init__(self, constraint, n, labels, sizes, reps):
+    def __init__(self, constraint, n):
+        if n > MEMBER_ENUM_CAP:
+            raise CapExceeded("%s orbit structure refuses n=%d > cap %d"
+                              % (self.group, n, MEMBER_ENUM_CAP))
         self.constraint = constraint
         self.n = n
-        self.labels = labels
-        self.sizes = sizes
-        self.reps = reps
-        self._index = None
-        self._buckets = None
-
-    def label_of(self, x):
-        bits = x.bits if isinstance(x, BitWord) else int(x)
-        return self.labels[self.orbit_index()[bits]]
+        keys = np.concatenate([self._keys(words) for words in word_chunks(n)])
+        counts = np.bincount(keys)
+        present = counts > 0
+        self.sizes = counts[present]
+        self.index = (np.cumsum(present) - 1)[keys]
+        self.reps = np.full(len(self.sizes), 1 << n, dtype=np.int64)
+        np.minimum.at(self.reps, self.index, np.arange(1 << n, dtype=np.int64))
 
     def _keys(self, words):
         raise NotImplementedError
 
-    def index_chunks(self):
-        """Yield (start, index) over the chunks of `word_chunks(n)`: index[k]
-        is the position in `labels` of the orbit of word start + k.
-        Chunking keeps the working memory small at large n."""
-        if self.n > MEMBER_ENUM_CAP:
-            raise CapExceeded("orbit bucketing refuses n=%d > cap %d"
-                              % (self.n, MEMBER_ENUM_CAP))
-        rep_keys = self._keys(np.array([self.reps[label] for label in self.labels],
-                                       dtype=np.int64))
-        order = np.argsort(rep_keys, kind="stable")
-        sorted_keys = rep_keys[order]
-        counts = np.zeros(len(self.labels), dtype=np.int64)
-        for words in word_chunks(self.n):
-            keys = self._keys(words)
-            index = order[np.searchsorted(sorted_keys, keys).clip(0, len(order) - 1)]
-            if not np.array_equal(rep_keys[index], keys):
-                raise AssertionError("a word's orbit key matches no orbit label")
-            counts += np.bincount(index, minlength=len(counts))
-            yield int(words[0]), index
-        if counts.tolist() != [self.sizes[label] for label in self.labels]:
-            raise AssertionError("orbit keys disagree with the orbit sizes")
-
-    def orbit_index(self):
-        """int64 array: the position in `labels` of each packed word's orbit."""
-        if self._index is None:
-            self._index = np.concatenate([index for _, index in self.index_chunks()])
-        return self._index
-
-    def buckets(self):
-        """label -> ascending list of the packed members of the orbit."""
-        if self._buckets is None:
-            index = self.orbit_index()
-            words = np.argsort(index, kind="stable")
-            ends = np.cumsum([self.sizes[label] for label in self.labels])
-            self._buckets = {label: group.tolist() for label, group in
-                             zip(self.labels, np.split(words, ends[:-1]))}
-        return self._buckets
-
-    def orbit_char_sum(self, label, s_bits):
-        """Sum over the orbit `label` of (-1)^{x . s_bits}, exact, summed
-        over the orbit's members."""
-        return sum(-1 if (x & s_bits).bit_count() & 1 else 1
-                   for x in self.buckets()[label])
-
     def char_sums(self, columns):
         """int64 matrix of orbit character sums: entry (i, j) is the sum over
-        the orbit `columns[j]` of (-1)^{x . s}, s the representative of the
-        i-th orbit of `labels`.  Exact, since each entry is at most 2^n in
-        magnitude.  The sums are taken over the members of each orbit, one
-        chunk of row representatives at a time."""
-        reps = np.array([self.reps[label] for label in self.labels],
-                        dtype=np.int64)
-        out = np.zeros((len(reps), len(columns)), dtype=np.int64)
-        if not columns:
+        the orbit `columns[j]` of (-1)^{x . s}, s = reps[i].  Exact, since
+        each entry is at most 2^n in magnitude.  The sums are taken over the
+        members of each orbit, one chunk of row representatives at a time."""
+        out = np.zeros((len(self.reps), len(columns)), dtype=np.int64)
+        if not len(columns):
             return out
-        position = {label: i for i, label in enumerate(self.labels)}
-        column_of = np.full(len(self.labels), -1, dtype=np.int64)
-        column_of[[position[label] for label in columns]] = np.arange(len(columns))
-        word_column = column_of[self.orbit_index()]
+        column_of = np.full(len(self.sizes), -1, dtype=np.int64)
+        column_of[columns] = np.arange(len(columns))
+        word_column = column_of[self.index]
         words = np.nonzero(word_column >= 0)[0]
         words = words[np.argsort(word_column[words], kind="stable")]
         starts = np.searchsorted(word_column[words], np.arange(len(columns)))
         step = max(1, _CHAR_CHUNK // len(words))
-        for lo in range(0, len(reps), step):
-            signs = 1 - 2 * _parity(reps[lo:lo + step, None] & words)
+        for lo in range(0, len(self.reps), step):
+            signs = 1 - 2 * _parity(self.reps[lo:lo + step, None] & words)
             out[lo:lo + step] = np.add.reduceat(signs, starts, axis=1)
         return out
 
@@ -287,41 +240,11 @@ def _two_charge_pairs(n):
 
 class _TwoChargeOrbits(OrbitStructure):
     """Permutations of the coordinate pairs (2i, 2i+1) and swaps inside a
-    pair.  Label (b, t00, t11[, tail]): the first bit, the numbers of 00 and
-    11 pairs, and for even n the last bit."""
+    pair.  Key: the first bit, the numbers of 00 and 11 pairs, and for even
+    n the last bit."""
 
     __slots__ = ()
     group = "pair-permutation"
-
-    def __init__(self, c, n):
-        pairs = _two_charge_pairs(n)
-        np_ = len(pairs)
-        labels = []
-        sizes = {}
-        reps = {}
-        tails = (0, 1) if n % 2 == 0 else (None,)
-        for b in (0, 1):
-            for t00 in range(np_ + 1):
-                for t11 in range(np_ - t00 + 1):
-                    for tail in tails:
-                        label = (b, t00, t11) if tail is None else (b, t00, t11, tail)
-                        size = (math.comb(np_, t00) * math.comb(np_ - t00, t11)
-                                * (1 << (np_ - t00 - t11)))
-                        rep = b
-                        for idx, low in enumerate(pairs):
-                            if idx < t00:
-                                pair = 0b00
-                            elif idx < t00 + t11:
-                                pair = 0b11
-                            else:
-                                pair = 0b10  # the (0, 1) mixed pattern
-                            rep |= pair << low
-                        if tail:
-                            rep |= 1 << (n - 1)
-                        labels.append(label)
-                        sizes[label] = size
-                        reps[label] = rep
-        super().__init__(c, n, labels, sizes, reps)
 
     def _keys(self, words):
         pairs = _two_charge_pairs(self.n)
@@ -338,63 +261,38 @@ class _TwoChargeOrbits(OrbitStructure):
 
 
 class _SubblockOrbits(OrbitStructure):
-    """Permutations inside each subblock and of the subblocks.  Label: the
-    subblock weights in descending order."""
+    """Permutations inside each subblock and of the subblocks.  The orbit
+    of a word is the multiset of its subblock weights; the orbits come in
+    descending order of the weights sorted in descending order."""
 
     __slots__ = ()
     group = "subblock"
 
-    def __init__(self, c, n):
-        width = n // c.p
-        labels = [tuple(sorted(t, reverse=True))
-                  for t in itertools.combinations_with_replacement(
-                      range(width, -1, -1), c.p)]
-        labels = sorted(set(labels), reverse=True)
-        sizes = {}
-        reps = {}
-        for label in labels:
-            perms = len(set(itertools.permutations(label)))
-            size = perms
-            for a in label:
-                size *= math.comb(width, a)
-            rep = 0
-            for l, a in enumerate(label):
-                rep |= ((1 << a) - 1) << (l * width)
-            sizes[label] = size
-            reps[label] = rep
-        super().__init__(c, n, labels, sizes, reps)
-
     def _keys(self, words):
         # the multiset of subblock weights as a number in base p + 1, whose
-        # digit w counts the subblocks of weight w
+        # digit w counts the subblocks of weight w, subtracted from its
+        # largest value so that heavier multisets come first
         p = self.constraint.p
         powers = (p + 1) ** np.arange(self.n // p + 1, dtype=np.int64)
-        keys = np.zeros_like(words)
+        keys = np.full_like(words, p * powers[-1])
         for block in self.constraint.blocks(self.n, words):
-            keys += powers[_popcount(block)]
+            keys -= powers[_popcount(block)]
         return keys
 
-    def orbit_char_sum(self, label, s_bits):
-        """Closed form: the sum over the distinct ordered arrangements of the
-        weight multiset `label` of products of Krawtchouk values."""
-        width = self.n // self.constraint.p
-        s_weights = [block.bit_count()
-                     for block in self.constraint.blocks(self.n, s_bits)]
-        total = 0
-        for arrangement in set(itertools.permutations(label)):
-            term = 1
-            for a, w in zip(arrangement, s_weights):
-                term *= krawtchouk(width, a, w)
-            total += term
-        return total
-
     def char_sums(self, columns):
-        """Closed form: the Krawtchouk products of `orbit_char_sum`."""
-        out = np.zeros((len(self.labels), len(columns)), dtype=np.int64)
-        for i, s_label in enumerate(self.labels):
-            s_rep = self.reps[s_label]
-            for j, label in enumerate(columns):
-                out[i, j] = orbit_char_sum(self, label, s_rep)
+        """Closed form: entry (i, j) is the sum, over the distinct orderings
+        a of the subblock weights of orbit `columns[j]`, of the products
+        over the subblocks l of K_{a_l}(w_l), w_l the weight of subblock l
+        of reps[i].  Exact: |K_a(w)| <= C(n/p, a), so no product exceeds the
+        orbit's size."""
+        kraw = np.array(krawtchouk_table(self.n // self.constraint.p).table,
+                        dtype=np.int64)
+        weights = np.array([_popcount(block) for block in
+                            self.constraint.blocks(self.n, self.reps)])
+        out = np.zeros((len(self.reps), len(columns)), dtype=np.int64)
+        for j, orbit in enumerate(columns):
+            for order in set(itertools.permutations(weights[:, orbit].tolist())):
+                out[:, j] += kraw[np.array(order)[:, None], weights].prod(axis=0)
         return out
 
 
@@ -408,60 +306,40 @@ def _reverse(words, n):
 
 class _ReversalOrbits(OrbitStructure):
     """Word reversal x_1 ... x_n -> x_n ... x_1.  Every orbit has one or two
-    words; its label and representative is the smaller of x and rev(x)."""
+    words; its key is the smaller of x and rev(x)."""
 
     __slots__ = ()
     group = "reversal"
-
-    def __init__(self, c, n):
-        if n > ORBIT_LIST_CAP:
-            raise CapExceeded("%s orbit structure refuses n=%d > cap %d"
-                              % (self.group, n, ORBIT_LIST_CAP))
-        words = np.arange(1 << n, dtype=np.int64)
-        reps = np.unique(np.minimum(words, _reverse(words, n)))
-        palindromic = reps == _reverse(reps, n)
-        labels = reps.tolist()
-        sizes = dict(zip(labels, (2 - palindromic).tolist()))
-        super().__init__(c, n, labels, sizes, dict(zip(labels, labels)))
 
     def _keys(self, words):
         return np.minimum(words, _reverse(words, self.n))
 
 
 class _TrivialOrbits(OrbitStructure):
-    """The trivial group: one orbit per word, labelled by the word."""
+    """The trivial group: one orbit per word, keyed by the word."""
 
     __slots__ = ()
     group = "trivial"
-
-    def __init__(self, c, n):
-        if n > ORBIT_LIST_CAP:
-            raise CapExceeded("%s orbit structure refuses n=%d > cap %d"
-                              % (self.group, n, ORBIT_LIST_CAP))
-        labels = list(range(1 << n))
-        super().__init__(c, n, labels, dict.fromkeys(labels, 1),
-                         dict(zip(labels, labels)))
 
     def _keys(self, words):
         return words
 
 
 def orbit_structure(c, n, trivial=False):
-    """Labels, exact sizes, and canonical representatives of all orbits of
-    the constraint's symmetry group, or of the trivial group (one orbit per
-    word) when `trivial` is set."""
+    """The orbits of the constraint's symmetry group, or of the trivial
+    group (one orbit per word) when `trivial` is set, as an
+    `OrbitStructure`: the group's name and canonical key, and from the key
+    the orbit sizes, smallest words and the orbit of every word."""
     c.check_length(n)
-    struct = (_TrivialOrbits if trivial else c.orbits)(c, n)
-    if sum(struct.sizes.values()) != 1 << n:
-        raise AssertionError("orbit sizes do not partition the space")
-    return struct
+    return (_TrivialOrbits if trivial else c.orbits)(c, n)
 
 
-def orbit_char_sum(structure, orbit_label, s_rep):
-    """Sum over the orbit O of (-1)^{x . s_rep}, exact: the group's
-    `OrbitStructure.orbit_char_sum` (for subblock orbits the closed form)."""
+def orbit_char_sum(structure, orbit, s_rep):
+    """Oracle: the sum over the words x of orbit position `orbit` of
+    (-1)^{x . s_rep}, exact, by brute force over the orbit's words."""
     s_bits = s_rep.bits if isinstance(s_rep, BitWord) else int(s_rep)
-    return structure.orbit_char_sum(orbit_label, s_bits)
+    return sum(-1 if (x & s_bits).bit_count() & 1 else 1
+               for x in np.flatnonzero(structure.index == orbit).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,22 @@ def count_brute(code, constraint, cap=24):
                if member_int(constraint, code.n, x))
 
 
+def _krawtchouk_transform(values, divisor, message):
+    """The distribution a_i = (1 / divisor) * sum_j K_i(j) * values[j] for
+    i = 0..n, n = len(values) - 1, exact; AssertionError(message % i) at
+    the first i whose sum is not divisible."""
+    n = len(values) - 1
+    kraw = krawtchouk_table(n)
+    counts = []
+    for i in range(n + 1):
+        q, rem = divmod(sum(kraw.value(i, j) * values[j] for j in range(n + 1)),
+                        divisor)
+        if rem:
+            raise AssertionError(message % i)
+        counts.append(q)
+    return WeightDistribution(n, counts)
+
+
 def weight_distribution(constraint, n, cap=22):
     """Weight distribution of the constrained set A itself.
 
@@ -116,15 +132,7 @@ def weight_distribution(constraint, n, cap=22):
         raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, cap))
     constraint.check_length(n)
     shell = weight_class_sums(lambda s: char_sum_array(constraint, n, s), n)
-    kraw = krawtchouk_table(n)
-    counts = []
-    for i in range(n + 1):
-        num = sum(kraw.value(i, j) * shell[j] for j in range(n + 1))
-        q, rem = divmod(num, 1 << n)
-        if rem:
-            raise AssertionError("weight-%d count is not an integer" % i)
-        counts.append(q)
-    return WeightDistribution(n, counts)
+    return _krawtchouk_transform(shell, 1 << n, "weight-%d count is not an integer")
 
 
 def constrained_weight_distribution(code, constraint, n_cap=18, dual_cap=14):
@@ -156,17 +164,9 @@ def constrained_weight_distribution(code, constraint, n_cap=18, dual_cap=14):
     for words in word_chunks(n):
         np.add.at(coset_sums, syndrome(words), char_sum_array(constraint, n, words))
     shell = weight_class_sums(lambda s: coset_sums[syndrome(s)], n)
-    kraw = krawtchouk_table(n)
     # |C| / 4^n = 1 / 2^(2n - k)
-    denom = 1 << (2 * n - k)
-    counts = []
-    for i in range(n + 1):
-        num = sum(kraw.value(i, j) * shell[j] for j in range(n + 1))
-        q, rem = divmod(num, denom)
-        if rem:
-            raise AssertionError("constrained weight-%d count is not an integer" % i)
-        counts.append(q)
-    return WeightDistribution(n, counts)
+    return _krawtchouk_transform(shell, 1 << (2 * n - k),
+                                 "constrained weight-%d count is not an integer")
 
 
 def macwilliams(dist, code_size):
@@ -174,18 +174,10 @@ def macwilliams(dist, code_size):
 
     a_i(C-perp) = (1 / |C|) * sum_j K_i(j) * a_j(C), exact division asserted.
     """
-    n = dist.n
-    kraw = krawtchouk_table(n)
-    counts = []
-    for i in range(n + 1):
-        num = sum(kraw.value(i, j) * dist.counts[j] for j in range(n + 1))
-        q, rem = divmod(num, code_size)
-        if rem:
-            raise AssertionError(
-                "MacWilliams division failed at weight %d; the input is not "
-                "the distribution of a linear code of size %d" % (i, code_size))
-        counts.append(q)
-    return WeightDistribution(n, counts)
+    return _krawtchouk_transform(
+        dist.counts, code_size,
+        "MacWilliams division failed at weight %%d; the input is not "
+        "the distribution of a linear code of size %d" % code_size)
 
 
 def code_weight_distribution(code, cap=ENUMERATION_CAP):

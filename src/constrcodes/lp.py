@@ -485,9 +485,7 @@ def _check_orbit_invariant(structure, conv):
     """The orbit LP has the full LP's optimum exactly when the pointwise
     bounds, the self-convolution counts, are constant on every orbit: the
     LP depends on A only through them."""
-    conv = np.asarray(conv, dtype=np.int64)
-    at_reps = conv[[structure.reps[label] for label in structure.labels]]
-    if not np.array_equal(conv, at_reps[structure.orbit_index()]):
+    if not np.array_equal(conv, conv[structure.reps][structure.index]):
         raise AssertionError(
             "self-convolution counts of %s at n=%d are not constant on the "
             "orbits of the %s group" % (structure.constraint, structure.n,
@@ -511,15 +509,15 @@ def del_constrained_orbits(structure, d, conv=None):
     """
     n = structure.n
     constraint = structure.constraint
-    if len(structure.labels) > ORBIT_ROW_CAP:
-        raise CapExceeded("constrained Delsarte LP refuses %d orbits of the %s "
-                          "group at n=%d > cap %d" % (len(structure.labels),
-                                                      structure.group, n,
-                                                      ORBIT_ROW_CAP))
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
-    if conv is None:
-        conv = self_convolution(constraint, n)
+    if len(structure.sizes) > ORBIT_ROW_CAP:
+        raise CapExceeded("constrained Delsarte LP refuses %d orbits of the %s "
+                          "group at n=%d > cap %d" % (len(structure.sizes),
+                                                      structure.group, n,
+                                                      ORBIT_ROW_CAP))
+    conv = np.asarray(self_convolution(constraint, n) if conv is None else conv,
+                      dtype=np.int64)
     _check_orbit_invariant(structure, conv)
     delsarte = del_classic(n, d).lp_value
     size = cardinality(constraint, n)
@@ -529,13 +527,12 @@ def del_constrained_orbits(structure, d, conv=None):
     # with unit character-sum coefficient
     u0 = min(float(conv[0]), delsarte)
     reps = structure.reps
-    labels = [lbl for lbl in structure.labels
-              if reps[lbl].bit_count() >= d and conv[reps[lbl]] > 0]
+    columns = np.flatnonzero((_popcount(reps) >= d) & (conv[reps] > 0))
     rows = [(coeffs + [-1], ">=", -u0)
-            for coeffs in structure.char_sums(labels).tolist()]
-    ubs = {j: float(conv[reps[lbl]]) for j, lbl in enumerate(labels)}
-    ubs[len(labels)] = u0
-    objective = [float(structure.sizes[lbl]) for lbl in labels] + [-1.0]
+            for coeffs in structure.char_sums(columns).tolist()]
+    ubs = dict(enumerate(conv[reps[columns]].astype(float).tolist()))
+    ubs[len(columns)] = u0
+    objective = structure.sizes[columns].astype(float).tolist() + [-1.0]
     model = LpModel("max", objective, _dedupe(rows), upper_bounds=ubs)
     sol = _solved(model, "constrained Delsarte LP (%d, %d, %s) over the %s "
                   "group" % (n, d, constraint, structure.group))
@@ -552,6 +549,8 @@ def del_constrained(n, d, constraint, cap=12):
     constraint's symmetry group (see `del_constrained_orbits`)."""
     if n > cap:
         raise CapExceeded("del_constrained refuses n=%d > cap %d" % (n, cap))
+    if not 1 <= d <= n:
+        raise ValueError("need 1 <= d <= n")
     return del_constrained_orbits(orbit_structure(constraint, n), d)
 
 
@@ -559,6 +558,8 @@ def del_constrained_sym(n, d, constraint, conv=None):
     """The constrained Delsarte LP over the orbits of the constraint's
     symmetry group, capped by the number of orbits instead of n, with
     optionally precomputed self-convolution counts."""
+    if not 1 <= d <= n:
+        raise ValueError("need 1 <= d <= n")
     return del_constrained_orbits(orbit_structure(constraint, n), d, conv)
 
 
@@ -597,33 +598,28 @@ def gensph(n, d, constraint, cap=16):
         raise ValueError("need 1 <= d <= n")
     t = (d - 1) // 2
     struct = orbit_structure(constraint, n)
-    labels = struct.labels
-    reps = np.array([struct.reps[lbl] for lbl in labels], dtype=np.int64)
-    members = reps[member_array(constraint, n, reps)]
+    norbits = len(struct.sizes)
+    members = struct.reps[member_array(constraint, n, struct.reps)]
     # the radius-t ball around x is x XOR each word of weight <= t
     words = np.arange(1 << n, dtype=np.int64)
     masks = words[_popcount(words) <= t]
-    index = struct.orbit_index()
     # (member row, orbit position) keys with their ball counts, a bounded
     # block of member balls at a time
     keys, counts = [], []
     step = max(1, BALL_BLOCK // len(masks))
     for lo in range(0, len(members), step):
         block = members[lo:lo + step]
-        offset = np.arange(lo, lo + len(block))[:, None] * len(labels)
-        key, count = np.unique(offset + index[block[:, None] ^ masks],
+        offset = np.arange(lo, lo + len(block))[:, None] * norbits
+        key, count = np.unique(offset + struct.index[block[:, None] ^ masks],
                                return_counts=True)
         keys.append(key)
         counts.append(count)
-    row, orbit = np.divmod(np.concatenate(keys), len(labels))
-    # columns: the covered orbits in label order, entry k / |orbit| for k
+    row, orbit = np.divmod(np.concatenate(keys), norbits)
+    # columns: the covered orbits in orbit order, entry k / |orbit| for k
     # points of the orbit in the member's ball
-    covered = sorted(np.unique(orbit).tolist(), key=labels.__getitem__)
-    column = np.zeros(len(labels), dtype=np.int64)
-    column[covered] = np.arange(len(covered))
-    sizes = np.array([struct.sizes[lbl] for lbl in labels], dtype=np.int64)
+    covered, column = np.unique(orbit, return_inverse=True)
     matrix = np.zeros((len(members), len(covered)))
-    matrix[row, column[orbit]] = np.concatenate(counts) / sizes[orbit]
+    matrix[row, column] = np.concatenate(counts) / struct.sizes[orbit]
     rows = [(coeffs, "<=", 1.0)
             for coeffs in matrix[:, _undominated(matrix)].tolist()]
     model = LpModel("max", [1.0] * len(rows[0][0]), rows)

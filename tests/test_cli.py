@@ -229,6 +229,26 @@ def test_exit_code_resource_cap(capsys):
     assert code == 3
 
 
+def test_exit_code_distance_out_of_range(capsys):
+    # d outside 1..n is a usage error, reported before any orbit or size cap
+    for args in [("--n", "26", "--d", "40", "--constraint", "subblock:p=2,z=2"),
+                 ("--n", "26", "--d", "40", "--constraint", "subblock:p=2,z=2",
+                  "--lp", "del-sym"),
+                 ("--n", "20", "--d", "0", "--constraint", "rll:d=1",
+                  "--lp", "del-sym"),
+                 ("--n", "10", "--d", "0", "--constraint", "rll:d=1",
+                  "--lp", "del")]:
+        code, _ = run(capsys, "bound", *args)
+        assert code == 2
+
+
+def test_count_max_n_zero_is_a_cap(capsys):
+    # an explicit --max-n 0 refuses both enumerations, not the default cap
+    code, _ = run(capsys, "count", "--code", "hamming:m=3",
+                  "--constraint", "rll:d=1", "--max-n", "0")
+    assert code == 3
+
+
 def test_output_is_deterministic(capsys):
     outputs = set()
     for _ in range(2):

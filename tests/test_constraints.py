@@ -242,10 +242,10 @@ def test_reversal_orbits():
         assert struct.group == "reversal"
         for x in range(1 << n):
             rev = int(format(x, "0%db" % n)[::-1], 2)
-            label = struct.label_of(x)
-            assert label == struct.reps[label] == min(x, rev)
-            assert struct.sizes[label] == (1 if x == rev else 2)
-            assert sorted(struct.buckets()[label]) == sorted({x, rev})
+            i = struct.index[x]
+            assert struct.reps[i] == min(x, rev)
+            assert struct.sizes[i] == (1 if x == rev else 2)
+            assert np.flatnonzero(struct.index == i).tolist() == sorted({x, rev})
 
 
 def test_orbit_structure_partitions_space():
@@ -254,50 +254,121 @@ def test_orbit_structure_partitions_space():
                  (odd_relaxed(), 8), (fixed_weight(4), 8)]:
         for trivial in (False, True):
             struct = orbit_structure(c, n, trivial=trivial)
-            assert sum(struct.sizes.values()) == 1 << n
-            buckets = struct.buckets()
-            for label in struct.labels:
-                assert len(buckets[label]) == struct.sizes[label]
-                assert struct.label_of(struct.reps[label]) == label
+            assert struct.sizes.sum() == 1 << n
+            assert struct.index.shape == (1 << n,)
+            for i, rep in enumerate(struct.reps.tolist()):
+                assert len(np.flatnonzero(struct.index == i)) == struct.sizes[i]
+                assert struct.index[rep] == i
+
+
+def _orbits(struct):
+    """The words of each orbit of a structure, ascending, in orbit order."""
+    return [np.flatnonzero(struct.index == i).tolist()
+            for i in range(len(struct.sizes))]
+
+
+def _closure_orbits(n, generators):
+    """The orbits of the group generated by coordinate permutations (perm[i]
+    is the image of bit i), by closing every word under the generators."""
+    orbit_of = {}
+    for x in range(1 << n):
+        if x in orbit_of:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for perm in generators:
+                z = sum(((y >> i) & 1) << perm[i] for i in range(n))
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        for y in orbit:
+            orbit_of[y] = orbit
+    return orbit_of
+
+
+def _swaps(n, pairs):
+    """The coordinate permutations each exchanging the bit sets a and b."""
+    out = []
+    for a, b in pairs:
+        perm = list(range(n))
+        for i, j in zip(a, b):
+            perm[i], perm[j] = j, i
+        out.append(perm)
+    return out
+
+
+def test_orbit_structure_matches_generator_closure():
+    # the key-derived orbits against the closure of every word under the
+    # group's coordinate permutations: reversal; swaps inside the pairs
+    # (2i, 2i+1) and transpositions of pairs (2-charge); transpositions
+    # inside a subblock and swaps of subblocks (subblock); the identity
+    cases = []
+    for c, n in [(rll(1), 7), (even_strict(), 8)]:
+        cases.append((orbit_structure(c, n), [list(range(n))[::-1]]))
+    for n in (7, 8):
+        pairs = [(2 * i - 1, 2 * i) for i in range(1, (n + 1) // 2)]
+        gens = _swaps(n, [((a,), (b,)) for a, b in pairs]
+                      + [(p, q) for p, q in zip(pairs, pairs[1:])])
+        cases.append((orbit_structure(two_charge(), n), gens))
+    for p, n in [(2, 8), (3, 9)]:
+        width = n // p
+        blocks = [tuple(range(l * width, (l + 1) * width)) for l in range(p)]
+        gens = _swaps(n, [((i,), (i + 1,)) for block in blocks
+                          for i in block[:-1]]
+                      + list(zip(blocks, blocks[1:])))
+        cases.append((orbit_structure(subblock(p, 1), n), gens))
+    for n in (7, 8):
+        cases.append((orbit_structure(rll(1), n, trivial=True), []))
+    for struct, gens in cases:
+        orbit_of = _closure_orbits(struct.n, gens)
+        orbits = _orbits(struct)
+        assert len(orbits) == len({id(o) for o in orbit_of.values()})
+        for i, words in enumerate(orbits):
+            assert words == sorted(orbit_of[words[0]])
+            assert struct.sizes[i] == len(words)
+            assert struct.reps[i] == words[0]
 
 
 def test_orbit_members_share_membership_and_weight_profile():
     for c, n in [(two_charge(), 9), (subblock(2, 2), 8), (rll(1), 9),
                  (even_strict(), 10), (odd_strict(), 9), (odd_relaxed(), 10),
                  (fixed_weight(5), 10)]:
-        struct = orbit_structure(c, n)
-        for label, xs in struct.buckets().items():
+        for xs in _orbits(orbit_structure(c, n)):
             flags = {member_int(c, n, x) for x in xs}
             assert len(flags) == 1
             assert len({x.bit_count() for x in xs}) == 1
 
 
 def test_orbit_char_sum_matches_brute():
+    # the scalar oracle and the full matrix of every group (the subblock
+    # Krawtchouk closed form included) against sums over the orbit's words,
+    # for every representative and every orbit
     for c, n in [(two_charge(), 7), (two_charge(), 8), (subblock(2, 1), 8),
                  (subblock(3, 2), 9), (rll(1), 7), (even_strict(), 8)]:
         struct = orbit_structure(c, n)
-        buckets = struct.buckets()
-        for label in struct.labels:
-            s_rep = struct.reps[label]
-            for other in struct.labels:
-                brute = sum(1 if (x & s_rep).bit_count() % 2 == 0 else -1
-                            for x in buckets[other])
-                assert orbit_char_sum(struct, other, s_rep) == brute
+        orbits = _orbits(struct)
+        brute = [[sum(1 if (x & s_rep).bit_count() % 2 == 0 else -1
+                      for x in xs) for xs in orbits]
+                 for s_rep in struct.reps.tolist()]
+        assert struct.char_sums(np.arange(len(orbits))).tolist() == brute
+        for i, s_rep in enumerate(struct.reps.tolist()):
+            for j in range(len(orbits)):
+                assert orbit_char_sum(struct, j, s_rep) == brute[i][j]
 
 
 def test_orbit_char_sum_matrix_matches_scalar():
     # the vectorized (and, for subblock, closed-form) matrix against the
-    # scalar orbit sums, for every group including the trivial one
+    # brute-force orbit sums, for every group including the trivial one
     for c, n in [(two_charge(), 7), (two_charge(), 8), (subblock(2, 1), 8),
                  (subblock(3, 2), 9), (rll(1), 8), (odd_relaxed(), 8),
                  (fixed_weight(3), 7)]:
         for trivial in (False, True):
             struct = orbit_structure(c, n, trivial=trivial)
-            columns = struct.labels[1::3]
+            columns = np.arange(1, len(struct.sizes), 3)
             matrix = struct.char_sums(columns)
-            assert matrix.shape == (len(struct.labels), len(columns))
-            for i, s_label in enumerate(struct.labels):
-                s_rep = struct.reps[s_label]
-                assert matrix[i].tolist() == [orbit_char_sum(struct, label, s_rep)
-                                              for label in columns]
-            assert struct.char_sums([]).shape == (len(struct.labels), 0)
+            assert matrix.shape == (len(struct.sizes), len(columns))
+            for i, s_rep in enumerate(struct.reps.tolist()):
+                assert matrix[i].tolist() == [orbit_char_sum(struct, j, s_rep)
+                                              for j in columns]
+            assert struct.char_sums([]).shape == (len(struct.sizes), 0)

@@ -344,7 +344,7 @@ def _ball(x, n, t):
 
 def test_gensph_model_matches_word_by_word_build():
     # the array build of the ball-count matrix against one ball per member
-    # representative, mapped to orbit labels word by word
+    # representative, mapped to orbit positions word by word
     for c, n, d in [(two_charge(), 8, 3), (subblock(2, 1), 10, 5),
                     (rll(1), 9, 5), (rll(2), 10, 3), (even_strict(), 8, 5),
                     (odd_strict(), 9, 3), (odd_relaxed(), 8, 7),
@@ -352,11 +352,11 @@ def test_gensph_model_matches_word_by_word_build():
         struct = orbit_structure(c, n)
         t = (d - 1) // 2
         counts = []
-        for lbl in struct.labels:
-            if member_int(c, n, struct.reps[lbl]):
+        for rep in struct.reps.tolist():
+            if member_int(c, n, rep):
                 counts.append({})
-                for y in _ball(struct.reps[lbl], n, t):
-                    o = struct.label_of(y)
+                for y in _ball(rep, n, t):
+                    o = int(struct.index[y])
                     counts[-1][o] = counts[-1].get(o, 0) + 1
         union = sorted(set().union(*counts))
         matrix = np.array([[cnt.get(o, 0) / struct.sizes[o] for o in union]
