@@ -506,9 +506,15 @@ def _constraints_for(n):
     return out
 
 
+def _largest_n(max_n, default):
+    """The largest length a suite checks: its default, lowered to --max-n
+    when one is given (0 included)."""
+    return default if max_n is None else min(max_n, default)
+
+
 def _suite_charsum(max_n, fault=False):
     cases = 0
-    for n in range(2, min(max_n or 12, 12) + 1):
+    for n in range(2, _largest_n(max_n, 12) + 1):
         for c in _constraints_for(n):
             indicator = [1 if member_int(c, n, x) else 0 for x in range(1 << n)]
             spectrum = wht(indicator)
@@ -543,7 +549,7 @@ def _random_code(rng, n):
 def _suite_counts(max_n):
     rng = random.Random(7)
     cases = 0
-    for n in range(7, min(max_n or 13, 13) + 1):
+    for n in range(7, _largest_n(max_n, 13) + 1):
         pool = _constraints_for(n)
         for _ in range(50):
             code = _random_code(rng, n)
@@ -562,7 +568,7 @@ def _suite_counts(max_n):
 def _suite_fourier(max_n):
     rng = random.Random(11)
     cases = 0
-    for n in range(1, min(max_n or 12, 12) + 1):
+    for n in range(1, _largest_n(max_n, 12) + 1):
         size = 1 << n
         f = [rng.randint(-5, 5) for _ in range(size)]
         spec = wht(f)
@@ -594,7 +600,7 @@ def _suite_lp_sym(max_n):
              (10, rll(1), (5,)), (10, even_strict(), (3, 5))]
     cases = 0
     for n, c, ds in plans:
-        if n > (max_n or 10):
+        if n > _largest_n(max_n, 10):
             continue
         for d in ds:
             full = del_constrained_orbits(orbit_structure(c, n, trivial=True),
@@ -610,6 +616,8 @@ def _suite_lp_sym(max_n):
 def _suite_plotkin(max_n):
     cases = 0
     for m, r in ((3, 1), (4, 2), (4, 3), (5, 3)):
+        if max_n is not None and 1 << m > max_n:
+            continue
         code = reed_muller(m, r)
         half = 1 << (m - 1)
         for z in range(half + 1):
@@ -629,7 +637,7 @@ def _suite_macwilliams(max_n):
              zero_code(6), reed_muller(3, 1), reed_muller(3, 2)]
     cases = 0
     for code in codes:
-        if code.n > min(max_n or 15, 15):
+        if code.n > _largest_n(max_n, 15):
             continue
         dual = dual_code(code)
         w = code_weight_distribution(code)

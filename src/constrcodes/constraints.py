@@ -13,6 +13,7 @@ for every family.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -182,7 +183,8 @@ class OrbitStructure:
     """Orbits of a group of coordinate permutations acting on {0,1}^n that
     maps A onto itself.
 
-    A group is a name, `group`, and a canonical key, `_keys`: a nonnegative
+    A group is a name, `group`, its number of permutations at length n,
+    `order(constraint, n)`, and a canonical key, `_keys`: a nonnegative
     integer per word of an int64 array, equal exactly for the words of one
     orbit.  The orbits are numbered by ascending key, and three int64
     arrays describe them: `sizes[i]` and `reps[i]`, the size and the
@@ -207,6 +209,13 @@ class OrbitStructure:
         self.index = (np.cumsum(present) - 1)[keys]
         self.reps = np.full(len(self.sizes), 1 << n, dtype=np.int64)
         np.minimum.at(self.reps, self.index, np.arange(1 << n, dtype=np.int64))
+
+    @staticmethod
+    def order(constraint, n):
+        """The number of permutations in the group at length n.  An orbit
+        has at most that many words, so there are at least 2^n / order
+        orbits."""
+        raise NotImplementedError
 
     def _keys(self, words):
         raise NotImplementedError
@@ -246,6 +255,11 @@ class _TwoChargeOrbits(OrbitStructure):
     __slots__ = ()
     group = "pair-permutation"
 
+    @staticmethod
+    def order(constraint, n):
+        pairs = len(_two_charge_pairs(n))
+        return math.factorial(pairs) << pairs
+
     def _keys(self, words):
         pairs = _two_charge_pairs(self.n)
         t00 = np.zeros_like(words)
@@ -267,6 +281,11 @@ class _SubblockOrbits(OrbitStructure):
 
     __slots__ = ()
     group = "subblock"
+
+    @staticmethod
+    def order(constraint, n):
+        p = constraint.p
+        return math.factorial(p) * math.factorial(n // p) ** p
 
     def _keys(self, words):
         # the multiset of subblock weights as a number in base p + 1, whose
@@ -311,6 +330,10 @@ class _ReversalOrbits(OrbitStructure):
     __slots__ = ()
     group = "reversal"
 
+    @staticmethod
+    def order(constraint, n):
+        return 2
+
     def _keys(self, words):
         return np.minimum(words, _reverse(words, self.n))
 
@@ -320,6 +343,10 @@ class _TrivialOrbits(OrbitStructure):
 
     __slots__ = ()
     group = "trivial"
+
+    @staticmethod
+    def order(constraint, n):
+        return 1
 
     def _keys(self, words):
         return words

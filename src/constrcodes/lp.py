@@ -3,19 +3,22 @@ programs: Delsarte's LP (classic, full, constrained, symmetrized), the
 generalized sphere-packing baseline, and dual-certificate verification.
 
 All programs are small and dense by LP standards, so a tableau simplex with
-numpy suffices; no external solver is required.  The solver keeps the
-condensed tableau B^-1 A_N, m rows by the nonbasic columns only: a pivot
-exchanges one basic and one nonbasic label and rewrites m x |N| entries,
-not the m x (|N| + m) of a full tableau whose basic columns are the
-identity.  A refactorization factors the basis matrix once and solves for
-the nonbasic columns and the right-hand side together.
+numpy suffices; no external solver is required.  Each builder hands its
+arrays (matrix `rows`, `relations`, `rhs`, and `upper` with inf for no bound)
+straight to an `LpModel`, `_dedupe` keeping each row's first occurrence.
+The solver keeps the condensed tableau B^-1 A_N, m rows by the nonbasic
+columns only: a pivot exchanges one basic and one nonbasic label and
+rewrites m x |N| entries, not the m x (|N| + m) of a full tableau whose
+basic columns are the identity.  A refactorization factors the basis matrix
+once and solves for the nonbasic columns and the right-hand side together.
 """
 
 import math
 
 import numpy as np
 
-from .constraints import cardinality, member_array, orbit_structure
+from .constraints import (MEMBER_ENUM_CAP, _parity, cardinality,
+                          member_array, orbit_structure)
 from .errors import CapExceeded
 from .spectral import (_check_conv_cap, _popcount, krawtchouk_table,
                        self_convolution_counts, wht)
@@ -31,25 +34,27 @@ BALL_BLOCK = 1 << 20
 
 
 class LpModel:
-    """max/min c'x subject to rows (coeffs, relation, rhs), x >= 0, and
-    optional per-variable upper bounds."""
+    """max/min objective . x subject to rows @ x (relations: "<=", ">=" or
+    "=") rhs, row by row, and 0 <= x <= upper, inf (the default) for none."""
 
-    def __init__(self, sense, objective, rows, upper_bounds=None):
+    def __init__(self, sense, objective, rows, relations, rhs, upper=None):
         if sense not in ("max", "min"):
             raise ValueError("sense must be 'max' or 'min'")
         self.sense = sense
-        self.objective = [float(v) for v in objective]
+        self.objective = np.asarray(objective, dtype=float)
         nvars = len(self.objective)
-        self.rows = []
-        for coeffs, rel, rhs in rows:
-            coeffs = [float(v) for v in coeffs]
-            if len(coeffs) != nvars:
-                raise ValueError("row width %d != variable count %d"
-                                 % (len(coeffs), nvars))
-            if rel not in ("<=", ">=", "="):
-                raise ValueError("relation must be <=, >=, or =")
-            self.rows.append((coeffs, rel, float(rhs)))
-        self.upper_bounds = dict(upper_bounds or {})
+        self.rows = np.ascontiguousarray(rows, dtype=float)
+        self.relations = np.asarray(relations)
+        self.rhs = np.asarray(rhs, dtype=float)
+        self.upper = np.full(nvars, np.inf) if upper is None else \
+            np.asarray(upper, dtype=float)
+        m = len(self.rows)
+        if (self.rows.shape, self.relations.shape, self.rhs.shape,
+                self.upper.shape) != ((m, nvars), (m,), (m,), (nvars,)):
+            raise ValueError("rows, relations, rhs and upper disagree in "
+                             "shape with %d variables" % nvars)
+        if not np.isin(self.relations, ("<=", ">=", "=")).all():
+            raise ValueError("relation must be <=, >=, or =")
 
     def nvars(self):
         return len(self.objective)
@@ -77,17 +82,17 @@ class LpSolution:
 
 
 def dump_model(model, path):
-    """Plain-text dump: objective line, then one constraint per line."""
+    """Plain-text dump: the objective, each constraint, each variable bound."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%s %s\n" % (model.sense,
                               " ".join("%.17g" % v for v in model.objective)))
-        for coeffs, rel, rhs in model.rows:
+        for coeffs, rel, rhs in zip(model.rows, model.relations, model.rhs):
             fh.write("%s %s %.17g\n"
                      % (" ".join("%.17g" % v for v in coeffs), rel, rhs))
-        for j in sorted(model.upper_bounds):
+        for j in np.flatnonzero(np.isfinite(model.upper)):
             row = ["0"] * model.nvars()
             row[j] = "1"
-            fh.write("%s <= %.17g\n" % (" ".join(row), model.upper_bounds[j]))
+            fh.write("%s <= %.17g\n" % (" ".join(row), model.upper[j]))
 
 
 def _reinvert(orig, orig_rhs, tab, xb, basis, nonbasic, ub, at_upper, state):
@@ -259,21 +264,16 @@ def _solution(status, state, value=None, primal=None):
 def solve(model, limit=ITERATION_LIMIT):
     """Two-phase bounded primal simplex over the model (0 <= x <= ub), on a
     condensed tableau of the nonbasic columns."""
-    nvars = model.nvars()
+    m, nvars = model.rows.shape
     state = {"iterations": 0, "degenerate_pivots": 0, "bound_flips": 0,
              "refactorizations": 0, "bland": False}
-    obj = np.array(model.objective, dtype=float)
-    if model.sense == "max":
-        obj = -obj
-    if any(u < 0 for u in model.upper_bounds.values()):
+    obj = -model.objective if model.sense == "max" else model.objective
+    if (model.upper < 0).any():
         return _solution("infeasible", state)
 
-    m = len(model.rows)
-    coeffs = np.array([row[0] for row in model.rows],
-                      dtype=float).reshape(m, nvars)
-    b = np.array([row[2] for row in model.rows], dtype=float)
-    le_raw = np.array([row[1] == "<=" for row in model.rows], dtype=bool)
-    ge_raw = np.array([row[1] == ">=" for row in model.rows], dtype=bool)
+    coeffs, b = model.rows, model.rhs
+    le_raw = model.relations == "<="
+    ge_raw = model.relations == ">="
 
     # normalize: scale each row by its largest coefficient, flip so rhs >= 0
     scale = np.abs(coeffs).max(axis=1, initial=0.0)
@@ -308,8 +308,7 @@ def solve(model, limit=ITERATION_LIMIT):
     true_rhs = rhs
     xb = rhs.copy()
     ub = np.full(total, np.inf)
-    for j, u in model.upper_bounds.items():
-        ub[j] = u
+    ub[:nvars] = model.upper
     at_upper = np.zeros(total, dtype=bool)
 
     # crash: a >= or = row whose only use of some positive column is that row
@@ -388,7 +387,7 @@ def solve(model, limit=ITERATION_LIMIT):
                    np.where(ge_raw, lhs < b - slack, np.abs(lhs - b) > slack))
     if bad.any():
         return _solution("numerical_error", state)
-    value = float(np.dot(np.array(model.objective), primal))
+    value = float(np.dot(model.objective, primal))
     return _solution("optimal", state, value, primal.tolist())
 
 
@@ -425,15 +424,13 @@ def _solved(model, what):
     return sol
 
 
-def _dedupe(rows):
-    seen = set()
-    out = []
-    for coeffs, rel, rhs in rows:
-        key = (rel, rhs, tuple(coeffs))
-        if key not in seen:
-            seen.add(key)
-            out.append((coeffs, rel, rhs))
-    return out
+def _dedupe(rows, rhs):
+    """The rows of `rows` and `rhs` (one relation for all) with each distinct
+    (rhs, row) kept at its first occurrence only, in the original order."""
+    _, first = np.unique(np.column_stack((rhs, rows)), axis=0,
+                         return_index=True)
+    keep = np.sort(first)
+    return rows[keep], rhs[keep]
 
 
 def del_classic(n, d):
@@ -444,11 +441,10 @@ def del_classic(n, d):
     """
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
-    kraw = krawtchouk_table(n)
-    js = list(range(d, n + 1))
-    rows = [([kraw.value(k, j) for j in js], ">=", -kraw.value(k, 0))
-            for k in range(n + 1)]
-    model = LpModel("max", [1.0] * len(js), _dedupe(rows))
+    kraw = np.array(krawtchouk_table(n).table, dtype=float)
+    rows, rhs = _dedupe(kraw[:, d:], -kraw[:, 0])
+    model = LpModel("max", np.ones(n + 1 - d), rows,
+                    np.full(len(rows), ">="), rhs)
     sol = _solved(model, "del_classic(%d, %d)" % (n, d))
     value = 1.0 + sol.value
     return BoundReport(n, d, None, value, value, solution=sol, model=model)
@@ -461,13 +457,12 @@ def del_full(n, d, cap=12):
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     # f(0) = 1 substituted; f = 0 below distance d drops those variables
-    variables = [x for x in range(1, 1 << n) if x.bit_count() >= d]
-    rows = []
-    for s in range(1 << n):
-        coeffs = [1.0 if ((x & s).bit_count() & 1) == 0 else -1.0
-                  for x in variables]
-        rows.append((coeffs, ">=", -1.0))
-    model = LpModel("max", [1.0] * len(variables), _dedupe(rows))
+    words = np.arange(1 << n, dtype=np.int64)
+    variables = words[_popcount(words) >= d]
+    rows, rhs = _dedupe(1.0 - 2.0 * _parity(words[:, None] & variables),
+                        np.full(1 << n, -1.0))
+    model = LpModel("max", np.ones(len(variables)), rows,
+                    np.full(len(rows), ">="), rhs)
     sol = _solved(model, "del_full(%d, %d)" % (n, d))
     value = 1.0 + sol.value
     return BoundReport(n, d, None, value, value, solution=sol, model=model)
@@ -528,12 +523,11 @@ def del_constrained_orbits(structure, d, conv=None):
     u0 = min(float(conv[0]), delsarte)
     reps = structure.reps
     columns = np.flatnonzero((_popcount(reps) >= d) & (conv[reps] > 0))
-    rows = [(coeffs + [-1], ">=", -u0)
-            for coeffs in structure.char_sums(columns).tolist()]
-    ubs = dict(enumerate(conv[reps[columns]].astype(float).tolist()))
-    ubs[len(columns)] = u0
-    objective = structure.sizes[columns].astype(float).tolist() + [-1.0]
-    model = LpModel("max", objective, _dedupe(rows), upper_bounds=ubs)
+    rows = np.column_stack((structure.char_sums(columns), -np.ones(len(reps))))
+    rows, rhs = _dedupe(rows, np.full(len(reps), -u0))
+    model = LpModel("max", np.append(structure.sizes[columns], -1.0), rows,
+                    np.full(len(rows), ">="), rhs,
+                    upper=np.append(conv[reps[columns]], u0))
     sol = _solved(model, "constrained Delsarte LP (%d, %d, %s) over the %s "
                   "group" % (n, d, constraint, structure.group))
     value = u0 + sol.value
@@ -549,17 +543,23 @@ def del_constrained(n, d, constraint, cap=12):
     constraint's symmetry group (see `del_constrained_orbits`)."""
     if n > cap:
         raise CapExceeded("del_constrained refuses n=%d > cap %d" % (n, cap))
-    if not 1 <= d <= n:
-        raise ValueError("need 1 <= d <= n")
-    return del_constrained_orbits(orbit_structure(constraint, n), d)
+    return del_constrained_sym(n, d, constraint)
 
 
 def del_constrained_sym(n, d, constraint, conv=None):
     """The constrained Delsarte LP over the orbits of the constraint's
-    symmetry group, capped by the number of orbits instead of n, with
-    optionally precomputed self-convolution counts."""
+    symmetry group G, capped by their number, at least 2^n / |G| (checked
+    before any word is keyed), instead of n, with optionally precomputed
+    self-convolution counts."""
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
+    constraint.check_length(n)
+    # orbit_structure refuses larger n at once; some orders are factorials
+    if n <= MEMBER_ENUM_CAP and \
+            1 << n > ORBIT_ROW_CAP * constraint.orbits.order(constraint, n):
+        raise CapExceeded("constrained Delsarte LP refuses n=%d: the %s group "
+                          "leaves more than %d orbits"
+                          % (n, constraint.orbits.group, ORBIT_ROW_CAP))
     return del_constrained_orbits(orbit_structure(constraint, n), d, conv)
 
 
@@ -620,9 +620,9 @@ def gensph(n, d, constraint, cap=16):
     covered, column = np.unique(orbit, return_inverse=True)
     matrix = np.zeros((len(members), len(covered)))
     matrix[row, column] = np.concatenate(counts) / struct.sizes[orbit]
-    rows = [(coeffs, "<=", 1.0)
-            for coeffs in matrix[:, _undominated(matrix)].tolist()]
-    model = LpModel("max", [1.0] * len(rows[0][0]), rows)
+    rows = matrix[:, _undominated(matrix)]
+    model = LpModel("max", np.ones(rows.shape[1]), rows,
+                    np.full(len(rows), "<="), np.ones(len(rows)))
     sol = _solved(model, "gensph(%d, 2t+1=%d, %s)" % (n, 2 * t + 1, constraint))
     return BoundReport(n, d, constraint, sol.value, sol.value,
                        comparators={"cardinality": cardinality(constraint, n)},
@@ -649,10 +649,9 @@ def dual_certificate_bound(n, d, constraint, beta, tol=1e-9, cap=16):
     scale = float(1 << n)
     if min(transform) < -tol * scale:
         raise CertificateRejected("transform of beta is negative somewhere")
-    for x in range(1 << n):
-        if x.bit_count() >= d and beta[x] > tol * scale:
-            raise CertificateRejected(
-                "beta is positive at a point of weight >= d")
+    heavy = _popcount(np.arange(1 << n, dtype=np.int64)) >= d
+    if (np.array(beta)[heavy] > tol * scale).any():
+        raise CertificateRejected("beta is positive at a point of weight >= d")
     if abs(sum(beta) - scale) > tol * scale:
         raise CertificateRejected("beta does not sum to 2^n")
     constraint.check_length(n)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from constrcodes import hamming_code, save_code
-from constrcodes.cli import main, parse_code
+from constrcodes.cli import VERIFY_SUITES, main, parse_code
 
 
 def run(capsys, *argv):
@@ -158,6 +158,16 @@ def test_verify_selected_suites(capsys):
                     "--suites", "charsum,fourier,macwilliams")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_verify_max_n_zero_runs_no_case(capsys):
+    # an explicit --max-n 0 is a length cap of 0, not the default sizes
+    code, out = run(capsys, "verify", "--max-n", "0", "--suites", "charsum")
+    assert code == 0
+    assert out.split() == ["charsum", "PASS", "(0", "cases)"]
+    code, out = run(capsys, "verify", "--max-n", "0")
+    assert code == 0
+    assert out.count("PASS (0 cases)") == len(VERIFY_SUITES)
 
 
 def test_verify_injected_fault(capsys):

@@ -256,6 +256,9 @@ def test_orbit_structure_partitions_space():
             struct = orbit_structure(c, n, trivial=trivial)
             assert struct.sizes.sum() == 1 << n
             assert struct.index.shape == (1 << n,)
+            # orbit-stabilizer: every orbit size divides the group order
+            order = struct.order(c, n)
+            assert all(order % int(size) == 0 for size in struct.sizes)
             for i, rep in enumerate(struct.reps.tolist()):
                 assert len(np.flatnonzero(struct.index == i)) == struct.sizes[i]
                 assert struct.index[rep] == i

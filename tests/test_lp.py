@@ -10,9 +10,10 @@ from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
                          del_constrained, del_constrained_orbits,
                          del_constrained_sym, del_full, dual_certificate_bound,
                          dump_model, even_strict, fixed_weight, gf2_rank,
-                         gensph, iterate_span, member_int, member_ints,
-                         odd_relaxed, odd_strict, orbit_structure, rll, solve,
-                         subblock, two_charge)
+                         gensph, iterate_span, krawtchouk_table, member_int,
+                         member_ints, odd_relaxed, odd_strict, orbit_char_sum,
+                         orbit_structure, rll, solve, subblock, two_charge)
+from constrcodes.constraints import OrbitStructure
 from constrcodes.lp import _undominated
 from constrcodes.spectral import self_convolution_counts
 
@@ -23,14 +24,14 @@ TOL = 1e-6
 
 
 def test_solve_simple_max():
-    model = LpModel("max", [1, 1], [([1, 1], "<=", 4), ([1, 0], "<=", 3)])
+    model = LpModel("max", [1, 1], [[1, 1], [1, 0]], ["<=", "<="], [4, 3])
     sol = solve(model)
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(4)
 
 
 def test_solve_min_with_equality():
-    model = LpModel("min", [2, 3], [([1, 1], ">=", 10), ([1, -1], "=", 2)])
+    model = LpModel("min", [2, 3], [[1, 1], [1, -1]], [">=", "="], [10, 2])
     sol = solve(model)
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(24)
@@ -39,44 +40,43 @@ def test_solve_min_with_equality():
 
 
 def test_solve_negative_rhs_normalization():
-    model = LpModel("min", [1, 1], [([-1, -1], "<=", -5)])
+    model = LpModel("min", [1, 1], [[-1, -1]], ["<="], [-5])
     sol = solve(model)
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(5)
 
 
 def test_solve_infeasible():
-    model = LpModel("max", [1], [([1], ">=", 2), ([1], "<=", 1)])
+    model = LpModel("max", [1], [[1], [1]], [">=", "<="], [2, 1])
     assert solve(model).status == "infeasible"
 
 
 def test_solve_unbounded():
-    model = LpModel("max", [1, 0], [([0, 1], "<=", 1)])
+    model = LpModel("max", [1, 0], [[0, 1]], ["<="], [1])
     assert solve(model).status == "unbounded"
 
 
 def test_solve_respects_upper_bounds():
-    model = LpModel("max", [1, 2], [([1, 1], "<=", 10)],
-                    upper_bounds={0: 3, 1: 4})
+    model = LpModel("max", [1, 2], [[1, 1]], ["<="], [10], upper=[3, 4])
     sol = solve(model)
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(11)
 
 
 def test_solve_negative_upper_bound_is_infeasible():
-    model = LpModel("max", [1], [([1], "<=", 1)], upper_bounds={0: -1})
+    model = LpModel("max", [1], [[1]], ["<="], [1], upper=[-1])
     assert solve(model).status == "infeasible"
 
 
 def test_solve_iteration_limit():
-    model = LpModel("min", [2, 3], [([1, 1], ">=", 10), ([1, -1], "=", 2)])
+    model = LpModel("min", [2, 3], [[1, 1], [1, -1]], [">=", "="], [10, 2])
     assert solve(model, limit=0).status == "iteration_limit"
 
 
 def test_solve_covering_lp():
     # fractional vertex cover of a triangle: each edge covered, optimum 3/2
-    rows = [([1, 1, 0], ">=", 1), ([0, 1, 1], ">=", 1), ([1, 0, 1], ">=", 1)]
-    sol = solve(LpModel("min", [1, 1, 1], rows))
+    rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    sol = solve(LpModel("min", [1, 1, 1], rows, [">="] * 3, [1, 1, 1]))
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(1.5)
 
@@ -90,7 +90,9 @@ def test_solve_randomized_against_enumeration():
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             rows.append(([a, b], "<=", rng.randint(1, 6)))
         c1, c2 = rng.randint(-3, 3), rng.randint(-3, 3)
-        model = LpModel("max", [c1, c2], rows, upper_bounds={0: 8, 1: 8})
+        model = LpModel("max", [c1, c2], [row[0] for row in rows],
+                        [row[1] for row in rows], [row[2] for row in rows],
+                        upper=[8, 8])
         sol = solve(model)
         # enumerate candidate vertices: intersections of all boundary pairs
         lines = [(a, b, r) for (a, b), _, r in [(row[0], row[1], row[2])
@@ -114,8 +116,7 @@ def test_solve_randomized_against_enumeration():
 
 def test_solve_reports_counters():
     # x1 hits its upper bound before any row blocks it: one bound flip
-    model = LpModel("max", [1, 2], [([1, 1], "<=", 10)],
-                    upper_bounds={0: 3, 1: 4})
+    model = LpModel("max", [1, 2], [[1, 1]], ["<="], [10], upper=[3, 4])
     sol = solve(model)
     assert set(sol.stats) == {"degenerate_pivots", "bound_flips",
                               "refactorizations", "bland"}
@@ -129,16 +130,17 @@ def _highs(model):
     """Status and optimum of the model from scipy's HiGHS."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     sign = -1.0 if model.sense == "max" else 1.0
-    ub_rows = [(c, r) if rel == "<=" else ([-v for v in c], -r)
-               for c, rel, r in model.rows if rel != "="]
-    eq_rows = [(c, r) for c, rel, r in model.rows if rel == "="]
+    # HiGHS takes >= rows as <= rows with both sides negated
+    flip = np.where(model.relations == ">=", -1.0, 1.0)
+    ub = model.relations != "="
+    eq = ~ub
     res = linprog(
-        sign * np.array(model.objective),
-        A_ub=np.array([c for c, _ in ub_rows]) if ub_rows else None,
-        b_ub=np.array([r for _, r in ub_rows]) if ub_rows else None,
-        A_eq=np.array([c for c, _ in eq_rows]) if eq_rows else None,
-        b_eq=np.array([r for _, r in eq_rows]) if eq_rows else None,
-        bounds=[(0, model.upper_bounds.get(j)) for j in range(model.nvars())],
+        sign * model.objective,
+        A_ub=(flip[:, None] * model.rows)[ub] if ub.any() else None,
+        b_ub=(flip * model.rhs)[ub] if ub.any() else None,
+        A_eq=model.rows[eq] if eq.any() else None,
+        b_eq=model.rhs[eq] if eq.any() else None,
+        bounds=[(0, u if np.isfinite(u) else None) for u in model.upper],
         method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     return status, (sign * res.fun if res.status == 0 else None)
@@ -148,23 +150,29 @@ def _random_bounded_lp(rng, m, n):
     """A random LP over 0 <= x <= ub (some variables unbounded) mixing <=,
     >= and = rows; most are feasible by construction around a random point,
     some have random right-hand sides, and some repeat an equality row."""
-    ubs = {j: float(rng.integers(1, 6)) for j in range(n)
-           if rng.random() < 0.7}
-    x0 = np.array([rng.uniform(0, ubs.get(j, 5.0)) for j in range(n)])
+    upper = np.full(n, np.inf)
+    for j in range(n):
+        if rng.random() < 0.7:
+            upper[j] = rng.integers(1, 6)
+    x0 = np.array([rng.uniform(0, 5.0 if np.isinf(u) else u) for u in upper])
     feasible = rng.random() < 0.8
-    rows = []
+    rows, rels, rhs = [], [], []
     for _ in range(m):
         coeffs = rng.integers(-3, 4, size=n).astype(float)
         rel = ("<=", ">=", "=")[rng.choice(3, p=[0.45, 0.35, 0.2])]
         at = float(coeffs @ x0) if feasible else float(rng.integers(-5, 10))
-        rhs = {"<=": at + rng.uniform(0, 2), ">=": at - rng.uniform(0, 2),
-               "=": at}[rel]
-        rows.append((coeffs.tolist(), rel, rhs))
-    eqs = [row for row in rows if row[1] == "="]
-    if eqs and rng.random() < 0.5:
-        rows.append(eqs[0])
-    objective = rng.integers(-4, 5, size=n).tolist()
-    return LpModel(("max", "min")[int(rng.integers(2))], objective, rows, ubs)
+        rows.append(coeffs)
+        rels.append(rel)
+        rhs.append({"<=": at + rng.uniform(0, 2), ">=": at - rng.uniform(0, 2),
+                    "=": at}[rel])
+    if "=" in rels and rng.random() < 0.5:
+        first = rels.index("=")
+        rows.append(rows[first])
+        rels.append("=")
+        rhs.append(rhs[first])
+    objective = rng.integers(-4, 5, size=n)
+    return LpModel(("max", "min")[int(rng.integers(2))], objective, rows,
+                   rels, rhs, upper)
 
 
 def test_solve_random_lps_against_highs():
@@ -186,9 +194,9 @@ def test_solve_duplicated_equality_rows_against_highs():
     # a repeated equality row leaves an artificial basic in a redundant row,
     # which phase 1 must drop
     model = LpModel("min", [1, 2, 3],
-                    [([1, 1, 1], "=", 4), ([1, 1, 1], "=", 4),
-                     ([2, 2, 2], "=", 8), ([1, -1, 0], ">=", 1)],
-                    upper_bounds={2: 2})
+                    [[1, 1, 1], [1, 1, 1], [2, 2, 2], [1, -1, 0]],
+                    ["=", "=", "=", ">="], [4, 4, 8, 1],
+                    upper=[np.inf, np.inf, 2])
     status, value = _highs(model)
     sol = solve(model)
     assert sol.status == status == "optimal"
@@ -206,7 +214,7 @@ def test_constrained_delsarte_models_against_highs(dd, d):
 
 
 def test_dump_model(tmp_path):
-    model = LpModel("max", [1, 2], [([1, 1], "<=", 3)], upper_bounds={1: 2})
+    model = LpModel("max", [1, 2], [[1, 1]], ["<="], [3], upper=[np.inf, 2])
     path = tmp_path / "model.lp"
     dump_model(model, path)
     text = path.read_text()
@@ -222,6 +230,55 @@ def test_del_classic_known_values():
                 8: 5.333, 9: 3.333, 10: 2.857}
     for d, value in expected.items():
         assert del_classic(13, d).code_size_bound == pytest.approx(value, abs=5e-3)
+
+
+def _first_occurrences(rows, rhs):
+    """Oracle for the builders' dedupe: each distinct (row, rhs) at its first
+    occurrence, by a dict over tuples."""
+    kept = {}
+    for coeffs, r in zip(rows, rhs):
+        kept.setdefault((tuple(coeffs), r), None)
+    return [list(key[0]) for key in kept], [key[1] for key in kept]
+
+
+def test_del_classic_model_matches_row_by_row_build():
+    n = 13
+    kraw = krawtchouk_table(n)
+    for d in range(1, n + 1):
+        rows, rhs = _first_occurrences(
+            [[kraw.value(k, j) for j in range(d, n + 1)] for k in range(n + 1)],
+            [-kraw.value(k, 0) for k in range(n + 1)])
+        model = del_classic(n, d).model
+        assert np.array_equal(model.rows, np.array(rows, dtype=float))
+        assert np.array_equal(model.rhs, np.array(rhs, dtype=float))
+        assert np.array_equal(model.objective, np.ones(n + 1 - d))
+        assert np.array_equal(model.upper, np.full(n + 1 - d, np.inf))
+        assert (model.relations == ">=").all()
+
+
+def test_del_constrained_model_matches_row_by_row_build():
+    # the array build against one orbit character sum per (row
+    # representative, column orbit), deduplicated row by row
+    for c, n in [(rll(1), 8), (two_charge(), 9)]:
+        struct = orbit_structure(c, n)
+        reps = struct.reps.tolist()
+        conv = self_convolution_counts(
+            [member_int(c, n, x) for x in range(1 << n)], n)
+        for d in (2, 3, 5):
+            u0 = min(float(conv[0]), del_classic(n, d).lp_value)
+            columns = [o for o, rep in enumerate(reps)
+                       if rep.bit_count() >= d and conv[rep] > 0]
+            rows, rhs = _first_occurrences(
+                [[orbit_char_sum(struct, o, s) for o in columns] + [-1]
+                 for s in reps], [-u0] * len(reps))
+            model = del_constrained(n, d, c).model
+            assert np.array_equal(model.rows, np.array(rows, dtype=float))
+            assert np.array_equal(model.rhs, np.array(rhs))
+            assert np.array_equal(model.upper,
+                                  [conv[reps[o]] for o in columns] + [u0])
+            assert np.array_equal(model.objective,
+                                  [struct.sizes[o] for o in columns] + [-1])
+            assert (model.relations == ">=").all()
 
 
 def test_del_classic_monotone_in_d():
@@ -361,8 +418,8 @@ def test_gensph_model_matches_word_by_word_build():
         union = sorted(set().union(*counts))
         matrix = np.array([[cnt.get(o, 0) / struct.sizes[o] for o in union]
                            for cnt in counts])
-        expected = matrix[:, _undominated(matrix)].tolist()
-        assert [row[0] for row in gensph(n, d, c).model.rows] == expected
+        expected = matrix[:, _undominated(matrix)]
+        assert np.array_equal(gensph(n, d, c).model.rows, expected)
 
 
 def test_gensph_orbit_aggregation_matches_direct():
@@ -377,13 +434,12 @@ def test_gensph_orbit_aggregation_matches_direct():
             for y in _ball(x, n, t):
                 covers.setdefault(y, set()).add(x)
         index = {x: i for i, x in enumerate(members)}
-        rows = []
-        for cover in {frozenset(v) for v in covers.values()}:
-            coeffs = [0.0] * len(members)
-            for x in cover:
-                coeffs[index[x]] = 1.0
-            rows.append((coeffs, ">=", 1.0))
-        direct = solve(LpModel("min", [1.0] * len(members), rows))
+        distinct = {frozenset(v) for v in covers.values()}
+        rows = np.zeros((len(distinct), len(members)))
+        for i, cover in enumerate(distinct):
+            rows[i, [index[x] for x in cover]] = 1.0
+        direct = solve(LpModel("min", np.ones(len(members)), rows,
+                               [">="] * len(rows), np.ones(len(rows))))
         assert direct.status == "optimal"
         assert gensph(n, d, c).lp_value == pytest.approx(direct.value, abs=1e-6)
 
@@ -404,6 +460,17 @@ def test_bound_caps():
         del_constrained_sym(13, 3, rll(1))
     with pytest.raises(CapExceeded):
         del_constrained_sym(20, 3, rll(1))
+
+
+def test_orbit_lp_refused_before_orbits_are_built(monkeypatch):
+    # 2^22 words under the order-2 reversal group leave at least 2^21 orbits,
+    # far over the row cap, so no orbit structure may be built
+    def fail(self, constraint, n):
+        raise AssertionError("orbit structure built for n=%d" % n)
+
+    monkeypatch.setattr(OrbitStructure, "__init__", fail)
+    with pytest.raises(CapExceeded):
+        del_constrained_sym(22, 3, rll(1))
 
 
 # -- dual certificates ---------------------------------------------------------
