@@ -214,7 +214,10 @@ def run_bound(args):
         if constraint is not None:
             result["gensph"] = gensph(args.n, args.d, constraint).code_size_bound
             provenance.append("gensph")
-        result["delsarte"] = del_classic(args.n, args.d).code_size_bound
+        # the primary program has solved del_classic already: as itself
+        # without a constraint, for its comparator with one
+        result["delsarte"] = report_obj.comparators.get(
+            "delsarte", report_obj.code_size_bound)
         provenance.append("del_classic")
     else:
         report_obj, name = _primary_bound(args.n, args.d, constraint, which)

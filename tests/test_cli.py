@@ -92,6 +92,26 @@ def test_bound_examples(capsys):
     assert get(out, "bound") == "85.333"
 
 
+def test_bound_all_solves_del_classic_once(capsys, monkeypatch):
+    # the delsarte column reuses the primary program's del_classic solve
+    from constrcodes import cli, lp
+    original, calls = lp.del_classic, []
+
+    def counted(n, d):
+        calls.append((n, d))
+        return original(n, d)
+
+    monkeypatch.setattr(lp, "del_classic", counted)
+    monkeypatch.setattr(cli, "del_classic", counted)
+    for constraint in (("--constraint", "2charge"), ()):
+        calls.clear()
+        code, out = run(capsys, "bound", "--n", "13", "--d", "9",
+                        *constraint, "--lp", "all")
+        assert code == 0
+        assert get(out, "delsarte") == "3.333"
+        assert calls == [(13, 9)]
+
+
 def test_bound_lp_dump(tmp_path, capsys):
     path = tmp_path / "model.lp"
     code, _ = run(capsys, "bound", "--n", "9", "--d", "3",

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import random
 
@@ -13,8 +14,10 @@ from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
                          gensph, iterate_span, krawtchouk_table, member_int,
                          member_ints, odd_relaxed, odd_strict, orbit_char_sum,
                          orbit_structure, rll, solve, subblock, two_charge)
+from constrcodes import lp
 from constrcodes.constraints import OrbitStructure
-from constrcodes.lp import _undominated
+from constrcodes.lp import (DELAY, ITERATION_LIMIT, _counters, _dedupe,
+                            _optimize, _Simplex, _Tableau, _undominated)
 from constrcodes.spectral import self_convolution_counts
 
 TOL = 1e-6
@@ -119,11 +122,175 @@ def test_solve_reports_counters():
     model = LpModel("max", [1, 2], [[1, 1]], ["<="], [10], upper=[3, 4])
     sol = solve(model)
     assert set(sol.stats) == {"degenerate_pivots", "bound_flips",
-                              "refactorizations", "bland"}
+                              "refactorizations", "bland", "repair_pivots"}
     assert sol.stats["bound_flips"] >= 1
     assert sol.stats["refactorizations"] >= 1
     assert sol.stats["bland"] is False
+    assert sol.stats["repair_pivots"] == 0
     assert sol.iterations >= sol.stats["bound_flips"]
+
+
+def _dense_exchange(tab, r, q):
+    """Oracle for the delayed tableau: pivot the whole dense tableau on
+    (r, q) at once by the exchange formulas."""
+    piv = tab[r, q]
+    u = tab[:, q].copy()
+    u[r] = 0.0
+    tab[r] /= piv
+    tab -= np.outer(u, tab[r])
+    tab[:, q] = u / -piv
+    tab[r, q] = 1.0 / piv
+
+
+def test_delayed_tableau_matches_dense_exchanges(monkeypatch):
+    # seeded random pivot sequences longer than DELAY on [M | I], checked
+    # entry by entry against immediate dense exchanges and, at the end,
+    # against a fresh solve for the final basis
+    monkeypatch.setattr(lp, "DELAY_MIN_ENTRIES", 0)
+    rng = np.random.default_rng(8)
+    for m, nn in [(9, 14), (20, 7), (16, 16)]:
+        full = np.hstack((rng.normal(size=(m, nn)), np.eye(m)))
+        basis, nonbasic = np.arange(nn, nn + m), np.arange(nn)
+        oracle = full[:, :nn].copy()
+        tab = _Tableau(oracle.copy())
+        assert len(tab.q) == DELAY
+        for _ in range(3 * DELAY + 5):
+            r = int(rng.integers(m))
+            q = int(np.argmax(np.abs(oracle[r])))
+            row = tab.exchange(r, q, tab.column(q))
+            _dense_exchange(oracle, r, q)
+            basis[r], nonbasic[q] = nonbasic[q], basis[r]
+            assert np.allclose(row, oracle[r], rtol=1e-9, atol=1e-9)
+            i, j = int(rng.integers(m)), int(rng.integers(nn))
+            assert np.allclose(tab.row(i), oracle[i], rtol=1e-9, atol=1e-9)
+            assert np.allclose(tab.column(j), oracle[:, j], rtol=1e-9,
+                               atol=1e-9)
+        assert 0 < tab.k < DELAY
+        dense = tab.dense()
+        assert tab.k == 0
+        assert np.allclose(dense, oracle, rtol=1e-9, atol=1e-9)
+        fresh = np.linalg.solve(full[:, basis], full[:, nonbasic])
+        assert np.allclose(dense, fresh, rtol=1e-7, atol=1e-7)
+
+
+def _check_block_refactorization(sx, rng, tries):
+    """Random bases over the simplex's columns: None when two basic unit
+    columns share a row, else the block solve against np.linalg.solve
+    (bases singular otherwise, which the repeated row makes, are skipped:
+    LU need not flag them exactly).  Returns the number of each kind."""
+    m, total = sx.orig.shape
+    y = rng.normal(size=(m, 5))
+    shared = solved = 0
+    for _ in range(tries):
+        sx.basis = np.sort(rng.choice(total, size=m, replace=False))
+        matrix = sx.orig[:, sx.basis]
+        rows = sx.unit_row[sx.basis]
+        rows = rows[rows >= 0]
+        if len(np.unique(rows)) < len(rows):
+            shared += 1
+            assert sx._solve_basis(y) is None
+        elif np.linalg.matrix_rank(matrix) == m:
+            solved += 1
+            for rhs in (y, y[:, 0]):
+                assert np.allclose(sx._solve_basis(rhs),
+                                   np.linalg.solve(matrix, rhs),
+                                   rtol=1e-8, atol=1e-8)
+    return shared, solved
+
+
+def test_block_refactorization_matches_dense_solve():
+    # bases mixing the model's variables with +1 and -1 slacks and
+    # artificials, before and after phase 1 drops a redundant row
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=(6, 4))
+    coeffs[5] = coeffs[4]  # a repeated equality row, dropped by phase 1
+    rhs = coeffs @ [1.0, 2.0, 1.0, 0.5] + [1.0, -1.0, -1.0, 1.0, 0.0, 0.0]
+    model = LpModel("max", np.ones(4), coeffs,
+                    ["<=", ">=", ">=", "<=", "=", "="], rhs,
+                    upper=np.full(4, 10.0))
+    sx = _Simplex(model, _counters())
+    assert (sx.unit_sign == -1).any() and sx.a0 < len(sx.ub)
+    assert min(_check_block_refactorization(sx, rng, 300)) > 0
+    status, sx = _optimize(model, _counters(), ITERATION_LIMIT)
+    assert status == "optimal" and len(sx.kept) == 5
+    # one slack per kept inequality row, so no unit columns collide
+    assert _check_block_refactorization(sx, rng, 300) == (0, 300)
+    # a zero column makes the factored block singular
+    coeffs[:, 2] = 0.0
+    sx = _Simplex(LpModel("max", np.ones(4), coeffs, ["<="] * 6, np.ones(6)),
+                  _counters())
+    sx.basis = np.array([0, 1, 2, 3, 8, 9])
+    assert sx._solve_basis(np.ones(6)) is None
+    sx.basis = np.array([0, 1, 3, 7, 8, 9])
+    assert np.allclose(sx._solve_basis(np.ones(6)),
+                       np.linalg.solve(sx.orig[:, sx.basis], np.ones(6)))
+
+
+def _vertex_optimum(model):
+    """Oracle by vertex enumeration: the best objective over the points
+    where a choice of nvars constraint or bound hyperplanes meet, among
+    those that satisfy every row and bound (finite upper bounds only)."""
+    nvars = model.nvars()
+    planes = [(row, b) for row, b in zip(model.rows, model.rhs)]
+    planes += [(np.eye(nvars)[j], bound) for j in range(nvars)
+               for bound in (0.0, model.upper[j])]
+    sign = 1.0 if model.sense == "max" else -1.0
+    best = None
+    for chosen in itertools.combinations(planes, nvars):
+        matrix = np.array([row for row, _ in chosen])
+        if abs(np.linalg.det(matrix)) < 1e-9:
+            continue
+        x = np.linalg.solve(matrix, [b for _, b in chosen])
+        lhs = model.rows @ x
+        ok = np.where(model.relations == "<=", lhs <= model.rhs + 1e-9,
+                      np.where(model.relations == ">=",
+                               lhs >= model.rhs - 1e-9,
+                               np.abs(lhs - model.rhs) <= 1e-9))
+        if ok.all() and (x >= -1e-9).all() and (x <= model.upper + 1e-9).all():
+            value = sign * float(model.objective @ x)
+            best = value if best is None else max(best, value)
+    return sign * best
+
+
+def test_dual_repair_of_a_basis_optimal_for_shifted_rhs():
+    # solve with shifted right-hand sides, then evaluate that optimal basis
+    # at the true ones: it is dual feasible there, and the dual simplex
+    # repair must reach the true optimum
+    have_highs = importlib.util.find_spec("scipy") is not None
+    rng = np.random.default_rng(12)
+    m, n = 6, 3
+    repaired = 0
+    for _ in range(40):
+        coeffs = rng.integers(-3, 4, size=(m, n)).astype(float)
+        relations = np.where(rng.random(m) < 0.7, "<=", ">=")
+        at = coeffs @ rng.uniform(0, 4, size=n)
+        rhs = np.where(relations == "<=", at + rng.uniform(0.5, 3, size=m),
+                       at - rng.uniform(0.5, 3, size=m))
+        # a shift that keeps each rhs's sign, so both share one normalization
+        shifted = rhs + rng.uniform(-1, 1, size=m) * np.abs(rhs) * 0.8
+        objective = rng.integers(-4, 5, size=n)
+        sense = ("max", "min")[int(rng.integers(2))]
+        upper = np.full(n, 6.0)
+        model = LpModel(sense, objective, coeffs, relations, rhs, upper)
+        state = _counters()
+        status, sx = _optimize(LpModel(sense, objective, coeffs, relations,
+                                       shifted, upper), state, ITERATION_LIMIT)
+        if status != "optimal":
+            continue
+        assert sx.evaluate(sx.normalized(model.rhs), ITERATION_LIMIT) \
+            == "optimal"
+        repaired += state["repair_pivots"] > 0
+        x = sx.point()[:n]
+        lhs = coeffs @ x
+        excess = np.where(relations == "<=", lhs - rhs, rhs - lhs)
+        assert (excess <= 1e-7).all()
+        assert (x >= -1e-9).all() and (x <= upper + 1e-9).all()
+        value = float(objective @ x)
+        assert value == pytest.approx(_vertex_optimum(model), abs=1e-6)
+        if have_highs:
+            assert value == pytest.approx(_highs(model)[1], abs=1e-6)
+        assert solve(model).value == pytest.approx(value, abs=1e-6)
+    assert repaired >= 10
 
 
 def _highs(model):
@@ -230,6 +397,24 @@ def test_del_classic_known_values():
                 8: 5.333, 9: 3.333, 10: 2.857}
     for d, value in expected.items():
         assert del_classic(13, d).code_size_bound == pytest.approx(value, abs=5e-3)
+
+
+def test_dedupe_matches_unique_rows():
+    # the byte-view dedupe against np.unique(axis=0), which compares floats;
+    # row 50 repeats row 10 but for a -0.0
+    rng = np.random.default_rng(3)
+    rows = rng.integers(-2, 3, size=(200, 4)).astype(float)
+    rhs = rng.integers(-1, 2, size=200).astype(float)
+    rows[10, 0] = 0.0
+    rows[50], rhs[50] = rows[10], rhs[10]
+    rows[50, 0] = -0.0
+    kept_rows, kept_rhs = _dedupe(rows, rhs)
+    _, first = np.unique(np.column_stack((rhs, rows)), axis=0,
+                         return_index=True)
+    keep = np.sort(first)
+    assert 10 in keep and 50 not in keep
+    assert kept_rows.tobytes() == rows[keep].tobytes()
+    assert kept_rhs.tobytes() == rhs[keep].tobytes()
 
 
 def _first_occurrences(rows, rhs):
