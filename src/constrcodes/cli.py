@@ -281,6 +281,15 @@ def _once(compute):
     return value
 
 
+def _orbit_lp(constraint, n):
+    """The constrained Delsarte LP of `constraint` at length n as a function
+    of d; its cells share one orbit structure and one self-convolution,
+    built at the first call."""
+    structure = _once(lambda: orbit_structure(constraint, n))
+    conv = _once(lambda: self_convolution(constraint, n))
+    return lambda d: del_constrained_orbits(structure(), d, conv())
+
+
 def _cell(column, provenance, expected, compute, places=3):
     """One table cell: computed lazily, compared against the embedded
     expected value (exact for strings, 5e-3 for floats)."""
@@ -304,17 +313,18 @@ def _table_II():
     sym = [64, 45.255, 45.255, 22.627, 17.889, 5.657, 4.619, 2.828, 2.619]
     gsp = [64, 64, 64, 64, 64, 32, 32, 16, 16]
     dcl = [4096, 512, 292.571, 64, 40, 8, 5.333, 3.333, 2.857]
-    conv = _once(lambda: self_convolution(two_charge(), 13))
+    lp = _orbit_lp(two_charge(), 13)
     rows = []
     for i, d in enumerate(range(2, 11)):
+        # the constrained LP has solved del_classic(13, d) for its comparator
+        report = _once(lambda d=d: lp(d))
         rows.append(("d=%d" % d, [
             _cell("sqrt(Del)", "del_constrained_sym", sym[i],
-                  lambda d=d: del_constrained_sym(13, d, two_charge(),
-                                                  conv=conv()).code_size_bound),
+                  lambda report=report: report().code_size_bound),
             _cell("GenSph", "gensph", gsp[i],
                   lambda d=d: gensph(13, d, two_charge()).code_size_bound),
             _cell("Del(n,d)", "del_classic", dcl[i],
-                  lambda d=d: del_classic(13, d).code_size_bound)]))
+                  lambda report=report: report().comparators["delsarte"])]))
     return "upper bounds for 2-charge constrained codes at n=13", rows
 
 
@@ -326,13 +336,12 @@ def _table_III():
     sym = [1000, 826.236, 826.236, 156.767, 110.851, 22.627]
     gsp = [1000, 1000, 1000, 333.333, 333.333, 166.667]
     c = subblock(3, 2)
-    conv = _once(lambda: self_convolution(c, 15))
+    lp = _orbit_lp(c, 15)
     rows = []
     for i, d in enumerate(range(2, 8)):
         rows.append(("d=%d" % d, [
             _cell("sqrt(Del)", "del_constrained_sym", sym[i],
-                  lambda d=d: del_constrained_sym(15, d, c,
-                                                  conv=conv()).code_size_bound),
+                  lambda d=d: lp(d).code_size_bound),
             _cell("GenSph", "gensph", gsp[i],
                   lambda d=d: gensph(15, d, c).code_size_bound)]))
     return "upper bounds for subblock-constrained codes at (n,p,z)=(15,3,2)", rows
@@ -341,13 +350,12 @@ def _table_III():
 def _table_IV():
     sym = [556.38, 556.38, 227.111, 165.247, 38.118, 28.540, 4.472]
     c = subblock(2, 2)
-    conv = _once(lambda: self_convolution(c, 18))
+    lp = _orbit_lp(c, 18)
     rows = []
     for i, d in enumerate(range(3, 10)):
         rows.append(("d=%d" % d, [
             _cell("sqrt(Del)", "del_constrained_sym", sym[i],
-                  lambda d=d: del_constrained_sym(18, d, c,
-                                                  conv=conv()).code_size_bound)]))
+                  lambda d=d: lp(d).code_size_bound)]))
     return "upper bounds for subblock-constrained codes at (n,p,z)=(18,2,2)", rows
 
 
@@ -370,19 +378,24 @@ def _table_VI():
     d1 = [128.557, 74.762, 42.048, 12, 6, 3.2]
     g1 = [144, 111, 111, 63, 63, 26]
     dcl = [512, 85.333, 42.667, 12, 6, 3.2]
+    lp2 = _orbit_lp(rll(2), 10)
+    lp1 = _orbit_lp(rll(1), 10)
     rows = []
     for i, d in enumerate(range(2, 8)):
+        # the constrained LPs have solved del_classic(10, d) for their
+        # comparator
+        report2 = _once(lambda d=d: lp2(d))
         rows.append(("d=%d" % d, [
             _cell("sqrt(Del) rll:d=2", "del_constrained", d2[i],
-                  lambda d=d: del_constrained(10, d, rll(2)).code_size_bound),
+                  lambda report2=report2: report2().code_size_bound),
             _cell("GenSph rll:d=2", "gensph", g2[i],
                   lambda d=d: gensph(10, d, rll(2)).code_size_bound),
             _cell("sqrt(Del) rll:d=1", "del_constrained", d1[i],
-                  lambda d=d: del_constrained(10, d, rll(1)).code_size_bound),
+                  lambda d=d: lp1(d).code_size_bound),
             _cell("GenSph rll:d=1", "gensph", g1[i],
                   lambda d=d: gensph(10, d, rll(1)).code_size_bound),
             _cell("Del(n,d)", "del_classic", dcl[i],
-                  lambda d=d: del_classic(10, d).code_size_bound)]))
+                  lambda report2=report2: report2().comparators["delsarte"])]))
     return "upper bounds for runlength-constrained codes at n=10", rows
 
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import CapExceeded
 from .gf2 import BitWord
-from .spectral import _popcount, krawtchouk, krawtchouk_table, word_chunks
+from .spectral import (_CHUNK, _parity, _popcount, krawtchouk,
+                       krawtchouk_table, word_chunks)
 
 MEMBER_ENUM_CAP = 22
 # largest n of the array methods: every word and every shift of it stays a
@@ -161,23 +162,19 @@ def cardinality(c, n):
     return char_sum_int(c, n, 0)
 
 
+def _bit_signs(words, i):
+    """(-1)^{bit i} of each word of a nonnegative int64 array, as a new
+    int64 array.  The recurrences update it in place, so that a step of a
+    whole-space pass allocates one array and not one per operation."""
+    signs = words >> i
+    signs &= 1
+    signs *= -2
+    signs += 1
+    return signs
+
+
 # ---------------------------------------------------------------------------
 # orbit structure for symmetrized LPs
-
-# int64 entries per chunk of the character block in OrbitStructure.char_sums
-_CHAR_CHUNK = 1 << 16
-
-
-def _parity(v):
-    """Parity of the set bits of each entry of a nonnegative int64 array."""
-    v = v ^ (v >> 32)
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
-
 
 class OrbitStructure:
     """Orbits of a group of coordinate permutations acting on {0,1}^n that
@@ -224,7 +221,9 @@ class OrbitStructure:
         """int64 matrix of orbit character sums: entry (i, j) is the sum over
         the orbit `columns[j]` of (-1)^{x . s}, s = reps[i].  Exact, since
         each entry is at most 2^n in magnitude.  The sums are taken over the
-        members of each orbit, one chunk of row representatives at a time."""
+        members of each orbit, one chunk of row representatives at a time,
+        so that a block of signs holds at most max(_CHUNK, w) entries, w the
+        number of words in the column orbits."""
         out = np.zeros((len(self.reps), len(columns)), dtype=np.int64)
         if not len(columns):
             return out
@@ -234,7 +233,7 @@ class OrbitStructure:
         words = np.nonzero(word_column >= 0)[0]
         words = words[np.argsort(word_column[words], kind="stable")]
         starts = np.searchsorted(word_column[words], np.arange(len(columns)))
-        step = max(1, _CHAR_CHUNK // len(words))
+        step = max(1, _CHUNK // len(words))
         for lo in range(0, len(self.reps), step):
             signs = 1 - 2 * _parity(self.reps[lo:lo + step, None] & words)
             out[lo:lo + step] = np.add.reduceat(signs, starts, axis=1)
@@ -469,17 +468,14 @@ class TwoCharge(ConstraintSpec):
         return ok
 
     def char_sum_array(self, n, s):
-        """The pair scan of `char_sum` on every word at once."""
+        """`char_sum` by masks: with rest = s >> 1, s is in span(B) when the
+        low and high bits of every pair of rest agree (for even n the last
+        bit of s is paired with a zero bit past the word, so it must be
+        zero); the double-one pairs are then the set low bits of rest."""
         rest = s >> 1
-        negative = np.zeros(s.shape, dtype=bool)
-        spanned = np.ones(s.shape, dtype=bool)
-        for _ in range((n + 1) // 2 - 1):
-            pair = rest & 0b11
-            negative ^= pair == 0b11
-            spanned &= (pair == 0) | (pair == 0b11)
-            rest = rest >> 2
-        spanned &= rest == 0
-        return np.where(spanned, 1 - 2 * negative, 0) << (n // 2)
+        low = rest & 0x5555555555555555
+        spanned = low == ((rest >> 1) & 0x5555555555555555)
+        return np.where(spanned, 1 - 2 * _parity(low), 0) << (n // 2)
 
 
 class Subblock(ConstraintSpec):
@@ -599,8 +595,10 @@ class Rll(ConstraintSpec):
         vals = [1 + m - 2 * _popcount(s >> (n - m))
                 for m in range(1, min(n, d + 1) + 1)]
         for m in range(d + 2, n + 1):
-            sign = 1 - 2 * ((s >> (n - m)) & 1)
-            vals.append(vals[-1] + sign * vals[-d - 1])
+            step = _bit_signs(s, n - m)
+            step *= vals[0]
+            step += vals[-1]
+            vals.append(step)
             del vals[0]
         return vals[-1]
 
@@ -727,8 +725,10 @@ class EvenStrict(ConstraintSpec):
         prev2 = np.array(_EVEN_BASE[1], dtype=np.int64)[s >> (n - 1)]
         prev1 = np.array(_EVEN_BASE[2], dtype=np.int64)[s >> (n - 2)]
         for m in range(3, n + 1):
-            sign = 1 - 2 * ((s >> (n - m)) & 1)
-            prev2, prev1 = prev1, sign * (prev1 - (1 - m % 2)) + prev2
+            step = _bit_signs(s, n - m)
+            step *= prev1 - 1 if m % 2 == 0 else prev1
+            step += prev2
+            prev2, prev1 = prev1, step
         return prev1
 
 

@@ -14,14 +14,15 @@ import math
 
 import numpy as np
 
-from .constraints import (_parity, _two_charge_pairs, char_sum_array,
-                          char_sum_int, member_int, odd_relaxed, odd_strict,
+from .constraints import (_two_charge_pairs, char_sum_array, char_sum_int,
+                          member_int, odd_relaxed, odd_strict,
                           two_charge_basis)
 from .errors import CapExceeded
 from .gf2 import (ENUMERATION_CAP, _echelonize, coset_decompose,
                   coset_weight_enumerator, iterate_span, reed_muller,
                   zero_code)
-from .spectral import krawtchouk_table, weight_class_sums, word_chunks
+from .spectral import (_parity, krawtchouk_table, weight_class_sums,
+                       word_chunks)
 
 
 class CountResult:
@@ -153,7 +154,8 @@ def constrained_weight_distribution(code, constraint, n_cap=18, dual_cap=14):
     def syndrome(words):
         sig = np.zeros_like(words)
         for g in code.generator.data:
-            sig = (sig << 1) | _parity(words & g)
+            sig <<= 1
+            sig |= _parity(words & g)
         return sig
 
     # int64 is exact: a coset sum has 2^(n-k) terms of magnitude at most

@@ -24,11 +24,11 @@ import math
 
 import numpy as np
 
-from .constraints import (MEMBER_ENUM_CAP, _parity, cardinality,
-                          member_array, orbit_structure)
+from .constraints import (MEMBER_ENUM_CAP, cardinality, member_array,
+                          orbit_structure)
 from .errors import CapExceeded
-from .spectral import (_check_conv_cap, _popcount, krawtchouk_table,
-                       self_convolution_counts, wht)
+from .spectral import (_check_conv_cap, _parity, _popcount,
+                       krawtchouk_table, self_convolution_counts, wht)
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -44,7 +44,8 @@ DELAY_MIN_ENTRIES = 1 << 11
 REPAIR_LIMIT = 1000
 # most orbits (= transform rows) of a constrained Delsarte LP
 ORBIT_ROW_CAP = 1 << 12
-# most ball points gensph maps to orbits at once
+# most ball points gensph maps to orbits at once, and most entries
+# `_undominated` compares at once (unless the matrix itself is larger)
 BALL_BLOCK = 1 << 20
 
 
@@ -806,11 +807,10 @@ def del_constrained(n, d, constraint, cap=12):
     return del_constrained_sym(n, d, constraint)
 
 
-def del_constrained_sym(n, d, constraint, conv=None):
+def del_constrained_sym(n, d, constraint):
     """The constrained Delsarte LP over the orbits of the constraint's
     symmetry group G, capped by their number, at least 2^n / |G| (checked
-    before any word is keyed), instead of n, with optionally precomputed
-    self-convolution counts."""
+    before any word is keyed), instead of n."""
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     constraint.check_length(n)
@@ -820,23 +820,32 @@ def del_constrained_sym(n, d, constraint, conv=None):
         raise CapExceeded("constrained Delsarte LP refuses n=%d: the %s group "
                           "leaves more than %d orbits"
                           % (n, constraint.orbits.group, ORBIT_ROW_CAP))
-    return del_constrained_orbits(orbit_structure(constraint, n), d, conv)
+    return del_constrained_orbits(orbit_structure(constraint, n), d)
 
 
 def _undominated(matrix):
     """Ascending indices of the columns of a nonnegative matrix left after
     dropping every column that is entrywise at least a kept column (of
     identical columns the first is kept).  Columns are visited by their
-    sum, so a column's dominators come before it."""
-    kept = np.empty_like(matrix)
-    out = []
-    for j in np.argsort(matrix.sum(axis=0), kind="stable"):
-        column = matrix[:, j:j + 1]
-        if (kept[:, :len(out)] <= column).all(axis=0).any():
-            continue
-        kept[:, len(out)] = column[:, 0]
-        out.append(j)
-    return sorted(out)
+    sum, so a column's dominators come before it.
+
+    By transitivity a column is dropped exactly when some column before it
+    in that order is entrywise at most it, dropped or not.  So each block
+    of columns is compared with the kept columns before it and with the
+    columns before each one inside the block; a block is sized so that the
+    comparison holds at most max(BALL_BLOCK, matrix.size) booleans."""
+    order = np.argsort(matrix.sum(axis=0), kind="stable")
+    columns = matrix[:, order]
+    count = len(order)
+    keep = np.zeros(count, dtype=bool)
+    step = max(1, BALL_BLOCK // max(1, matrix.size))
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        before = np.flatnonzero(keep[:hi] | (np.arange(hi) >= lo))
+        below = (columns[:, before, None] <= columns[:, None, lo:hi]).all(axis=0)
+        below &= before[:, None] < np.arange(lo, hi)
+        keep[lo:hi] = ~below.any(axis=0)
+    return np.sort(order[keep]).tolist()
 
 
 def gensph(n, d, constraint, cap=16):

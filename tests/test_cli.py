@@ -286,3 +286,63 @@ def test_output_is_deterministic(capsys):
                      "--constraint", "rll:d=2", "--format", "csv")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Count the calls of `name` made through any of `modules`."""
+    original, calls = getattr(modules[0], name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_table_builds_one_orbit_structure_and_convolution(capsys, monkeypatch):
+    from constrcodes import cli, lp
+    structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
+    convolutions = _count_calls(monkeypatch, (cli, lp), "self_convolution")
+    classic = _count_calls(monkeypatch, (lp, cli), "del_classic")
+    code, out = run(capsys, "table", "--id", "IV")
+    assert code == 0 and "status: OK" in out
+    assert len(structures) == 1 and len(convolutions) == 1
+    # Table II reads Del(n,d) from the constrained LP's comparator: one
+    # del_classic solve per row
+    classic.clear()
+    code, out = run(capsys, "table", "--id", "II")
+    assert code == 0 and "status: OK" in out
+    assert sorted(classic) == [(13, d) for d in range(2, 11)]
+
+
+def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
+    # the LP itself is stubbed: each constrained column must hand all its
+    # cells one orbit structure and one self-convolution
+    from constrcodes import cli
+
+    class Report:
+        code_size_bound = 0.0
+        comparators = {"delsarte": 0.0}
+
+    solved = []
+
+    def stub(structure, d, conv):
+        solved.append((str(structure.constraint), d, id(structure), id(conv)))
+        return Report()
+
+    structures = _count_calls(monkeypatch, (cli,), "orbit_structure")
+    convolutions = _count_calls(monkeypatch, (cli,), "self_convolution")
+    monkeypatch.setattr(cli, "del_constrained_orbits", stub)
+    _, rows = cli.TABLE_BUILDERS["VI"]()
+    for _, cells in rows:
+        for cell in cells:
+            if cell["provenance"] != "gensph":
+                cli._evaluate_cell(cell)
+    assert sorted(str(c) for c, _ in structures) == ["rll:d=1", "rll:d=2"]
+    assert sorted(str(c) for c, _ in convolutions) == ["rll:d=1", "rll:d=2"]
+    for constraint in ("rll:d=1", "rll:d=2"):
+        calls = [call for call in solved if call[0] == constraint]
+        assert [d for _, d, _, _ in calls] == list(range(2, 8))
+        assert len({call[2:] for call in calls}) == 1

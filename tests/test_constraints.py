@@ -220,6 +220,30 @@ def test_two_charge_spectrum_support():
                 assert value == 0
 
 
+def test_two_charge_char_sum_array_matches_scalar():
+    # the mask form against the pair scan of the scalar char_sum: every
+    # word up to n = 14, then seeded words of the span of the pair basis,
+    # the same words with one bit flipped, and uniform words
+    c = two_charge()
+    for n in range(1, 15):
+        words = np.arange(1 << n)
+        assert char_sum_array(c, n, words).tolist() == \
+            [c.char_sum(n, s) for s in words.tolist()], n
+    rng = random.Random(31)
+    for n in range(15, 63):
+        basis = two_charge_basis(n)
+        span = [0]
+        for _ in range(100):
+            word = 0
+            for b in rng.sample(basis, rng.randint(1, len(basis))):
+                word ^= b
+            span.append(word)
+        words = span + [w ^ (1 << rng.randrange(n)) for w in span]
+        words += [rng.getrandbits(n) for _ in range(100)]
+        assert char_sum_array(c, n, words).tolist() == \
+            [c.char_sum(n, s) for s in words], n
+
+
 def reversal_families(n):
     out = [rll(1), rll(2), rll(3), even_strict(), odd_strict()]
     out += [fixed_weight(i) for i in range(n + 1)]

@@ -91,7 +91,11 @@ def test_even_strict_weight_distribution_n17():
 
 
 def test_constrained_weight_distribution_against_brute():
+    # n = 15 spans two chunks of the whole-space passes
     for code, c in [(hamming_code(4), rll(1)),
+                    (hamming_code(4), two_charge()),
+                    (hamming_code(4), subblock(3, 2)),
+                    (random_code(random.Random(41), 15), even_strict()),
                     (reed_muller(4, 2), even_strict()),
                     (hamming_code(3), two_charge())]:
         dist = constrained_weight_distribution(code, c)

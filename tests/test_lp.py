@@ -509,7 +509,7 @@ def test_orbit_lp_rejects_conv_not_constant_on_orbits():
     conv = self_convolution_counts([member_int(c, n, x) for x in range(1 << n)], n)
     conv[0b00000011] += 1  # its reversal 0b11000000 keeps the old count
     with pytest.raises(AssertionError):
-        del_constrained_sym(n, d, c, conv=conv)
+        del_constrained_orbits(orbit_structure(c, n), d, conv=conv)
     # every conv is constant on the singleton orbits of the trivial group
     del_constrained_orbits(orbit_structure(c, n, trivial=True), d, conv=conv)
 
@@ -633,6 +633,31 @@ def test_undominated_columns():
     # column 1 is at least column 0 everywhere; column 3 repeats column 2
     matrix = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
     assert _undominated(matrix) == [0, 2]
+
+
+def _undominated_loop(matrix):
+    """Oracle: visit the columns by ascending sum, keep one unless a kept
+    column is entrywise at most it."""
+    kept = []
+    for j in np.argsort(matrix.sum(axis=0), kind="stable").tolist():
+        if not any((matrix[:, i] <= matrix[:, j]).all() for i in kept):
+            kept.append(j)
+    return sorted(kept)
+
+
+def test_undominated_columns_match_loop(monkeypatch):
+    # seeded matrices of small rationals with repeated columns, in one block
+    # and in blocks of one to a few dozen columns
+    rng = np.random.default_rng(43)
+    matrices = []
+    for _ in range(150):
+        rows, cols = rng.integers(1, 6), rng.integers(1, 30)
+        base = rng.integers(0, 3, size=(rows, cols)) / rng.integers(1, 4)
+        matrices.append(base[:, rng.integers(0, cols, size=cols + 8)])
+    for block in (lp.BALL_BLOCK, 1, 100, 400):
+        monkeypatch.setattr(lp, "BALL_BLOCK", block)
+        for matrix in matrices:
+            assert _undominated(matrix) == _undominated_loop(matrix)
 
 
 def test_bound_caps():

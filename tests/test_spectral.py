@@ -9,7 +9,7 @@ from constrcodes import (IntSpectrum, krawtchouk, krawtchouk_table,
 from constrcodes.constraints import (char_sum_array, char_sum_int,
                                      member_array, member_int, rll,
                                      subblock)
-from constrcodes.spectral import _butterflies
+from constrcodes.spectral import _CHUNK, _butterflies, _parity, _popcount
 
 
 def brute_wht(vals, n):
@@ -122,8 +122,23 @@ def test_krawtchouk_reciprocity():
                 math.comb(n, i) * table.value(j, i)
 
 
+def test_popcount_and_parity_against_int_bit_count():
+    rng = random.Random(29)
+    words = [0, 1, 2 ** 62 - 1] + [rng.getrandbits(62) for _ in range(500)]
+    words += [rng.getrandbits(k) for k in range(1, 63)]
+    counts = _popcount(np.array(words, dtype=np.int64))
+    parities = _parity(np.array(words, dtype=np.int64))
+    assert counts.dtype == np.int64 and parities.dtype == np.int64
+    assert counts.tolist() == [x.bit_count() for x in words]
+    assert parities.tolist() == [x.bit_count() & 1 for x in words]
+    # signed arithmetic on the counts, as the character-sum recurrences use
+    assert (1 - 2 * _popcount(np.array([2 ** 62 - 1]))).tolist() == [-123]
+
+
 def test_weight_class_sums_against_direct():
-    for n, c in ((8, rll(1)), (17, rll(2)), (18, subblock(2, 4))):
+    # n = 13, 14, 15: half a chunk, one chunk and two chunks of 2^14 words
+    for n, c in ((8, rll(1)), (13, rll(1)), (14, subblock(2, 3)),
+                 (15, rll(2)), (17, rll(2)), (18, subblock(2, 4))):
         sums = weight_class_sums(lambda s: char_sum_array(c, n, s), n)
         direct = [0] * (n + 1)
         for s in range(1 << n):
@@ -135,14 +150,19 @@ def test_weight_class_sums_against_direct():
 
 
 def test_weight_class_sums_large_values_are_exact():
-    # class sums of 2^16 values near 2^60 exceed int64: Python-int path
+    # a chunk holds _CHUNK = 2^c words, so its class sums stay in int64 for
+    # |F| < 2^(63 - c); 3 * 2^(64 - c) and values near 2^60 make class sums
+    # beyond int64 and take the Python-int path
     n = 17
-    big = 2 ** 60 + 12345
-    sums = weight_class_sums(lambda s: np.where(s & 1, -big, big), n)
-    # weight j: C(n-1, j) even words, C(n-1, j-1) odd ones
-    want = [big * (math.comb(n - 1, j) - (math.comb(n - 1, j - 1) if j else 0))
-            for j in range(n + 1)]
-    assert sums == want
+    c = _CHUNK.bit_length() - 1
+    for big in ((1 << (63 - c)) - 1, 3 << (64 - c), 2 ** 60 + 12345):
+        sums = weight_class_sums(lambda s: np.where(s & 1, -big, big), n)
+        # weight j: C(n-1, j) even words, C(n-1, j-1) odd ones
+        want = [big * (math.comb(n - 1, j) - (math.comb(n - 1, j - 1) if j else 0))
+                for j in range(n + 1)]
+        assert sums == want
+        same_sign = weight_class_sums(lambda s: np.full(s.shape, big), n)
+        assert same_sign == [big * math.comb(n, j) for j in range(n + 1)]
     with pytest.raises(ValueError):
         weight_class_sums(lambda s: s.astype(float), 4)
 
