@@ -58,6 +58,7 @@ from .constraints import (
     orbit_structure,
     parse_constraint,
     rll,
+    shell_sums,
     subblock,
     two_charge,
     two_charge_basis,

@@ -19,7 +19,7 @@ import numpy as np
 from .constraints import (char_sum_array, char_sum_int, even_strict,
                           fixed_weight, member_array, member_int, odd_relaxed,
                           odd_strict, orbit_structure, parse_constraint, rll,
-                          subblock, two_charge)
+                          shell_sums, subblock, two_charge)
 from .counting import (code_weight_distribution, constrained_weight_distribution,
                        count_brute, count_in_code, count_odd_in_code,
                        macwilliams, rm_subblock_count_plotkin,
@@ -31,7 +31,7 @@ from .gf2 import (BinaryLinearCode, BitMatrix, CodeFormatError, dual_code,
 from .lp import (SolverError, del_classic, del_constrained,
                  del_constrained_orbits, del_constrained_sym, dump_model,
                  gensph, self_convolution)
-from .spectral import krawtchouk_table, weight_class_sums, wht
+from .spectral import krawtchouk_table, wht
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -255,8 +255,7 @@ def run_fourier(args):
     n = args.n
     if n > FULL_SPACE_CAP:
         raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, FULL_SPACE_CAP))
-    constraint.check_length(n)
-    sums = weight_class_sums(lambda s: char_sum_array(constraint, n, s), n)
+    sums = shell_sums(constraint, n)
     report = {"constraint": str(constraint), "n": n,
               "weight_class_sums": [str(v) for v in sums]}
     csv_rows = [("weight", "class_sum")] + [(j, v) for j, v in enumerate(sums)]
@@ -281,13 +280,15 @@ def _once(compute):
     return value
 
 
-def _orbit_lp(constraint, n):
-    """The constrained Delsarte LP of `constraint` at length n as a function
-    of d; its cells share one orbit structure and one self-convolution,
-    built at the first call."""
+def _orbit_lps(constraint, n):
+    """The constrained Delsarte LP and the GenSph bound of `constraint` at
+    length n, each as a function of d; their cells share one orbit
+    structure, and the Delsarte cells one self-convolution, built at the
+    first call."""
     structure = _once(lambda: orbit_structure(constraint, n))
     conv = _once(lambda: self_convolution(constraint, n))
-    return lambda d: del_constrained_orbits(structure(), d, conv())
+    return (lambda d: del_constrained_orbits(structure(), d, conv()),
+            lambda d: gensph(n, d, constraint, structure=structure()))
 
 
 def _cell(column, provenance, expected, compute, places=3):
@@ -313,7 +314,7 @@ def _table_II():
     sym = [64, 45.255, 45.255, 22.627, 17.889, 5.657, 4.619, 2.828, 2.619]
     gsp = [64, 64, 64, 64, 64, 32, 32, 16, 16]
     dcl = [4096, 512, 292.571, 64, 40, 8, 5.333, 3.333, 2.857]
-    lp = _orbit_lp(two_charge(), 13)
+    lp, sph = _orbit_lps(two_charge(), 13)
     rows = []
     for i, d in enumerate(range(2, 11)):
         # the constrained LP has solved del_classic(13, d) for its comparator
@@ -322,7 +323,7 @@ def _table_II():
             _cell("sqrt(Del)", "del_constrained_sym", sym[i],
                   lambda report=report: report().code_size_bound),
             _cell("GenSph", "gensph", gsp[i],
-                  lambda d=d: gensph(13, d, two_charge()).code_size_bound),
+                  lambda d=d: sph(d).code_size_bound),
             _cell("Del(n,d)", "del_classic", dcl[i],
                   lambda report=report: report().comparators["delsarte"])]))
     return "upper bounds for 2-charge constrained codes at n=13", rows
@@ -335,22 +336,20 @@ def _table_III():
     # as the expected cell.
     sym = [1000, 826.236, 826.236, 156.767, 110.851, 22.627]
     gsp = [1000, 1000, 1000, 333.333, 333.333, 166.667]
-    c = subblock(3, 2)
-    lp = _orbit_lp(c, 15)
+    lp, sph = _orbit_lps(subblock(3, 2), 15)
     rows = []
     for i, d in enumerate(range(2, 8)):
         rows.append(("d=%d" % d, [
             _cell("sqrt(Del)", "del_constrained_sym", sym[i],
                   lambda d=d: lp(d).code_size_bound),
             _cell("GenSph", "gensph", gsp[i],
-                  lambda d=d: gensph(15, d, c).code_size_bound)]))
+                  lambda d=d: sph(d).code_size_bound)]))
     return "upper bounds for subblock-constrained codes at (n,p,z)=(15,3,2)", rows
 
 
 def _table_IV():
     sym = [556.38, 556.38, 227.111, 165.247, 38.118, 28.540, 4.472]
-    c = subblock(2, 2)
-    lp = _orbit_lp(c, 18)
+    lp, _ = _orbit_lps(subblock(2, 2), 18)
     rows = []
     for i, d in enumerate(range(3, 10)):
         rows.append(("d=%d" % d, [
@@ -378,8 +377,8 @@ def _table_VI():
     d1 = [128.557, 74.762, 42.048, 12, 6, 3.2]
     g1 = [144, 111, 111, 63, 63, 26]
     dcl = [512, 85.333, 42.667, 12, 6, 3.2]
-    lp2 = _orbit_lp(rll(2), 10)
-    lp1 = _orbit_lp(rll(1), 10)
+    lp2, sph2 = _orbit_lps(rll(2), 10)
+    lp1, sph1 = _orbit_lps(rll(1), 10)
     rows = []
     for i, d in enumerate(range(2, 8)):
         # the constrained LPs have solved del_classic(10, d) for their
@@ -389,11 +388,11 @@ def _table_VI():
             _cell("sqrt(Del) rll:d=2", "del_constrained", d2[i],
                   lambda report2=report2: report2().code_size_bound),
             _cell("GenSph rll:d=2", "gensph", g2[i],
-                  lambda d=d: gensph(10, d, rll(2)).code_size_bound),
+                  lambda d=d: sph2(d).code_size_bound),
             _cell("sqrt(Del) rll:d=1", "del_constrained", d1[i],
                   lambda d=d: lp1(d).code_size_bound),
             _cell("GenSph rll:d=1", "gensph", g1[i],
-                  lambda d=d: gensph(10, d, rll(1)).code_size_bound),
+                  lambda d=d: sph1(d).code_size_bound),
             _cell("Del(n,d)", "del_classic", dcl[i],
                   lambda report2=report2: report2().comparators["delsarte"])]))
     return "upper bounds for runlength-constrained codes at n=10", rows

@@ -9,7 +9,9 @@ indicator at s.  Each family is one subclass of `ConstraintSpec` that
 defines its membership rule and F via a closed form or recurrence, on one
 packed word and, vectorized, on an int64 array of words; the cardinality
 |A| = F_A(0) follows, and brute-force enumeration is available as an oracle
-for every family.
+for every family.  The shell sums of F_A, and for some families the
+self-convolution of A, also come in closed form, with the passes over all
+2^n words as their fallback and oracle.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import CapExceeded
 from .gf2 import BitWord
 from .spectral import (_CHUNK, _parity, _popcount, krawtchouk,
-                       krawtchouk_table, word_chunks)
+                       krawtchouk_table, weight_class_sums, word_chunks)
 
 MEMBER_ENUM_CAP = 22
 # largest n of the array methods: every word and every shift of it stays a
@@ -160,6 +162,45 @@ def char_sum_array(c, n, words):
 def cardinality(c, n):
     """|A| = F_A(0), exact."""
     return char_sum_int(c, n, 0)
+
+
+def shell_sums(c, n):
+    """W(j) = sum of F_A(s) over the words s of weight j, for j = 0..n, as
+    Python ints: the family's closed form when it has one, otherwise one
+    whole-space pass of `char_sum_array` (`weight_class_sums`), which the
+    tests keep as the oracle of every closed form."""
+    c.check_length(n)
+    sums = c.shell_sums(n)
+    if sums is None:
+        return weight_class_sums(lambda s: char_sum_array(c, n, s), n)
+    return sums + [0] * (n + 1 - len(sums))
+
+
+# polynomials in y as lists of Python-int coefficients, constant term first
+
+
+def _poly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for j, v in enumerate(b):
+        out[j] += v
+    return out
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _poly_pow(a, k):
+    out = [1]
+    for _ in range(k):
+        out = _poly_mul(out, a)
+    return out
 
 
 def _bit_signs(words, i):
@@ -384,6 +425,14 @@ class ConstraintSpec:
     `char_sum_array` (int64).  `orbits` is the
     orbit-group class of a symmetry group of the set, and `auto_lp` the
     bound program `bound --lp auto` solves.
+
+    Two whole-space objects may also have a closed form; a family without
+    one returns None and the generic pass over all 2^n words is used.
+    `shell_sums(n)` is the generating polynomial sum_s F_A(s) y^{w(s)} as
+    its coefficient list (see the module function `shell_sums`), and
+    `self_convolution(n)` the int64 array of the counts
+    #{z in A : x ^ z in A} over the packed words x
+    (see `lp.self_convolution`).
     """
 
     kind = None  # family tag
@@ -408,6 +457,12 @@ class ConstraintSpec:
 
     def char_sum_array(self, n, s):
         raise NotImplementedError
+
+    def shell_sums(self, n):
+        return None
+
+    def self_convolution(self, n):
+        return None
 
     def __str__(self):
         if not self.params:
@@ -477,6 +532,12 @@ class TwoCharge(ConstraintSpec):
         spanned = low == ((rest >> 1) & 0x5555555555555555)
         return np.where(spanned, 1 - 2 * _parity(low), 0) << (n // 2)
 
+    def shell_sums(self, n):
+        """2^{floor(n/2)} (1 + y) (1 - y^2)^{ceil(n/2) - 1}: the first bit of
+        s is free, and each pair is 00, or 11 with sign -1."""
+        mag = 1 << (n // 2)
+        return _poly_mul([mag, mag], _poly_pow([1, 0, -1], (n + 1) // 2 - 1))
+
 
 class Subblock(ConstraintSpec):
     """Each of the p subblocks of length n/p has weight z."""
@@ -537,6 +598,32 @@ class Subblock(ConstraintSpec):
         out = np.ones_like(s)
         for block in self.blocks(n, s):
             out *= row[_popcount(block)]
+        return out
+
+    def shell_sums(self, n):
+        """(sum_w C(n/p, w) K_z^{(n/p)}(w) y^w)^p: F_A is a product of one
+        factor per subblock."""
+        width = n // self.p
+        row = krawtchouk_table(width).table[self.z]
+        return _poly_pow([math.comb(width, w) * row[w] for w in range(width + 1)],
+                         self.p)
+
+    def self_convolution(self, n):
+        """The product over the subblocks x_b of x of c(w(x_b)), where
+        c(w) = [w even] C(w, w/2) C(n/p - w, z - w/2) counts the weight-z
+        words z_b with x_b ^ z_b of weight z too: those that meet x_b in
+        w/2 coordinates.  One table over the 2^{n/p} subblock values and
+        p - 1 outer products; every entry is at most |A| = C(n/p, z)^p
+        <= 2^n, so int64 is exact."""
+        width = n // self.p
+        counts = [math.comb(w, w // 2) * math.comb(width - w, self.z - w // 2)
+                  if w % 2 == 0 and w // 2 <= self.z else 0
+                  for w in range(width + 1)]
+        table = np.array(counts, dtype=np.int64)[
+            _popcount(np.arange(1 << width, dtype=np.int64))]
+        out = table
+        for _ in range(self.p - 1):
+            out = np.multiply.outer(table, out).ravel()
         return out
 
 
@@ -602,6 +689,23 @@ class Rll(ConstraintSpec):
             del vals[0]
         return vals[-1]
 
+    def shell_sums(self, n):
+        """The recurrence of `char_sum` summed over the suffixes t of each
+        length m with weight y^{w(t)}: G_m = sum_w C(m, w) (1 + m - 2w) y^w
+        for m <= d + 1, then
+
+            G_m = (1 + y) G_{m-1} + (1 - y) (1 + y)^d G_{m-d-1},
+
+        the d coordinates skipped by the second term being free."""
+        d = self.d
+        polys = [[math.comb(m, w) * (1 + m - 2 * w) for w in range(m + 1)]
+                 for m in range(min(n, d + 1) + 1)]
+        skip = _poly_mul([1, -1], _poly_pow([1, 1], d))
+        for m in range(d + 2, n + 1):
+            polys.append(_poly_add(_poly_mul([1, 1], polys[m - 1]),
+                                   _poly_mul(skip, polys[m - d - 1])))
+        return polys[n]
+
 
 class OddStrict(ConstraintSpec):
     """Every run of zeros, the leading and trailing runs included, has odd
@@ -643,6 +747,12 @@ class OddStrict(ConstraintSpec):
         if n % 2 == 0:
             return np.ones_like(s)
         return ((s & ~self.odd_coordinates(n)) == 0) << (n // 2)
+
+    def shell_sums(self, n):
+        """2^{floor(n/2)} (1 + y)^{ceil(n/2)} for odd n, (1 + y)^n for even n."""
+        if n % 2 == 0:
+            return _poly_pow([1, 1], n)
+        return [v << (n // 2) for v in _poly_pow([1, 1], (n + 1) // 2)]
 
 
 class OddRelaxed(ConstraintSpec):
@@ -731,6 +841,21 @@ class EvenStrict(ConstraintSpec):
             prev2, prev1 = prev1, step
         return prev1
 
+    def shell_sums(self, n):
+        """The recurrence of `char_sum` summed over the suffixes t of each
+        length m with weight y^{w(t)}: G_0 = 1, G_1 = 2, G_2 = 2 + 2y^2, then
+
+            G_m = (1 - y) G_{m-1} + (1 + y)^2 G_{m-2}
+                  - [m even] (1 - y) (1 + y)^{m-1}."""
+        polys = [[1], [2], [2, 0, 2]]
+        for m in range(3, n + 1):
+            poly = _poly_add(_poly_mul([1, -1], polys[m - 1]),
+                             _poly_mul([1, 2, 1], polys[m - 2]))
+            if m % 2 == 0:
+                poly = _poly_add(poly, _poly_mul([-1, 1], _poly_pow([1, 1], m - 1)))
+            polys.append(poly)
+        return polys[n]
+
 
 class FixedWeight(ConstraintSpec):
     """The weight-i sphere."""
@@ -763,6 +888,15 @@ class FixedWeight(ConstraintSpec):
     def char_sum_array(self, n, s):
         """A lookup in the Krawtchouk row K_i^{(n)}; |K_i(j)| <= C(n, i)."""
         return np.array(krawtchouk_table(n).table[self.i], dtype=np.int64)[_popcount(s)]
+
+    def shell_sums(self, n):
+        """W(j) = C(n, j) K_i(j): the one-subblock case of `Subblock`."""
+        return Subblock(1, self.i).shell_sums(n)
+
+    def self_convolution(self, n):
+        """C(j, j/2) C(n - j, i - j/2) at words of even weight j, else 0: the
+        one-subblock case of `Subblock`."""
+        return Subblock(1, self.i).self_convolution(n)
 
 
 # grammar head -> family class

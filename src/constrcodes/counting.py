@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .constraints import (_two_charge_pairs, char_sum_array, char_sum_int,
-                          member_int, odd_relaxed, odd_strict,
+                          member_int, odd_relaxed, odd_strict, shell_sums,
                           two_charge_basis)
 from .errors import CapExceeded
 from .gf2 import (ENUMERATION_CAP, _echelonize, coset_decompose,
@@ -127,12 +127,11 @@ def weight_distribution(constraint, n, cap=22):
     """Weight distribution of the constrained set A itself.
 
     a_i = (1 / 2^n) * sum_j K_i(j) * W(j), where W(j) collects F_A over the
-    weight-j shell; exact division is asserted.
+    weight-j shell (`shell_sums`); exact division is asserted.
     """
     if n > cap:
         raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, cap))
-    constraint.check_length(n)
-    shell = weight_class_sums(lambda s: char_sum_array(constraint, n, s), n)
+    shell = shell_sums(constraint, n)
     return _krawtchouk_transform(shell, 1 << n, "weight-%d count is not an integer")
 
 

@@ -730,9 +730,15 @@ def del_full(n, d, cap=12):
 
 
 def self_convolution(constraint, n):
-    """The self-convolution counts of A at length n (`self_convolution_counts`
-    of its membership array), an int64 array over the packed words."""
+    """The self-convolution counts of A at length n, an int64 array over the
+    packed words: the family's closed form when it has one, otherwise
+    `self_convolution_counts` of its membership array, which the tests keep
+    as the oracle of every closed form."""
     _check_conv_cap(n)
+    constraint.check_length(n)
+    conv = constraint.self_convolution(n)
+    if conv is not None:
+        return conv
     words = np.arange(1 << n, dtype=np.int64)
     return self_convolution_counts(member_array(constraint, n, words), n)
 
@@ -848,7 +854,7 @@ def _undominated(matrix):
     return np.sort(order[keep]).tolist()
 
 
-def gensph(n, d, constraint, cap=16):
+def gensph(n, d, constraint, cap=16, structure=None):
     """Generalized sphere-packing bound with radius t = floor((d-1)/2).
 
     The bound is the minimum fractional transversal: weights on the members
@@ -859,14 +865,15 @@ def gensph(n, d, constraint, cap=16):
     preserves feasibility and the objective, so the optimum is unchanged.
     Every column has objective 1 and every row is <= 1 with nonnegative
     coefficients, so a column entrywise at least another is dominated (its
-    weight can move to the other) and is dropped.
+    weight can move to the other) and is dropped.  `structure` is the
+    constraint's `orbit_structure` at length n, built here when not given.
     """
     if n > cap:
         raise CapExceeded("gensph refuses n=%d > cap %d" % (n, cap))
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     t = (d - 1) // 2
-    struct = orbit_structure(constraint, n)
+    struct = orbit_structure(constraint, n) if structure is None else structure
     norbits = len(struct.sizes)
     members = struct.reps[member_array(constraint, n, struct.reps)]
     # the radius-t ball around x is x XOR each word of weight <= t

@@ -302,24 +302,28 @@ def _count_calls(monkeypatch, modules, name):
 
 
 def test_table_builds_one_orbit_structure_and_convolution(capsys, monkeypatch):
+    # the GenSph cells of Tables II and III use the orbit structure of their
+    # table's constrained LP
     from constrcodes import cli, lp
     structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
     convolutions = _count_calls(monkeypatch, (cli, lp), "self_convolution")
     classic = _count_calls(monkeypatch, (lp, cli), "del_classic")
-    code, out = run(capsys, "table", "--id", "IV")
-    assert code == 0 and "status: OK" in out
-    assert len(structures) == 1 and len(convolutions) == 1
+    for table_id, count in (("IV", 1), ("III", 1), ("even-weights", 0),
+                            ("II", 1)):
+        structures.clear()
+        convolutions.clear()
+        classic.clear()
+        code, out = run(capsys, "table", "--id", table_id)
+        assert code == 0 and "status: OK" in out
+        assert len(structures) == count and len(convolutions) == count, table_id
     # Table II reads Del(n,d) from the constrained LP's comparator: one
     # del_classic solve per row
-    classic.clear()
-    code, out = run(capsys, "table", "--id", "II")
-    assert code == 0 and "status: OK" in out
     assert sorted(classic) == [(13, d) for d in range(2, 11)]
 
 
 def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
-    # the LP itself is stubbed: each constrained column must hand all its
-    # cells one orbit structure and one self-convolution
+    # the constrained LP itself is stubbed: each constrained column must
+    # hand all its cells one orbit structure and one self-convolution
     from constrcodes import cli
 
     class Report:
@@ -332,17 +336,54 @@ def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
         solved.append((str(structure.constraint), d, id(structure), id(conv)))
         return Report()
 
-    structures = _count_calls(monkeypatch, (cli,), "orbit_structure")
+    from constrcodes import lp
+    structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
     convolutions = _count_calls(monkeypatch, (cli,), "self_convolution")
     monkeypatch.setattr(cli, "del_constrained_orbits", stub)
     _, rows = cli.TABLE_BUILDERS["VI"]()
     for _, cells in rows:
         for cell in cells:
-            if cell["provenance"] != "gensph":
-                cli._evaluate_cell(cell)
+            cli._evaluate_cell(cell)
+    # the GenSph cells use their column's structure too
     assert sorted(str(c) for c, _ in structures) == ["rll:d=1", "rll:d=2"]
     assert sorted(str(c) for c, _ in convolutions) == ["rll:d=1", "rll:d=2"]
     for constraint in ("rll:d=1", "rll:d=2"):
         calls = [call for call in solved if call[0] == constraint]
         assert [d for _, d, _, _ in calls] == list(range(2, 8))
         assert len({call[2:] for call in calls}) == 1
+
+
+def test_closed_form_shell_sums_match_generic_pass(capsys, monkeypatch):
+    # weight-dist --n and fourier --n, in every format, from the families'
+    # closed forms and from the whole-space pass they replace
+    from constrcodes import constraints
+    from constrcodes.constraints import FAMILIES
+    commands = [(sub, family, fmt)
+                for family in ("2charge", "subblock:p=3,z=2", "subblock:p=2,z=3",
+                               "rll:d=1", "rll:d=2", "odd-strict", "odd",
+                               "even-strict", "weight:i=5")
+                for sub in ("weight-dist", "fourier")
+                for fmt in ("text", "csv", "json")]
+
+    def outputs():
+        got = []
+        for sub, family, fmt in commands:
+            code, out = run(capsys, sub, "--constraint", family, "--n", "12",
+                            "--format", fmt)
+            assert code == 0
+            if fmt == "json":
+                payload = json.loads(out)
+                payload["timing_ms"] = None
+                out = json.dumps(payload, sort_keys=True)
+            got.append(out)
+        return got
+
+    passes = _count_calls(monkeypatch, (constraints,), "weight_class_sums")
+    closed = outputs()
+    # only the relaxed odd family has no closed form
+    assert len(passes) == 6
+    for family in FAMILIES.values():
+        monkeypatch.setattr(family, "shell_sums", lambda self, n: None)
+    passes.clear()
+    assert outputs() == closed
+    assert len(passes) == len(commands)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -8,8 +9,11 @@ from constrcodes import (CapExceeded, cardinality, char_sum_array,
                          even_strict, fixed_weight, member, member_array,
                          member_int, member_ints, odd_relaxed, odd_strict,
                          orbit_char_sum, orbit_structure, parse_constraint,
-                         rll, subblock, two_charge, two_charge_basis, wht)
-from constrcodes.constraints import FAMILIES
+                         rll, self_convolution_counts, shell_sums, subblock,
+                         two_charge, two_charge_basis, weight_class_sums, wht)
+from constrcodes.constraints import FAMILIES, OddRelaxed
+from constrcodes.lp import self_convolution
+from constrcodes.spectral import _popcount
 from constrcodes.gf2 import BitWord, iterate_span
 
 
@@ -242,6 +246,40 @@ def test_two_charge_char_sum_array_matches_scalar():
         words += [rng.getrandbits(n) for _ in range(100)]
         assert char_sum_array(c, n, words).tolist() == \
             [c.char_sum(n, s) for s in words], n
+
+
+def test_shell_sums_closed_forms_match_whole_space_pass():
+    # every family but the relaxed odd one has a closed form; each must give
+    # exactly the weight-class sums of one pass over all 2^n words
+    for n in range(1, 15):
+        for c in all_constraints(n):
+            expected = weight_class_sums(lambda s: char_sum_array(c, n, s), n)
+            closed = c.shell_sums(n)
+            assert (closed is None) == isinstance(c, OddRelaxed), (c, n)
+            assert shell_sums(c, n) == expected, (c, n)
+            assert all(type(v) is int for v in shell_sums(c, n))
+
+
+def test_self_convolution_closed_forms_match_wht():
+    # subblock for every p dividing n and weight:i, against the WHT square
+    # of the membership array; weight:i also against the formula
+    # C(j, j/2) C(n - j, i - j/2) at even weights j, 0 at odd ones
+    for n in range(1, 17):
+        words = np.arange(1 << n)
+        cases = [subblock(p, z) for p in range(1, n + 1) if n % p == 0
+                 for z in sorted({0, 1, n // p // 2, n // p})]
+        cases += [fixed_weight(i) for i in sorted({0, 1, n // 2, n})]
+        for c in cases:
+            expected = self_convolution_counts(member_array(c, n, words), n)
+            conv = self_convolution(c, n)
+            assert conv.dtype == np.int64, (c, n)
+            assert np.array_equal(conv, expected), (c, n)
+        for i in sorted({0, 1, n // 2, n}):
+            formula = [math.comb(j, j // 2) * math.comb(n - j, i - j // 2)
+                       if j % 2 == 0 and j // 2 <= i else 0
+                       for j in range(n + 1)]
+            assert fixed_weight(i).self_convolution(n).tolist() == \
+                [formula[j] for j in _popcount(words).tolist()], (i, n)
 
 
 def reversal_families(n):
