@@ -28,9 +28,9 @@ from .errors import CapExceeded
 from .gf2 import (BinaryLinearCode, BitMatrix, CodeFormatError, dual_code,
                   gf2_rank, hamming_code, load_code, reed_muller,
                   simplex_code, zero_code)
-from .lp import (SolverError, del_classic, del_constrained,
-                 del_constrained_orbits, del_constrained_sym, dump_model,
-                 gensph, self_convolution)
+from .lp import (SolverError, _check_orbit_invariant, _orbit_lp, del_classic,
+                 del_constrained, del_constrained_orbits, del_constrained_sym,
+                 dump_model, gensph, self_convolution)
 from .spectral import krawtchouk_table, wht
 
 EXIT_OK = 0
@@ -269,8 +269,9 @@ def run_fourier(args):
 
 
 def _once(compute):
-    """`compute` wrapped to run at the first call only, so that the cells of
-    one table share a value; each table builds its own."""
+    """`compute` wrapped to run at the first call only: the cells of one
+    table share a value this way (each table builds its own), and so do
+    the calls of `main` their parser."""
     memo = []
 
     def value():
@@ -283,12 +284,27 @@ def _once(compute):
 def _orbit_lps(constraint, n):
     """The constrained Delsarte LP and the GenSph bound of `constraint` at
     length n, each as a function of d; their cells share one orbit
-    structure, and the Delsarte cells one self-convolution, built at the
-    first call."""
+    structure, built at the first call.  The Delsarte cells share one
+    self-convolution, checked against the structure once, before the first
+    of them is solved.  GenSph depends on d only through its radius
+    t = floor((d-1)/2), so each radius is solved once."""
     structure = _once(lambda: orbit_structure(constraint, n))
-    conv = _once(lambda: self_convolution(constraint, n))
-    return (lambda d: del_constrained_orbits(structure(), d, conv()),
-            lambda d: gensph(n, d, constraint, structure=structure()))
+
+    def checked_convolution():
+        conv = self_convolution(constraint, n)
+        _check_orbit_invariant(structure(), conv)
+        return conv
+
+    conv = _once(checked_convolution)
+    spheres = {}
+
+    def sphere(d):
+        t = (d - 1) // 2
+        if t not in spheres:
+            spheres[t] = gensph(n, d, constraint, structure=structure())
+        return spheres[t]
+
+    return lambda d: _orbit_lp(structure(), d, conv()), sphere
 
 
 def _cell(column, provenance, expected, compute, places=3):
@@ -770,9 +786,12 @@ DISPATCH = {
 }
 
 
+# one parser per process, built at the first call of main
+_parser = _once(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return DISPATCH[args.subcommand](args)
     except SolverError as exc:

@@ -245,8 +245,12 @@ class OrbitStructure:
         present = counts > 0
         self.sizes = counts[present]
         self.index = (np.cumsum(present) - 1)[keys]
-        self.reps = np.full(len(self.sizes), 1 << n, dtype=np.int64)
-        np.minimum.at(self.reps, self.index, np.arange(1 << n, dtype=np.int64))
+        # assigned in descending order, the smallest word of an orbit is
+        # written last (numpy assigns a 1-d fancy index in index order;
+        # test_orbit_structure_matches_generator_closure checks the reps)
+        self.reps = np.empty(len(self.sizes), dtype=np.int64)
+        self.reps[self.index[::-1]] = np.arange((1 << n) - 1, -1, -1,
+                                                dtype=np.int64)
 
     @staticmethod
     def order(constraint, n):

@@ -15,9 +15,10 @@ as two numpy passes per pivot.  A refactorization eliminates the basic
 slack and artificial columns, which are signed unit vectors, directly and
 factors only the block of the other basic columns on the rows those leave
 free; it solves for the nonbasic columns and the right-hand side together.
-Phase 2 runs on perturbed right-hand sides; the final basis is evaluated at
-the true ones by one solve for the basic values, and if that leaves it
-primal infeasible, dual simplex pivots repair it (it stays dual feasible).
+Phase 2 runs on perturbed right-hand sides; the refactorization that
+confirms the final basis solves for the true ones as well, and if the basic
+values there leave their bounds, dual simplex pivots repair the basis (it
+stays dual feasible).
 """
 
 import math
@@ -42,6 +43,8 @@ DELAY = 32
 DELAY_MIN_ENTRIES = 1 << 11
 # most dual simplex pivots repairing the final basis
 REPAIR_LIMIT = 1000
+# smallest reciprocal condition number of a factored basis block
+RCOND_MIN = 1e-12
 # most orbits (= transform rows) of a constrained Delsarte LP
 ORBIT_ROW_CAP = 1 << 12
 # most ball points gensph maps to orbits at once, and most entries
@@ -69,7 +72,8 @@ class LpModel:
                 self.upper.shape) != ((m, nvars), (m,), (m,), (nvars,)):
             raise ValueError("rows, relations, rhs and upper disagree in "
                              "shape with %d variables" % nvars)
-        if not np.isin(self.relations, ("<=", ">=", "=")).all():
+        if not ((self.relations == "<=") | (self.relations == ">=")
+                | (self.relations == "=")).all():
             raise ValueError("relation must be <=, >=, or =")
 
     def nvars(self):
@@ -79,9 +83,9 @@ class LpModel:
 class LpSolution:
     """Solver outcome: status, objective value, primal point, iteration
     count (pivots plus bound flips), and the solver counters in `stats`:
-    degenerate pivots, bound flips, basis factorizations (the final
-    evaluation included), whether Bland's rule took over, and the dual
-    simplex pivots that repaired the final basis."""
+    degenerate pivots, bound flips, basis factorizations, whether Bland's
+    rule took over, and the dual simplex pivots that repaired the final
+    basis."""
 
     __slots__ = ("status", "value", "primal", "iterations", "stats")
 
@@ -175,7 +179,7 @@ class _Tableau:
             self.q[k, q] = 0.0
             self.k = k + 1
         else:
-            self.base -= np.outer(u, v)
+            self.base -= u[:, None] * v
         self.base[r] = v
         self.base[:, q] = u / -piv
         self.base[r, q] = 1.0 / piv
@@ -194,10 +198,14 @@ class _Simplex:
     unit_sign[label]; unit_row is -1 for every other column.  Row i of the
     condensed tableau `tab` belongs to the basic variable basis[i] and
     column j to the nonbasic variable nonbasic[j], and xb holds the basic
-    values.  Nonbasic variables rest at 0 or, where at_upper is set, at
-    their upper bound ub.  `cost` is the model's objective to minimize, by
-    label, `kept` the model rows still in use (phase 1 drops redundant
-    ones), and `state` the solver counters.
+    values.  Variable bounds are ub, by label, with 0 below.  Two arrays by
+    position follow every exchange and bound flip, so that a pivot gathers
+    nothing by label: ubb[i] = ub[basis[i]], and sign[j], the direction in
+    which nonbasic[j] can move off its bound: +1.0 resting at 0, -1.0
+    resting at its upper bound.  `rhs` holds the model's right-hand sides
+    normalized on the rows in use, `cost` the model's objective to
+    minimize, by label, `kept` the model rows still in use (phase 1 drops
+    redundant ones), and `state` the solver counters.
     """
 
     def __init__(self, model, state):
@@ -205,15 +213,14 @@ class _Simplex:
         m, nvars = model.rows.shape
         le_raw = model.relations == "<="
         ge_raw = model.relations == ">="
-        # normalize: scale each row by its largest coefficient, flip so rhs
-        # >= 0
+        # normalize: divide each row by its largest coefficient, negated
+        # where the rhs is negative so that every rhs is >= 0
         self.scale = np.abs(model.rows).max(axis=1, initial=0.0)
         self.scale[self.scale == 0] = 1.0
-        self.flip = model.rhs < 0
+        flip = model.rhs < 0
+        np.negative(self.scale, out=self.scale, where=flip)
         self.kept = np.arange(m)
-        arr = model.rows / self.scale[:, None]
-        arr[self.flip] = -arr[self.flip]
-        le = np.where(self.flip, ge_raw, le_raw)
+        le = np.where(flip, ge_raw, le_raw)
 
         # the slacks of <= rows and the artificials form the starting basis
         # B = I
@@ -226,30 +233,38 @@ class _Simplex:
         self.unit_sign = np.ones(total)
         self.unit_sign[nvars:self.a0] = np.where(le[slack_rows], 1.0, -1.0)
         self.orig = np.zeros((m, total))
-        self.orig[:, :nvars] = arr
+        arr = self.orig[:, :nvars]
+        np.divide(model.rows, self.scale[:, None], out=arr)
         self.orig[self.unit_row[nvars:], np.arange(nvars, total)] = \
             self.unit_sign[nvars:]
-        self.basis = np.zeros(m, dtype=int)
-        self.basis[slack_rows] = nvars + np.arange(len(slack_rows))
-        self.basis[art_rows] = self.a0 + np.arange(len(art_rows))
-        is_nonbasic = np.ones(total, dtype=bool)
-        is_nonbasic[self.basis] = False
-        self.nonbasic = np.nonzero(is_nonbasic)[0]
+        self.basis = np.empty(m, dtype=int)
+        self.basis[slack_rows] = np.arange(nvars, self.a0)
+        self.basis[art_rows] = np.arange(self.a0, total)
+        # the nonbasic slacks are those of the >= rows, which hold
+        # artificials
+        self.nonbasic = np.concatenate((np.arange(nvars),
+                                        nvars + np.nonzero(~le[slack_rows])[0]))
         self.tab = _Tableau(self.orig[:, self.nonbasic])
-        self.xb = self.normalized(model.rhs)
+        self.rhs = self.normalized(model.rhs)
+        self.xb = self.rhs.copy()
         self.ub = np.full(total, np.inf)
         self.ub[:nvars] = model.upper
-        self.at_upper = np.zeros(total, dtype=bool)
+        self.ubb = self.ub[self.basis]
+        self.sign = np.ones(len(self.nonbasic))
         self.cost = np.zeros(total)
         self.cost[:nvars] = \
             -model.objective if model.sense == "max" else model.objective
+        # (rhs, basic values) solved for at the last refactorization, until
+        # the next exchange or bound flip
+        self._final = None
 
         # crash: a >= or = row whose only use of some positive column is
         # that row can start with that column basic instead of an
         # artificial, avoiding the degenerate vertex a full phase 1 would
         # end at; columns 0..nvars-1 of the starting tableau are the
         # variables
-        col_nnz = (np.abs(arr) > PIVOT_TOL).sum(axis=0)
+        if len(art_rows):
+            col_nnz = (np.abs(arr) > PIVOT_TOL).sum(axis=0)
         for i in art_rows:
             row = self.tab.row(i)[:nvars]
             for j in np.nonzero((row > PIVOT_TOL) & (col_nnz == 1)
@@ -260,22 +275,26 @@ class _Simplex:
 
     def normalized(self, b):
         """Right-hand sides b of the model, normalized, on the rows in use."""
-        b = b / self.scale
-        b[self.flip] = -b[self.flip]
-        return b[self.kept]
+        return (b / self.scale)[self.kept]
 
     def point(self):
         """Every variable's value at the current basis, by label."""
         x = np.zeros(len(self.ub))
-        x[self.at_upper] = self.ub[self.at_upper]
+        uppers = self.nonbasic[self.sign < 0]
+        x[uppers] = self.ub[uppers]
         x[self.basis] = self.xb
         return x
 
     def _solve_basis(self, y):
         """B^-1 y for the basis matrix B = orig[:, basis], or None when B is
-        singular.  The basic unit columns are eliminated directly: only the
-        block of the other basic columns on the rows no basic unit column
-        covers is factored, and the covered rows follow by one product."""
+        singular or nearly so.  The basic unit columns are eliminated
+        directly: only the block of the other basic columns on the rows no
+        basic unit column covers is factored, and the covered rows follow by
+        one product.  The block counts as nearly singular when a solved
+        column shows its condition number to exceed 1 / RCOND_MIN
+        (`_near_singular`); LU with partial pivoting flags only exact
+        singularity, and returns entries of order 1 / eps for a block of
+        deficient rank."""
         urow = self.unit_row[self.basis]
         unit = urow >= 0
         covered = urow[unit]
@@ -287,11 +306,15 @@ class _Simplex:
             return None
         structural = self.basis[cols]
         out = np.empty_like(y)
-        try:
-            out[cols] = np.linalg.solve(self.orig[rows[:, None], structural],
-                                        y[rows])
-        except np.linalg.LinAlgError:
-            return None
+        if len(cols):
+            block, part = self.orig[rows[:, None], structural], y[rows]
+            try:
+                solved = np.linalg.solve(block, part)
+            except np.linalg.LinAlgError:
+                return None
+            if _near_singular(block, part, solved):
+                return None
+            out[cols] = solved
         sign = self.unit_sign[self.basis[unit]]
         rest = y[covered]
         rest -= self.orig[covered[:, None], structural] @ out[cols]
@@ -300,34 +323,47 @@ class _Simplex:
         self.state["refactorizations"] += 1
         return out
 
-    def _minus_uppers(self, rhs):
-        """rhs less the columns of the nonbasic variables at their upper
-        bound, times that bound."""
-        uppers = np.nonzero(self.at_upper)[0]
-        return rhs - self.orig[:, uppers] @ self.ub[uppers]
+    def _upper_shift(self):
+        """The columns of the nonbasic variables at their upper bound, times
+        that bound, summed in label order."""
+        uppers = np.sort(self.nonbasic[self.sign < 0])
+        return self.orig[:, uppers] @ self.ub[uppers]
 
-    def _reinvert(self, rhs):
+    def _reinvert(self, rhs, final=None):
         """Rebuild the tableau and the basic values, unclipped, from orig
         for the current basis, discarding the rounding error accumulated by
         the exchanges; one solve covers the nonbasic columns and the
-        right-hand side together.  A singular basis returns False and
+        right-hand side together, and the right-hand side `final` too when
+        given (kept for `evaluate`).  A singular basis returns False and
         changes nothing."""
-        solved = self._solve_basis(np.column_stack(
-            (self.orig[:, self.nonbasic], self._minus_uppers(rhs))))
+        shift = self._upper_shift()
+        columns = [self.orig[:, self.nonbasic], rhs - shift]
+        if final is not None:
+            columns.append(final - shift)
+        solved = self._solve_basis(np.column_stack(columns))
         if solved is None:
             return False
-        self.tab.reset(solved[:, :-1])
-        self.xb = solved[:, -1].copy()
+        nn = len(self.nonbasic)
+        self.tab.reset(solved[:, :nn])
+        self.xb = solved[:, nn].copy()
+        self._final = None if final is None else (final,
+                                                  solved[:, nn + 1].copy())
         return True
 
     def _clip(self):
-        np.clip(self.xb, 0.0, self.ub[self.basis], out=self.xb)
+        np.maximum(self.xb, 0.0, out=self.xb)
+        np.minimum(self.xb, self.ubb, out=self.xb)
 
-    def _exchange(self, r, q, col):
-        """Pivot the tableau on (r, q) and trade the labels; returns the new
-        row r."""
+    def _exchange(self, r, q, col, at_upper=False):
+        """Pivot the tableau on (r, q) and trade the labels, the leaving
+        variable resting at its upper bound when at_upper, else at 0;
+        returns the new row r."""
         row = self.tab.exchange(r, q, col)
-        self.basis[r], self.nonbasic[q] = self.nonbasic[q], self.basis[r]
+        entering = self.nonbasic[q]
+        self.basis[r], self.nonbasic[q] = entering, self.basis[r]
+        self.ubb[r] = self.ub[entering]
+        self.sign[q] = -1.0 if at_upper else 1.0
+        self._final = None
         return row
 
     def _enter_at_zero(self, r, q):
@@ -339,19 +375,28 @@ class _Simplex:
         self.xb[r] = theta
         self._exchange(r, q, col)
 
-    def primal(self, cost, rhs, limit):
+    def primal(self, cost, rhs, limit, final=None):
         """Run bounded-variable simplex pivots until optimal or interrupted.
 
         cost is the objective to minimize, by label, and rhs the normalized
         right-hand sides that the tableau is refactorized against
-        periodically and before declaring optimality.  Returns 'optimal',
-        'unbounded', or 'iteration_limit'.
+        periodically and before declaring optimality; `final`, when given,
+        is solved for by the same refactorizations (see `evaluate`).
+        Returns 'optimal', 'unbounded', or 'iteration_limit'.
         """
-        state, tab, ub, at_upper = self.state, self.tab, self.ub, self.at_upper
-        basis, nonbasic = self.basis, self.nonbasic
+        state, tab, ub = self.state, self.tab, self.ub
+        basis, nonbasic, sign, ubb = (self.basis, self.nonbasic, self.sign,
+                                      self.ubb)
         m, nn = len(basis), len(nonbasic)
         bland_after = 5 * (m + nn + m)  # rows plus all columns, basic included
         gamma = np.ones(nn)  # Devex reference weights
+        # work buffers: pricing over the columns, the ratio test over the
+        # rows.  On arrays this small a reduction (any, min, max) costs
+        # several times an argmax or argmin, so the loop uses those
+        score, eligible = np.empty(nn), np.empty(nn, dtype=bool)
+        col, size, room, ratios = (np.empty(m), np.empty(m), np.empty(m),
+                                   np.empty(m))
+        drops, blocking = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
         fresh = False
         since_reinvert = 0
         reduced = cost[nonbasic] - cost[basis] @ tab.dense()
@@ -359,22 +404,21 @@ class _Simplex:
             if state["iterations"] >= limit:
                 return "iteration_limit"
             if since_reinvert >= REINVERT_EVERY:
-                fresh = self._reinvert(rhs)
+                fresh = self._reinvert(rhs, final)
                 self._clip()
                 since_reinvert = 0
                 reduced = cost[nonbasic] - cost[basis] @ tab.dense()
                 gamma[:] = 1.0
-            # a nonbasic variable improves the objective by rising off 0 when
-            # its reduced cost is negative, or dropping off its upper bound
-            # when positive
-            upper = at_upper[nonbasic]
-            eligible = np.where(upper, reduced > PIVOT_TOL,
-                                reduced < -PIVOT_TOL)
-            if not eligible.any():
+            # a nonbasic variable improves the objective by moving off its
+            # bound when its reduced cost has the opposite sign to its
+            # direction
+            np.multiply(reduced, sign, out=score)
+            np.less(score, -PIVOT_TOL, out=eligible)
+            if not (nn and eligible[eligible.argmax()]):
                 if fresh:
                     return "optimal"
                 # recheck optimality against a freshly factored tableau
-                if not self._reinvert(rhs):
+                if not self._reinvert(rhs, final):
                     return "optimal"
                 self._clip()
                 fresh = True
@@ -382,72 +426,90 @@ class _Simplex:
                 reduced = cost[nonbasic] - cost[basis] @ tab.dense()
                 gamma[:] = 1.0
                 continue
-            if state["bland"]:
-                cand = np.nonzero(eligible)[0]
-            else:
-                # Devex pricing: largest reduced cost relative to the
-                # reference weights, approximating the steepest-edge criterion
-                score = np.where(eligible, reduced * reduced / gamma, 0.0)
-                cand = np.nonzero(score == score.max())[0]
             # ties, and every choice under Bland's rule, go to the smallest
             # label
-            q = int(cand[np.argmin(nonbasic[cand])])
+            if state["bland"]:
+                cand = np.nonzero(eligible)[0]
+                q = int(cand[np.argmin(nonbasic[cand])])
+            else:
+                # Devex pricing: largest reduced cost relative to the
+                # reference weights, approximating the steepest-edge
+                # criterion
+                np.multiply(reduced, reduced, out=score)
+                score /= gamma
+                score *= eligible
+                q = int(score.argmax())
+                top = score[q]
+                score[q] = -1.0
+                if score[score.argmax()] == top:
+                    score[q] = top
+                    cand = np.nonzero(score == top)[0]
+                    q = int(cand[nonbasic[cand].argmin()])
             entering = nonbasic[q]
+            direction = sign[q]
             # col is the rate of decrease of each basic value per unit step of
             # the entering variable away from its current bound
             raw = tab.column(q)
-            col = -raw if upper[q] else raw
+            np.multiply(raw, direction, out=col)
             xb = self.xb
-            ubb = ub[basis]
-            drops = col > PIVOT_TOL
-            rises = (col < -PIVOT_TOL) & np.isfinite(ubb)
-            blocking = drops | rises
-            room = np.where(drops, xb, ubb - xb)
             # two-pass ratio test: find the minimum ratio, then pivot on the
             # largest blocking entry within a tiny relative window of it,
-            # which keeps ill-conditioned pivots out of the basis
-            ratios = np.full(m, np.inf)
-            np.divide(np.maximum(room, 0.0), np.abs(col), where=blocking,
-                      out=ratios)
-            t_lim = ratios.min() if blocking.any() else np.inf
+            # which keeps ill-conditioned pivots out of the basis.  A basic
+            # variable blocks by dropping to 0 or rising to its bound; one
+            # rising to an infinite bound gets an infinite ratio
+            np.abs(col, out=size)
+            np.greater(col, PIVOT_TOL, out=drops)
+            np.greater(size, PIVOT_TOL, out=blocking)
+            np.subtract(ubb, xb, out=room)
+            np.copyto(room, xb, where=drops)
+            np.maximum(room, 0.0, out=room)
+            ratios.fill(np.inf)
+            np.divide(room, size, where=blocking, out=ratios)
+            t_lim = float(ratios[ratios.argmin()]) if m else np.inf
             t_lim += t_lim * 1e-7 + PIVOT_TOL
-            if not blocking.any() or t_lim > ub[entering] + PIVOT_TOL:
+            if t_lim == np.inf or t_lim > ub[entering] + PIVOT_TOL:
                 # no basic variable blocks before the entering variable
                 # reaches its opposite bound: flip it (or detect unboundedness)
-                if not np.isfinite(ub[entering]):
+                if ub[entering] == np.inf:
                     return "unbounded"
-                xb -= ub[entering] * col
-                np.clip(xb, 0.0, ubb, out=xb)
-                at_upper[entering] = not upper[q]
+                np.multiply(col, ub[entering], out=size)
+                xb -= size
+                self._clip()
+                sign[q] = -direction
+                self._final = None
                 state["bound_flips"] += 1
                 state["iterations"] += 1
                 since_reinvert += 1
                 fresh = False
                 continue
-            cand = np.nonzero(ratios <= t_lim)[0]
-            r = int(cand[np.argmax(np.abs(col[cand]))])
+            # the largest |col| among the near-minimal ratios, first by row
+            np.less_equal(ratios, t_lim, out=blocking)
+            np.multiply(size, blocking, out=room)
+            r = int(room.argmax())
             best = max(float(ratios[r]), 0.0)
             if best < PIVOT_TOL:
                 state["degenerate_pivots"] += 1
                 if state["degenerate_pivots"] > bland_after:
                     state["bland"] = True
-            leaving = basis[r]
-            xb -= best * col
-            xb[r] = ub[entering] - best if upper[q] else best
+            np.multiply(col, best, out=size)
+            xb -= size
+            xb[r] = ub[entering] - best if direction < 0 else best
             d_q = reduced[q]
             g_q = gamma[q]
-            row = self._exchange(r, q, raw)
+            # a blocking variable with a negative rate rises to its bound
+            row = self._exchange(r, q, raw, at_upper=col[r] < 0.0)
             # reduced costs and Devex weights follow the same exchange, from
             # the pivot row after the pivot
-            reduced -= d_q * row
+            np.multiply(row, d_q, out=score)
+            reduced -= score
             reduced[q] = -d_q * row[q]
-            np.maximum(gamma, row * row * g_q, out=gamma)
+            np.multiply(row, row, out=score)
+            score *= g_q
+            np.maximum(gamma, score, out=gamma)
             gamma[q] = max(g_q * row[q] * row[q], 1.0)
-            if gamma.max() > 1e12:
+            if gamma[gamma.argmax()] > 1e12:
                 gamma[:] = 1.0
-            at_upper[entering] = False
-            at_upper[leaving] = bool(rises[r])
-            np.clip(xb, 0.0, ub[basis], out=xb)
+            self._clip()
             state["iterations"] += 1
             since_reinvert += 1
             fresh = False
@@ -461,7 +523,7 @@ class _Simplex:
         keep = np.ones(len(self.basis), dtype=bool)
         for i in np.nonzero(self.basis >= a0)[0]:
             row = np.abs(self.tab.row(i))
-            row[(self.nonbasic >= a0) | self.at_upper[self.nonbasic]] = 0.0
+            row[(self.nonbasic >= a0) | (self.sign < 0)] = 0.0
             cand = np.nonzero(row > PIVOT_TOL)[0]
             if len(cand):
                 self._enter_at_zero(
@@ -476,23 +538,31 @@ class _Simplex:
         unit_row = self.unit_row[:a0]
         real = self.nonbasic < a0
         self.tab = _Tableau(self.tab.dense()[keep][:, real])
-        self.nonbasic = self.nonbasic[real]
+        self.nonbasic, self.sign = self.nonbasic[real], self.sign[real]
         self.xb, self.basis = self.xb[keep], self.basis[keep]
+        self.ubb = self.ubb[keep]
         self.orig, self.kept = self.orig[rows, :a0], self.kept[rows]
+        self.rhs = self.rhs[rows]
         self.unit_row = np.where(unit_row >= 0, renumber[unit_row], -1)
         self.unit_sign = self.unit_sign[:a0]
-        self.ub, self.at_upper = self.ub[:a0], self.at_upper[:a0]
+        self.ub = self.ub[:a0]
         self.cost = self.cost[:a0]
 
     def evaluate(self, rhs, limit):
         """Move the current basis to the normalized right-hand sides rhs.
 
         The tableau is freshly factored and does not depend on rhs, so only
-        the basic values are solved for.  When they leave their bounds, the
-        basis, still dual feasible, is repaired by dual simplex pivots.
-        Returns 'optimal', 'iteration_limit' or 'numerical_error'.
+        the basic values are solved for, unless the last refactorization
+        solved for this very rhs (`primal`'s `final`) and the basis has not
+        changed since.  When they leave their bounds, the basis, still dual
+        feasible, is repaired by dual simplex pivots.  Returns 'optimal',
+        'iteration_limit' or 'numerical_error'.
         """
-        values = self._solve_basis(self._minus_uppers(rhs))
+        final = self._final
+        if final is not None and final[0] is rhs:
+            values = final[1]
+        else:
+            values = self._solve_basis(rhs - self._upper_shift())
         status = "optimal"
         if values is not None:
             self.xb = values
@@ -504,7 +574,7 @@ class _Simplex:
     def _infeasible(self):
         """Which basic values lie beyond their bounds by more than the
         feasibility tolerance, relative to the value."""
-        excess = np.maximum(-self.xb, self.xb - self.ub[self.basis])
+        excess = np.maximum(-self.xb, self.xb - self.ubb)
         return excess > FEAS_TOL * np.maximum(1.0, np.abs(self.xb))
 
     def dual(self, rhs, limit):
@@ -519,8 +589,9 @@ class _Simplex:
         (the rows would be infeasible, which phase 1 ruled out) or the
         repair runs past REPAIR_LIMIT pivots.
         """
-        state, tab, ub, at_upper = self.state, self.tab, self.ub, self.at_upper
+        state, tab, ub = self.state, self.tab, self.ub
         basis, nonbasic, cost = self.basis, self.nonbasic, self.cost
+        sign, ubb = self.sign, self.ubb
         reduced = cost[nonbasic] - cost[basis] @ tab.dense()
         fresh = True
         since_reinvert = 0
@@ -542,42 +613,66 @@ class _Simplex:
                 return "iteration_limit"
             if state["repair_pivots"] >= REPAIR_LIMIT:
                 return "numerical_error"
-            excess = np.maximum(-xb, xb - ub[basis])
+            excess = np.maximum(-xb, xb - ubb)
             r = int(np.argmax(np.where(bad, excess, -np.inf)))
             below = xb[r] < 0.0
             # a nonbasic variable can enter when its move off its bound
             # pushes basic variable r back towards the bound it crossed
             row = tab.row(r)
-            upper = at_upper[nonbasic]
-            move = np.where(upper, row, -row) if below else \
-                np.where(upper, -row, row)
+            move = row * sign
+            if below:
+                np.negative(move, out=move)
             can = move > PIVOT_TOL
             if not can.any():
                 return "numerical_error"
             # two-pass ratio test, as in the primal: the largest entry among
             # the near-minimal ratios
             ratios = np.full(len(nonbasic), np.inf)
-            np.divide(np.maximum(np.where(upper, -reduced, reduced), 0.0),
-                      move, where=can, out=ratios)
+            np.divide(np.maximum(reduced * sign, 0.0), move, where=can,
+                      out=ratios)
             t_lim = ratios.min()
             t_lim += t_lim * 1e-7 + PIVOT_TOL
             cand = np.nonzero(ratios <= t_lim)[0]
             q = int(cand[np.argmax(np.abs(row[cand]))])
-            entering, leaving = nonbasic[q], basis[r]
+            entering = nonbasic[q]
             col = tab.column(q)
-            theta = (xb[r] - (0.0 if below else ub[leaving])) / col[r]
+            theta = (xb[r] - (0.0 if below else ubb[r])) / col[r]
             xb -= theta * col
-            xb[r] = (ub[entering] if upper[q] else 0.0) + theta
+            xb[r] = (ub[entering] if sign[q] < 0 else 0.0) + theta
             d_q = reduced[q]
-            row = self._exchange(r, q, col)
+            row = self._exchange(r, q, col, at_upper=not below)
             reduced -= d_q * row
             reduced[q] = -d_q * row[q]
-            at_upper[entering] = False
-            at_upper[leaving] = not below
             state["iterations"] += 1
             state["repair_pivots"] += 1
             since_reinvert += 1
             fresh = False
+
+
+def _near_singular(block, y, x):
+    """Whether the solve x = block^-1 y shows the block to be numerically
+    singular: for each column, ||block|| ||x_j|| / ||y_j|| (max norms) is a
+    lower bound on the block's condition number, which must stay within
+    1 / RCOND_MIN."""
+    norm = np.abs(block).sum(axis=1).max()
+    return bool((np.abs(x).max(axis=0) * (norm * RCOND_MIN)
+                 > np.abs(y).max(axis=0)).any())
+
+
+# the scales `_lift_scales` hands out, grown on demand
+_LIFTS = [np.empty(0)]
+
+
+def _lift_scales(count):
+    """1e-6 (0.5 + 0.5 u) for each of the first `count` draws u of
+    np.random.default_rng(1).random: the perturbation scales of
+    `_optimize`, kept between solves.  A longer stream of draws starts
+    with the draws of a shorter one, so regrowing the store changes no
+    scale."""
+    if len(_LIFTS[0]) < count:
+        draws = np.random.default_rng(1).random(max(count, 2 * len(_LIFTS[0])))
+        _LIFTS[0] = 1e-6 * (0.5 + 0.5 * draws)
+    return _LIFTS[0][:count]
 
 
 def _counters():
@@ -593,19 +688,18 @@ def _solution(status, state, value=None, primal=None):
 def _optimize(model, state, limit):
     """Phases 1 and 2 over the model: the status and the simplex, whose
     basis is, when 'optimal', optimal for slightly perturbed right-hand
-    sides."""
+    sides, and whose last refactorization has solved for the true ones,
+    sx.rhs, as well."""
     sx = _Simplex(model, state)
-    rhs = sx.normalized(model.rhs)
     if sx.a0 < len(sx.ub):
         cost1 = np.zeros(len(sx.ub))
         cost1[sx.a0:] = 1.0
-        status = sx.primal(cost1, rhs, limit)
+        status = sx.primal(cost1, sx.rhs, limit)
         if status != "optimal":
             return status, sx
         if sx.xb[sx.basis >= sx.a0].sum() > FEAS_TOL:
             return "infeasible", sx
         sx.drop_artificials()
-        rhs = sx.normalized(model.rhs)
 
     # anti-degeneracy: raise each basic value by a tiny random amount, that
     # is, perturb the right-hand sides along the basis, so ratio-test ties
@@ -614,13 +708,12 @@ def _optimize(model, state, limit):
     # row is dropped, not taken for an infeasible one).  Which bases are
     # optimal depends only on the reduced costs, so the caller evaluates the
     # final basis against the true right-hand sides
-    rng = np.random.default_rng(1)
-    lift = 1e-6 * (0.5 + 0.5 * rng.random(len(rhs))) \
-        * np.maximum(1.0, np.abs(rhs))
+    rhs = sx.rhs
+    lift = _lift_scales(len(rhs)) * np.maximum(1.0, np.abs(rhs))
     perturbed = rhs + sx.orig[:, sx.basis] @ lift
     sx.xb += lift
     sx._clip()
-    return sx.primal(sx.cost, perturbed, limit), sx
+    return sx.primal(sx.cost, perturbed, limit, final=rhs), sx
 
 
 def solve(model, limit=ITERATION_LIMIT):
@@ -632,7 +725,7 @@ def solve(model, limit=ITERATION_LIMIT):
         return _solution("infeasible", state)
     status, sx = _optimize(model, state, limit)
     if status == "optimal":
-        status = sx.evaluate(sx.normalized(model.rhs), limit)
+        status = sx.evaluate(sx.rhs, limit)
     if status != "optimal":
         return _solution(status, state)
     primal = sx.point()[:model.nvars()]
@@ -769,6 +862,16 @@ def del_constrained_orbits(structure, d, conv=None):
     ORBIT_ROW_CAP orbits (the 2^12 rows of the trivial group at n = 12),
     since the model is a dense row-by-column tableau.
     """
+    conv = np.asarray(self_convolution(structure.constraint, structure.n)
+                      if conv is None else conv, dtype=np.int64)
+    _check_orbit_invariant(structure, conv)
+    return _orbit_lp(structure, d, conv)
+
+
+def _orbit_lp(structure, d, conv):
+    """`del_constrained_orbits` for an int64 `conv` already checked to be
+    constant on the orbits of `structure` (`_check_orbit_invariant`), so
+    that the cells of a table column share one check."""
     n = structure.n
     constraint = structure.constraint
     if not 1 <= d <= n:
@@ -778,9 +881,6 @@ def del_constrained_orbits(structure, d, conv=None):
                           "group at n=%d > cap %d" % (len(structure.sizes),
                                                       structure.group, n,
                                                       ORBIT_ROW_CAP))
-    conv = np.asarray(self_convolution(constraint, n) if conv is None else conv,
-                      dtype=np.int64)
-    _check_orbit_invariant(structure, conv)
     delsarte = del_classic(n, d).lp_value
     size = cardinality(constraint, n)
     # substitute f(0) = u0 - h with 0 <= h <= u0: the h column makes every

@@ -303,27 +303,33 @@ def _count_calls(monkeypatch, modules, name):
 
 def test_table_builds_one_orbit_structure_and_convolution(capsys, monkeypatch):
     # the GenSph cells of Tables II and III use the orbit structure of their
-    # table's constrained LP
+    # table's constrained LP, solve one LP per radius t = floor((d-1)/2), and
+    # the constrained column checks its convolution against the orbits once
     from constrcodes import cli, lp
     structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
     convolutions = _count_calls(monkeypatch, (cli, lp), "self_convolution")
     classic = _count_calls(monkeypatch, (lp, cli), "del_classic")
-    for table_id, count in (("IV", 1), ("III", 1), ("even-weights", 0),
-                            ("II", 1)):
-        structures.clear()
-        convolutions.clear()
-        classic.clear()
+    spheres = _count_calls(monkeypatch, (cli, lp), "gensph")
+    checks = _count_calls(monkeypatch, (cli, lp), "_check_orbit_invariant")
+    for table_id, count, radii in (("IV", 1, 0), ("III", 1, 4),
+                                   ("even-weights", 0, 0), ("II", 1, 5)):
+        for calls in (structures, convolutions, classic, spheres, checks):
+            calls.clear()
         code, out = run(capsys, "table", "--id", table_id)
         assert code == 0 and "status: OK" in out
         assert len(structures) == count and len(convolutions) == count, table_id
+        assert len(checks) == count, table_id
+        assert len(spheres) == radii, table_id
     # Table II reads Del(n,d) from the constrained LP's comparator: one
     # del_classic solve per row
     assert sorted(classic) == [(13, d) for d in range(2, 11)]
+    assert sorted((d - 1) // 2 for _, d, _ in spheres) == [0, 1, 2, 3, 4]
 
 
 def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
-    # the constrained LP itself is stubbed: each constrained column must
-    # hand all its cells one orbit structure and one self-convolution
+    # the constrained LP itself is stubbed (at the entry the columns call,
+    # past the orbit check): each constrained column must hand all its
+    # cells one orbit structure and one self-convolution, checked once
     from constrcodes import cli
 
     class Report:
@@ -339,7 +345,9 @@ def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
     from constrcodes import lp
     structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
     convolutions = _count_calls(monkeypatch, (cli,), "self_convolution")
-    monkeypatch.setattr(cli, "del_constrained_orbits", stub)
+    spheres = _count_calls(monkeypatch, (cli, lp), "gensph")
+    checks = _count_calls(monkeypatch, (cli, lp), "_check_orbit_invariant")
+    monkeypatch.setattr(cli, "_orbit_lp", stub)
     _, rows = cli.TABLE_BUILDERS["VI"]()
     for _, cells in rows:
         for cell in cells:
@@ -347,10 +355,15 @@ def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
     # the GenSph cells use their column's structure too
     assert sorted(str(c) for c, _ in structures) == ["rll:d=1", "rll:d=2"]
     assert sorted(str(c) for c, _ in convolutions) == ["rll:d=1", "rll:d=2"]
+    assert sorted(str(s.constraint) for s, _ in checks) == ["rll:d=1",
+                                                            "rll:d=2"]
     for constraint in ("rll:d=1", "rll:d=2"):
         calls = [call for call in solved if call[0] == constraint]
         assert [d for _, d, _, _ in calls] == list(range(2, 8))
         assert len({call[2:] for call in calls}) == 1
+        # d = 2..7 covers the radii 0..3
+        assert sorted(d for _, d, c in spheres if str(c) == constraint) \
+            == [2, 3, 5, 7]
 
 
 def test_closed_form_shell_sums_match_generic_pass(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
@@ -11,6 +12,7 @@ from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
                          odd_strict, reed_muller, rll, rm_subblock_count_plotkin,
                          simplex_code, subblock, two_charge,
                          two_charge_structure, weight_distribution, zero_code)
+from constrcodes.counting import _syndrome_table
 
 
 def random_code(rng, n):
@@ -116,6 +118,21 @@ def test_constrained_weight_distribution_against_brute():
                 if member_int(c, n, w):
                     brute[w.bit_count()] += 1
             assert constrained_weight_distribution(code, c).counts == brute, (str(c), n)
+
+
+def test_syndrome_table_matches_row_parities():
+    # the doubled table against the parities of every word with each row,
+    # the first row giving the most significant bit
+    rng = random.Random(17)
+    for n in (1, 2, 5, 9, 13, 16):
+        for _ in range(3):
+            k = rng.randint(0, n)
+            rows = [rng.getrandbits(n) for _ in range(k)]
+            words = np.arange(1 << n, dtype=np.int64)
+            expected = np.zeros(1 << n, dtype=np.int64)
+            for g in rows:
+                expected = (expected << 1) | (np.bitwise_count(words & g) & 1)
+            assert np.array_equal(_syndrome_table(rows, n), expected), (n, rows)
 
 
 def test_constrained_weight_distribution_refuses_int64_overflow():

@@ -175,12 +175,13 @@ def test_delayed_tableau_matches_dense_exchanges(monkeypatch):
 
 def _check_block_refactorization(sx, rng, tries):
     """Random bases over the simplex's columns: None when two basic unit
-    columns share a row, else the block solve against np.linalg.solve
-    (bases singular otherwise, which the repeated row makes, are skipped:
-    LU need not flag them exactly).  Returns the number of each kind."""
+    columns share a row or the basis matrix is singular (the repeated row
+    makes such bases, which LU need not flag exactly: the near-singular
+    check must), else the block solve against np.linalg.solve.  Returns
+    the number of each kind."""
     m, total = sx.orig.shape
     y = rng.normal(size=(m, 5))
-    shared = solved = 0
+    shared = solved = singular = 0
     for _ in range(tries):
         sx.basis = np.sort(rng.choice(total, size=m, replace=False))
         matrix = sx.orig[:, sx.basis]
@@ -195,7 +196,11 @@ def _check_block_refactorization(sx, rng, tries):
                 assert np.allclose(sx._solve_basis(rhs),
                                    np.linalg.solve(matrix, rhs),
                                    rtol=1e-8, atol=1e-8)
-    return shared, solved
+        else:
+            singular += 1
+            for rhs in (y, y[:, 0]):
+                assert sx._solve_basis(rhs) is None
+    return shared, solved, singular
 
 
 def test_block_refactorization_matches_dense_solve():
@@ -210,11 +215,14 @@ def test_block_refactorization_matches_dense_solve():
                     upper=np.full(4, 10.0))
     sx = _Simplex(model, _counters())
     assert (sx.unit_sign == -1).any() and sx.a0 < len(sx.ub)
-    assert min(_check_block_refactorization(sx, rng, 300)) > 0
+    # the matrix has rank m - 1 on the bases holding both copies of the
+    # repeated row's structure: those must be refused, not solved into
+    # entries of order 1e15
+    assert min(_check_block_refactorization(sx, rng, 1000)) > 0
     status, sx = _optimize(model, _counters(), ITERATION_LIMIT)
     assert status == "optimal" and len(sx.kept) == 5
     # one slack per kept inequality row, so no unit columns collide
-    assert _check_block_refactorization(sx, rng, 300) == (0, 300)
+    assert _check_block_refactorization(sx, rng, 300)[:2] == (0, 300)
     # a zero column makes the factored block singular
     coeffs[:, 2] = 0.0
     sx = _Simplex(LpModel("max", np.ones(4), coeffs, ["<="] * 6, np.ones(6)),
@@ -378,6 +386,26 @@ def test_constrained_delsarte_models_against_highs(dd, d):
     sol = solve(model)
     assert sol.status == status == "optimal"
     assert sol.value == pytest.approx(value, rel=1e-6)
+
+
+def test_pivot_counts_are_pinned():
+    # the pricing, tie-breaks, Bland switch and refactorization schedule
+    # decide these counts: the unsymmetrized Table VI models at n = 10 and
+    # three classic models
+    for dd, counts in ((2, {4: 765, 5: 164, 6: 24, 7: 2}),
+                       (1, {6: 140, 7: 69})):
+        for d, count in counts.items():
+            assert del_constrained(10, d, rll(dd)).solution.iterations \
+                == count, (dd, d)
+    for (n, d), count in {(13, 2): 16, (15, 4): 14, (18, 3): 31}.items():
+        assert del_classic(n, d).solution.iterations == count, (n, d)
+
+
+def test_perturbation_draws_are_a_stream_prefix():
+    # the stored draws, however long, start with those of a fresh stream
+    for count in (1, 7, 300, 5000, 40):
+        fresh = 1e-6 * (0.5 + 0.5 * np.random.default_rng(1).random(count))
+        assert np.array_equal(lp._lift_scales(count), fresh)
 
 
 def test_dump_model(tmp_path):
