@@ -227,8 +227,11 @@ class OrbitStructure:
     orbit.  The orbits are numbered by ascending key, and three int64
     arrays describe them: `sizes[i]` and `reps[i]`, the size and the
     smallest word of orbit i, and `index[x]`, the orbit of each packed word
-    x.  All three come from one pass: the keys of every word, taken one
-    chunk of `word_chunks(n)` at a time, and their `np.bincount`.
+    x.  All three come from the keys of all 2^n words, `_key_table`, and
+    their `np.bincount`.  By default `_key_table` takes `_keys` one chunk
+    of `word_chunks(n)` at a time; a group that permutes blocks of
+    coordinates and inside them builds the same array from per-block
+    tables (`_block_outer`), and keeps the chunked pass as its oracle.
     """
 
     __slots__ = ("constraint", "n", "sizes", "reps", "index")
@@ -240,17 +243,20 @@ class OrbitStructure:
                               % (self.group, n, MEMBER_ENUM_CAP))
         self.constraint = constraint
         self.n = n
-        keys = np.concatenate([self._keys(words) for words in word_chunks(n)])
+        keys = self._key_table()
         counts = np.bincount(keys)
         present = counts > 0
         self.sizes = counts[present]
         self.index = (np.cumsum(present) - 1)[keys]
         # assigned in descending order, the smallest word of an orbit is
         # written last (numpy assigns a 1-d fancy index in index order;
-        # test_orbit_structure_matches_generator_closure checks the reps)
+        # test_orbit_structure_matches_generator_closure checks the reps);
+        # one chunk at a time, so that no 2^n-word temporary is made
         self.reps = np.empty(len(self.sizes), dtype=np.int64)
-        self.reps[self.index[::-1]] = np.arange((1 << n) - 1, -1, -1,
-                                                dtype=np.int64)
+        for stop in range(1 << n, 0, -_CHUNK):
+            start = max(stop - _CHUNK, 0)
+            self.reps[self.index[start:stop][::-1]] = np.arange(
+                stop - 1, start - 1, -1, dtype=np.int64)
 
     @staticmethod
     def order(constraint, n):
@@ -261,6 +267,9 @@ class OrbitStructure:
 
     def _keys(self, words):
         raise NotImplementedError
+
+    def _key_table(self):
+        return np.concatenate([self._keys(words) for words in word_chunks(self.n)])
 
     def char_sums(self, columns):
         """int64 matrix of orbit character sums: entry (i, j) is the sum over
@@ -291,6 +300,25 @@ def _two_charge_pairs(n):
     return list(range(1, last, 2))
 
 
+def _block_outer(ufunc, tables):
+    """The array over the packed words x whose entry at x is
+    ufunc-combined from tables[l][block l of x], where the blocks are
+    consecutive runs of bits, the first table's block lowest and
+    len(tables[l]) = 2^(width of block l): outer operations, last block
+    first, flattened."""
+    out = tables[0]
+    for table in tables[1:]:
+        out = ufunc.outer(table, out).ravel()
+    return out
+
+
+def _two_charge_blocks(n, first, pair, last):
+    """int64 block tables in the 2-charge layout, for `_block_outer`: the
+    first bit, the pairs (2i, 2i+1) and, for even n, the last bit."""
+    tables = [first] + [pair] * len(_two_charge_pairs(n)) + [last] * (1 - n % 2)
+    return [np.array(t, dtype=np.int64) for t in tables]
+
+
 class _TwoChargeOrbits(OrbitStructure):
     """Permutations of the coordinate pairs (2i, 2i+1) and swaps inside a
     pair.  Key: the first bit, the numbers of 00 and 11 pairs, and for even
@@ -317,6 +345,15 @@ class _TwoChargeOrbits(OrbitStructure):
             keys = 2 * keys + ((words >> (self.n - 1)) & 1)
         return keys
 
+    def _key_table(self):
+        """`_keys` of all words as a sum of block terms: (P + 1)^2 times the
+        first bit, (P + 1) [pair = 00] + [pair = 11] for each of the P
+        pairs, all doubled for even n plus the last bit."""
+        base = len(_two_charge_pairs(self.n)) + 1
+        scale = 2 - self.n % 2
+        return _block_outer(np.add, _two_charge_blocks(
+            self.n, [0, scale * base ** 2], [scale * base, 0, 0, scale], [0, 1]))
+
 
 class _SubblockOrbits(OrbitStructure):
     """Permutations inside each subblock and of the subblocks.  The orbit
@@ -341,6 +378,15 @@ class _SubblockOrbits(OrbitStructure):
         for block in self.constraint.blocks(self.n, words):
             keys -= powers[_popcount(block)]
         return keys
+
+    def _key_table(self):
+        """`_keys` of all words from one table over the 2^{n/p} subblock
+        values and p - 1 outer sums."""
+        p = self.constraint.p
+        width = self.n // p
+        powers = (p + 1) ** np.arange(width + 1, dtype=np.int64)
+        table = -powers[_popcount(np.arange(1 << width, dtype=np.int64))]
+        return _block_outer(np.add, [table + p * powers[-1]] + [table] * (p - 1))
 
     def char_sums(self, columns):
         """Closed form: entry (i, j) is the sum, over the distinct orderings
@@ -542,6 +588,15 @@ class TwoCharge(ConstraintSpec):
         mag = 1 << (n // 2)
         return _poly_mul([mag, mag], _poly_pow([1, 0, -1], (n + 1) // 2 - 1))
 
+    def self_convolution(self, n):
+        """[x_1 = 0] times 2 [pair in {00, 11}] for each pair of x, times 2
+        for even n.  The members start with 0, take 01 or 10 on each pair
+        and any last bit for even n, so x ^ z has first bit 0, each pair
+        00 or 11 in two ways and the last bit in two ways.  Entries are at
+        most |A| <= 2^n."""
+        return _block_outer(np.multiply, _two_charge_blocks(
+            n, [1, 0], [2, 0, 0, 2], [2, 2]))
+
 
 class Subblock(ConstraintSpec):
     """Each of the p subblocks of length n/p has weight z."""
@@ -625,10 +680,7 @@ class Subblock(ConstraintSpec):
                   for w in range(width + 1)]
         table = np.array(counts, dtype=np.int64)[
             _popcount(np.arange(1 << width, dtype=np.int64))]
-        out = table
-        for _ in range(self.p - 1):
-            out = np.multiply.outer(table, out).ravel()
-        return out
+        return _block_outer(np.multiply, [table] * self.p)
 
 
 class Rll(ConstraintSpec):

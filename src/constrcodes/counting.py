@@ -14,14 +14,14 @@ import math
 
 import numpy as np
 
-from .constraints import (_two_charge_pairs, char_sum_array, char_sum_int,
+from .constraints import (_two_charge_pairs, char_sum_int, member_array,
                           member_int, odd_relaxed, odd_strict, shell_sums,
                           two_charge_basis)
 from .errors import CapExceeded
 from .gf2 import (ENUMERATION_CAP, _echelonize, coset_decompose,
                   coset_weight_enumerator, iterate_span, reed_muller,
-                  zero_code)
-from .spectral import krawtchouk_table, weight_class_sums, word_chunks
+                  span_chunks, zero_code)
+from .spectral import krawtchouk_table
 
 
 class CountResult:
@@ -134,28 +134,15 @@ def weight_distribution(constraint, n, cap=22):
     return _krawtchouk_transform(shell, 1 << n, "weight-%d count is not an integer")
 
 
-def _syndrome_table(rows, n):
-    """The syndrome of every packed word x < 2^n against the k = len(rows)
-    rows, as an int64 array: bit k-1-r of entry x is the parity of
-    x & rows[r].  The map is linear, so the table doubles from the
-    syndromes of the unit words: syn[2^i + x] = syn[x] ^ syn(e_i) for
-    x < 2^i."""
-    k = len(rows)
-    table = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        unit = sum(((g >> i) & 1) << (k - 1 - r) for r, g in enumerate(rows))
-        np.bitwise_xor(table[:1 << i], unit, out=table[1 << i:2 << i])
-    return table
-
-
 def constrained_weight_distribution(code, constraint, n_cap=18, dual_cap=14):
-    """Weight distribution of C ∩ A.
+    """Weight distribution of C ∩ A, by one pass over the 2^k codewords
+    (`span_chunks`): the weights of the members of A among them, counted.
+    Every count is at most 2^k, so int64 is exact.
 
-    a_i = (|C| / 4^n) * sum_j K_i(j) * sum_{w(s)=j} T(s), where
-    T(s) = sum over the dual coset s + C-perp of F_A.  The coset of s is
-    labelled by its syndrome, the parities of s against the generator rows,
-    so one pass over all s sums F_A per syndrome; one table of the
-    syndromes of all 2^n words serves that pass and the shell sums.
+    The caps are those of the dual-coset transform
+    a_i = (|C| / 4^n) sum_j K_i(j) sum_{w(s)=j} T(s), T(s) the sum of F_A
+    over the dual coset s + C-perp, which the tests keep as the oracle:
+    it refuses n > n_cap and dual dimensions n - k > dual_cap.
     """
     n, k = code.n, code.k
     if n > n_cap:
@@ -163,25 +150,11 @@ def constrained_weight_distribution(code, constraint, n_cap=18, dual_cap=14):
     if n - k > dual_cap:
         raise CapExceeded("dual dimension %d exceeds cap %d" % (n - k, dual_cap))
     constraint.check_length(n)
-
-    # int64 is exact: a coset sum has 2^(n-k) terms of magnitude at most
-    # |A| <= 2^n, so |T| <= 2^(2n-k), which the default caps keep below 2^36
-    if 2 * n - k > 62:
-        raise CapExceeded("dual-coset sums of 2^%d words exceed int64" % (2 * n - k))
-    syndromes = _syndrome_table(code.generator.data, n)
-
-    def chunk_syndromes(words):
-        # a chunk is a run of consecutive words
-        return syndromes[words[0]:words[0] + len(words)]
-
-    coset_sums = np.zeros(1 << k, dtype=np.int64)
-    for words in word_chunks(n):
-        np.add.at(coset_sums, chunk_syndromes(words),
-                  char_sum_array(constraint, n, words))
-    shell = weight_class_sums(lambda s: coset_sums[chunk_syndromes(s)], n)
-    # |C| / 4^n = 1 / 2^(2n - k)
-    return _krawtchouk_transform(shell, 1 << (2 * n - k),
-                                 "constrained weight-%d count is not an integer")
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for words in span_chunks(code.generator.data):
+        members = words[member_array(constraint, n, words)]
+        counts += np.bincount(np.bitwise_count(members), minlength=n + 1)
+    return WeightDistribution(n, counts.tolist())
 
 
 def macwilliams(dist, code_size):

@@ -6,7 +6,10 @@ coordinate 1 first, so "10100" means x1=1, x3=1.  Lexicographic order on
 words is lexicographic order on these strings.
 """
 
+import numpy as np
+
 from .errors import CapExceeded
+from .spectral import _CHUNK
 
 ENUMERATION_CAP = 26
 
@@ -282,6 +285,21 @@ def iterate_span(rows):
         flip = (msg ^ (msg - 1)).bit_length() - 1
         word ^= rows[flip]
         yield word
+
+
+def span_chunks(rows):
+    """Yield the 2^k words of the span of k linearly independent packed
+    rows, each below 2^63, as int64 arrays of at most _CHUNK words.  The
+    first chunk is the span of the first c rows, c = min(k, 14), built by
+    doubling: the span of rows[:i+1] is that of rows[:i] followed by the
+    same words XOR rows[i].  Each further chunk is the first one XOR one
+    word of the span of the remaining rows (`iterate_span` order)."""
+    c = min(len(rows), _CHUNK.bit_length() - 1)
+    base = np.zeros(1 << c, dtype=np.int64)
+    for i, row in enumerate(rows[:c]):
+        np.bitwise_xor(base[:1 << i], row, out=base[1 << i:2 << i])
+    for offset in iterate_span(rows[c:]):
+        yield base ^ offset
 
 
 def enumerate_codewords(c, cap=ENUMERATION_CAP):

@@ -8,13 +8,14 @@ combination of shell sums with them are Python integers.  Word indices
 follow the package convention: coordinate i of a word is bit i-1 of its
 integer index.
 
-The whole-space passes (weight-class sums, the vectorized character sums
-and orbit keys, the dual-coset sums of a constrained weight distribution)
-walk the 2^n words in chunks of `_CHUNK` = 2^14 words, so that each int64
-temporary is at most 128 KiB.  glibc's malloc gives larger blocks back to
-the system when they are freed, and each new chunk then faults its pages
-in again.  Measured on a 2-core x86-64 Xeon (Linux, glibc 2.36) in a
-fresh process around one `weight-dist --constraint rll:d=1 --n 20` call:
+The whole-space passes (weight-class sums, the vectorized character sums,
+the orbit keys of the reversal and trivial groups) walk the 2^n words, and
+`gf2.span_chunks` the 2^k words of a code, in chunks of `_CHUNK` = 2^14
+words, so that each int64 temporary is at most 128 KiB.  glibc's malloc
+gives larger blocks back to the system when they are freed, and each new
+chunk then faults its pages in again.  Measured on a 2-core x86-64 Xeon
+(Linux, glibc 2.36) in a fresh process around one `weight-dist
+--constraint rll:d=1 --n 20` call:
 about 31,000 minor page faults with 2^16-word chunks, 4,000 with 2^15,
 170 with 2^14 and 20 with 2^13.  2^13 pays the per-chunk interpreter
 overhead twice as often, and was slower than 2^14 both there and in the

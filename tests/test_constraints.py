@@ -11,7 +11,7 @@ from constrcodes import (CapExceeded, cardinality, char_sum_array,
                          orbit_char_sum, orbit_structure, parse_constraint,
                          rll, self_convolution_counts, shell_sums, subblock,
                          two_charge, two_charge_basis, weight_class_sums, wht)
-from constrcodes.constraints import FAMILIES, OddRelaxed
+from constrcodes.constraints import FAMILIES, OddRelaxed, OrbitStructure
 from constrcodes.lp import self_convolution
 from constrcodes.spectral import _popcount
 from constrcodes.gf2 import BitWord, iterate_span
@@ -261,13 +261,14 @@ def test_shell_sums_closed_forms_match_whole_space_pass():
 
 
 def test_self_convolution_closed_forms_match_wht():
-    # subblock for every p dividing n and weight:i, against the WHT square
-    # of the membership array; weight:i also against the formula
+    # 2-charge, subblock for every p dividing n and weight:i, against the
+    # WHT square of the membership array; weight:i also against the formula
     # C(j, j/2) C(n - j, i - j/2) at even weights j, 0 at odd ones
     for n in range(1, 17):
         words = np.arange(1 << n)
-        cases = [subblock(p, z) for p in range(1, n + 1) if n % p == 0
-                 for z in sorted({0, 1, n // p // 2, n // p})]
+        cases = [two_charge()]
+        cases += [subblock(p, z) for p in range(1, n + 1) if n % p == 0
+                  for z in sorted({0, 1, n // p // 2, n // p})]
         cases += [fixed_weight(i) for i in sorted({0, 1, n // 2, n})]
         for c in cases:
             expected = self_convolution_counts(member_array(c, n, words), n)
@@ -361,6 +362,20 @@ def _swaps(n, pairs):
             perm[i], perm[j] = j, i
         out.append(perm)
     return out
+
+
+def test_block_table_keys_match_chunked_keys():
+    # the per-block key tables of the 2-charge and subblock groups against
+    # the chunked pass of `_keys` they replace
+    for n in range(1, 17):
+        structures = [orbit_structure(two_charge(), n)]
+        structures += [orbit_structure(subblock(p, 0), n)
+                       for p in range(1, n + 1) if n % p == 0]
+        for struct in structures:
+            keys = struct._key_table()
+            assert keys.dtype == np.int64
+            assert np.array_equal(keys, OrbitStructure._key_table(struct)), \
+                (struct.group, struct.constraint, n)
 
 
 def test_orbit_structure_matches_generator_closure():

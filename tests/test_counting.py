@@ -12,7 +12,10 @@ from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
                          odd_strict, reed_muller, rll, rm_subblock_count_plotkin,
                          simplex_code, subblock, two_charge,
                          two_charge_structure, weight_distribution, zero_code)
-from constrcodes.counting import _syndrome_table
+from constrcodes.constraints import char_sum_array
+from constrcodes.counting import _krawtchouk_transform
+from constrcodes.spectral import weight_class_sums, word_chunks
+from test_constraints import all_constraints
 
 
 def random_code(rng, n):
@@ -120,9 +123,83 @@ def test_constrained_weight_distribution_against_brute():
             assert constrained_weight_distribution(code, c).counts == brute, (str(c), n)
 
 
+# -- the dual-coset transform, oracle of constrained_weight_distribution ------
+
+
+def _syndrome_table(rows, n):
+    """The syndrome of every packed word x < 2^n against the k = len(rows)
+    rows, as an int64 array: bit k-1-r of entry x is the parity of
+    x & rows[r].  The map is linear, so the table doubles from the
+    syndromes of the unit words: syn[2^i + x] = syn[x] ^ syn(e_i) for
+    x < 2^i."""
+    k = len(rows)
+    table = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        unit = sum(((g >> i) & 1) << (k - 1 - r) for r, g in enumerate(rows))
+        np.bitwise_xor(table[:1 << i], unit, out=table[1 << i:2 << i])
+    return table
+
+
+def dual_coset_weight_distribution(code, constraint):
+    """a_i = (|C| / 4^n) * sum_j K_i(j) * sum_{w(s)=j} T(s), where
+    T(s) = sum over the dual coset s + C-perp of F_A.  The coset of s is
+    labelled by its syndrome, the parities of s against the generator
+    rows, so one pass over all s sums F_A per syndrome; one table of the
+    syndromes of all 2^n words serves that pass and the shell sums."""
+    n, k = code.n, code.k
+    # int64 is exact: a coset sum has 2^(n-k) terms of magnitude at most
+    # |A| <= 2^n, so |T| <= 2^(2n-k)
+    if 2 * n - k > 62:
+        raise CapExceeded("dual-coset sums of 2^%d words exceed int64" % (2 * n - k))
+    syndromes = _syndrome_table(code.generator.data, n)
+
+    def chunk_syndromes(words):
+        # a chunk is a run of consecutive words
+        return syndromes[words[0]:words[0] + len(words)]
+
+    coset_sums = np.zeros(1 << k, dtype=np.int64)
+    for words in word_chunks(n):
+        np.add.at(coset_sums, chunk_syndromes(words),
+                  char_sum_array(constraint, n, words))
+    shell = weight_class_sums(lambda s: coset_sums[chunk_syndromes(s)], n)
+    # |C| / 4^n = 1 / 2^(2n - k)
+    return _krawtchouk_transform(shell, 1 << (2 * n - k),
+                                 "constrained weight-%d count is not an integer")
+
+
+def full_code(n):
+    return BinaryLinearCode(generator=BitMatrix([1 << j for j in range(n)], n))
+
+
+def test_constrained_weight_distribution_matches_dual_coset_oracle():
+    # every family on seeded random codes, and on the codes of dimensions 0
+    # and n, against the transform
+    rng = random.Random(29)
+    for n in range(3, 15):
+        codes = [zero_code(n), full_code(n)] + [random_code(rng, n) for _ in range(3)]
+        for code in codes:
+            for c in all_constraints(n):
+                assert (constrained_weight_distribution(code, c)
+                        == dual_coset_weight_distribution(code, c)), (str(c), n, code.k)
+
+
+def test_constrained_weight_distribution_sums_several_chunks():
+    # k = 15..17 > 14: the codewords come in 2 to 8 chunks
+    rng = random.Random(31)
+    for n, k in ((16, 15), (17, 16), (18, 17)):
+        while True:
+            rows = [rng.getrandbits(n) for _ in range(k)]
+            if gf2_rank(rows) == k:
+                break
+        code = BinaryLinearCode(generator=BitMatrix(rows, n))
+        for c in all_constraints(n):
+            assert (constrained_weight_distribution(code, c)
+                    == dual_coset_weight_distribution(code, c)), (str(c), n)
+
+
 def test_syndrome_table_matches_row_parities():
-    # the doubled table against the parities of every word with each row,
-    # the first row giving the most significant bit
+    # the oracle's doubled table against the parities of every word with
+    # each row, the first row giving the most significant bit
     rng = random.Random(17)
     for n in (1, 2, 5, 9, 13, 16):
         for _ in range(3):
@@ -136,10 +213,12 @@ def test_syndrome_table_matches_row_parities():
 
 
 def test_constrained_weight_distribution_refuses_int64_overflow():
-    # dual-coset sums reach 2^(2n-k) = 2^64 here
+    # the oracle's dual-coset sums reach 2^(2n-k) = 2^64 here; the code-side
+    # pass counts at most 2^k = 1 word per weight
     with pytest.raises(CapExceeded):
-        constrained_weight_distribution(zero_code(32), rll(1), n_cap=32,
-                                        dual_cap=32)
+        dual_coset_weight_distribution(zero_code(32), rll(1))
+    assert constrained_weight_distribution(
+        zero_code(32), rll(1), n_cap=32, dual_cap=32).counts == [1] + [0] * 32
 
 
 def test_macwilliams_identity_on_dual_pairs():

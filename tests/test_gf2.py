@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from constrcodes import (BinaryLinearCode, BitMatrix, BitWord, CodeFormatError,
@@ -7,6 +9,7 @@ from constrcodes import (BinaryLinearCode, BitMatrix, BitWord, CodeFormatError,
                          enumerate_codewords, gf2_rank, hamming_code,
                          iterate_span, load_code, reed_muller, save_code,
                          simplex_code, zero_code)
+from constrcodes.gf2 import span_chunks
 
 
 def test_bitword_string_roundtrip():
@@ -132,3 +135,18 @@ def test_load_code_ignores_comments(tmp_path):
     path.write_text("# a comment\nn=3 k=1 kind=generator\n# another\n111\n")
     code = load_code(path)
     assert (code.n, code.k) == (3, 1)
+
+
+def test_span_chunks_match_iterate_span():
+    # as sets of words, k = 0 included; k > 14 gives several chunks
+    rng = random.Random(5)
+    for n, k in ((1, 0), (5, 0), (6, 3), (14, 14), (16, 15), (18, 17)):
+        while True:
+            rows = [rng.getrandbits(n) for _ in range(k)]
+            if gf2_rank(rows) == k:
+                break
+        chunks = list(span_chunks(rows))
+        assert all(len(c) <= 1 << 14 and c.dtype == np.int64 for c in chunks)
+        words = np.concatenate(chunks).tolist()
+        assert len(words) == 1 << k
+        assert set(words) == set(iterate_span(rows)), (n, k)

@@ -1,0 +1,10 @@
+from golden import commands, load, replay
+
+
+def test_golden_outputs_replay():
+    # every golden command gives the recorded exit code and output bytes
+    golden = load()
+    assert [e["argv"] for e in golden] == commands()
+    for entry in golden:
+        assert replay(entry["argv"]) == (entry["exit"], entry["stdout_sha256"]), \
+            " ".join(entry["argv"])
