@@ -35,6 +35,10 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 ITERATION_LIMIT = 10 ** 6
 REINVERT_EVERY = 250
+# Devex scores within this relative distance of the best count as ties: the
+# rounding of BLAS products differs in their last bits between thread counts
+# and builds, and must not decide the pivot path
+TIE_TOL = 1e-12
 # exchanges whose rank-1 updates of the tableau wait to be applied together
 DELAY = 32
 # tableaux with fewer entries apply every exchange at once: the bookkeeping
@@ -426,8 +430,8 @@ class _Simplex:
                 reduced = cost[nonbasic] - cost[basis] @ tab.dense()
                 gamma[:] = 1.0
                 continue
-            # ties, and every choice under Bland's rule, go to the smallest
-            # label
+            # ties (see TIE_TOL), and every choice under Bland's rule, go to
+            # the smallest label
             if state["bland"]:
                 cand = np.nonzero(eligible)[0]
                 q = int(cand[np.argmin(nonbasic[cand])])
@@ -440,10 +444,11 @@ class _Simplex:
                 score *= eligible
                 q = int(score.argmax())
                 top = score[q]
+                near = top - top * TIE_TOL
                 score[q] = -1.0
-                if score[score.argmax()] == top:
+                if score[score.argmax()] >= near:
                     score[q] = top
-                    cand = np.nonzero(score == top)[0]
+                    cand = np.nonzero(score >= near)[0]
                     q = int(cand[nonbasic[cand].argmin()])
             entering = nonbasic[q]
             direction = sign[q]

@@ -391,13 +391,15 @@ def test_constrained_delsarte_models_against_highs(dd, d):
 def test_pivot_counts_are_pinned():
     # the pricing, tie-breaks, Bland switch and refactorization schedule
     # decide these counts: the unsymmetrized Table VI models at n = 10 and
-    # three classic models
-    for dd, counts in ((2, {4: 765, 5: 164, 6: 24, 7: 2}),
-                       (1, {6: 140, 7: 69})):
+    # three classic models.  They hold under any number of BLAS threads
+    # (CI runs the suite with one), since near-ties of Devex scores go to
+    # the smallest label
+    for dd, counts in ((2, {4: 800, 5: 143, 6: 28, 7: 2}),
+                       (1, {6: 142, 7: 48})):
         for d, count in counts.items():
             assert del_constrained(10, d, rll(dd)).solution.iterations \
                 == count, (dd, d)
-    for (n, d), count in {(13, 2): 16, (15, 4): 14, (18, 3): 31}.items():
+    for (n, d), count in {(13, 2): 14, (15, 4): 14, (18, 3): 31}.items():
         assert del_classic(n, d).solution.iterations == count, (n, d)
 
 
