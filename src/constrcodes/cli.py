@@ -28,9 +28,9 @@ from .errors import CapExceeded
 from .gf2 import (BinaryLinearCode, BitMatrix, CodeFormatError, dual_code,
                   gf2_rank, hamming_code, load_code, reed_muller,
                   simplex_code, zero_code)
-from .lp import (SolverError, _check_orbit_invariant, _orbit_lp, del_classic,
-                 del_constrained, del_constrained_orbits, del_constrained_sym,
-                 dump_model, gensph, self_convolution)
+from .lp import (SolverError, _orbit_lp, del_classic, del_constrained,
+                 del_constrained_orbits, del_constrained_sym, dump_model,
+                 gensph, orbit_convolution)
 from .spectral import krawtchouk_table, wht
 
 EXIT_OK = 0
@@ -284,18 +284,13 @@ def _once(compute):
 def _orbit_lps(constraint, n):
     """The constrained Delsarte LP and the GenSph bound of `constraint` at
     length n, each as a function of d; their cells share one orbit
-    structure, built at the first call.  The Delsarte cells share one
-    self-convolution, checked against the structure once, before the first
-    of them is solved.  GenSph depends on d only through its radius
+    structure, built at the first call.  The Delsarte cells share the
+    self-convolution counts at its orbit representatives, checked against
+    the structure once, before the first of them is solved
+    (`orbit_convolution`).  GenSph depends on d only through its radius
     t = floor((d-1)/2), so each radius is solved once."""
     structure = _once(lambda: orbit_structure(constraint, n))
-
-    def checked_convolution():
-        conv = self_convolution(constraint, n)
-        _check_orbit_invariant(structure(), conv)
-        return conv
-
-    conv = _once(checked_convolution)
+    conv = _once(lambda: orbit_convolution(structure()))
     spheres = {}
 
     def sphere(d):

@@ -227,14 +227,15 @@ class OrbitStructure:
     orbit.  The orbits are numbered by ascending key, and three int64
     arrays describe them: `sizes[i]` and `reps[i]`, the size and the
     smallest word of orbit i, and `index[x]`, the orbit of each packed word
-    x.  All three come from the keys of all 2^n words, `_key_table`, and
-    their `np.bincount`.  By default `_key_table` takes `_keys` one chunk
-    of `word_chunks(n)` at a time; a group that permutes blocks of
-    coordinates and inside them builds the same array from per-block
-    tables (`_block_outer`), and keeps the chunked pass as its oracle.
+    x.  By default all three come from the keys of all 2^n words,
+    `_key_table`, and their `np.bincount`; `_key_table` takes `_keys` one
+    chunk of `word_chunks(n)` at a time.  A group that permutes blocks of
+    coordinates and inside them (`_BlockOrbits`) has `sizes` and `reps` in
+    closed form, builds `index` only on first use, and keeps the chunked
+    pass as its oracle.
     """
 
-    __slots__ = ("constraint", "n", "sizes", "reps", "index")
+    __slots__ = ("constraint", "n", "sizes", "reps", "_index")
     group = None
 
     def __init__(self, constraint, n):
@@ -243,20 +244,35 @@ class OrbitStructure:
                               % (self.group, n, MEMBER_ENUM_CAP))
         self.constraint = constraint
         self.n = n
+        self._index = None
+        self._orbits()
+
+    def _orbits(self):
+        """Set `sizes`, `reps` and `index` from the keys of all words."""
         keys = self._key_table()
         counts = np.bincount(keys)
         present = counts > 0
         self.sizes = counts[present]
-        self.index = (np.cumsum(present) - 1)[keys]
+        self._index = index = (np.cumsum(present) - 1)[keys]
         # assigned in descending order, the smallest word of an orbit is
         # written last (numpy assigns a 1-d fancy index in index order;
         # test_orbit_structure_matches_generator_closure checks the reps);
         # one chunk at a time, so that no 2^n-word temporary is made
         self.reps = np.empty(len(self.sizes), dtype=np.int64)
-        for stop in range(1 << n, 0, -_CHUNK):
+        for stop in range(1 << self.n, 0, -_CHUNK):
             start = max(stop - _CHUNK, 0)
-            self.reps[self.index[start:stop][::-1]] = np.arange(
+            self.reps[index[start:stop][::-1]] = np.arange(
                 stop - 1, start - 1, -1, dtype=np.int64)
+
+    @property
+    def index(self):
+        """The orbit of every packed word, an int64 array of 2^n entries."""
+        if self._index is None:
+            self._index = self._build_index()
+        return self._index
+
+    def _build_index(self):
+        raise NotImplementedError
 
     @staticmethod
     def order(constraint, n):
@@ -270,6 +286,12 @@ class OrbitStructure:
 
     def _key_table(self):
         return np.concatenate([self._keys(words) for words in word_chunks(self.n)])
+
+    def invariant_tables(self, tables):
+        """Whether block tables (see `_block_outer`) show by themselves that
+        any array combined from them is constant on the orbits; never for a
+        group without a block layout."""
+        return False
 
     def char_sums(self, columns):
         """int64 matrix of orbit character sums: entry (i, j) is the sum over
@@ -291,6 +313,88 @@ class OrbitStructure:
         for lo in range(0, len(self.reps), step):
             signs = 1 - 2 * _parity(self.reps[lo:lo + step, None] & words)
             out[lo:lo + step] = np.add.reduceat(signs, starts, axis=1)
+        return out
+
+
+class _BlockOrbits(OrbitStructure):
+    """A group given by a layout of consecutive bit blocks, each with a
+    class: it permutes the coordinates inside every block, and the blocks
+    of one class among themselves.  The orbit of a word is then its weight
+    profile, the multiset of its block weights in each class, so the
+    orbits follow from the profiles without a pass over the words: an
+    orbit of class multisets M_c over k_c blocks of width w_c has
+    prod_c k_c! / prod_a mult_a(M_c)! * prod_{a in M_c} C(w_c, a) words,
+    and its smallest word gives each class's highest block the smallest
+    weight, each block value (1 << a) - 1.  The orbits are ordered by
+    the `_keys` of those words, as the key pass orders them; `index` maps
+    the block-table keys (`_key_table`) to orbits when first read."""
+
+    __slots__ = ("_orbit_keys",)
+
+    def _layout(self):
+        """(width, class) of each block, lowest bits first."""
+        raise NotImplementedError
+
+    def _orbits(self):
+        layout = self._layout()
+        shifts = np.cumsum([0] + [width for width, _ in layout]).tolist()
+        sizes, reps = [1], [0]
+        for cls in dict.fromkeys(c for _, c in layout):
+            blocks = [i for i, (_, c) in enumerate(layout) if c == cls]
+            width, count = layout[blocks[0]][0], len(blocks)
+            # the highest block first, taking the smallest weight
+            high = [shifts[i] for i in reversed(blocks)]
+            part_sizes, part_reps = [], []
+            for weights in itertools.combinations_with_replacement(
+                    range(width + 1), count):
+                size = math.factorial(count)
+                for a in set(weights):
+                    size //= math.factorial(weights.count(a))
+                for a in weights:
+                    size *= math.comb(width, a)
+                part_sizes.append(size)
+                part_reps.append(sum(((1 << a) - 1) << shift
+                                     for a, shift in zip(weights, high)))
+            sizes = [u * v for u in sizes for v in part_sizes]
+            reps = [u + v for u in reps for v in part_reps]
+        reps = np.array(reps, dtype=np.int64)
+        keys = self._keys(reps)
+        order = np.argsort(keys)
+        self.sizes = np.array(sizes, dtype=np.int64)[order]
+        self.reps = reps[order]
+        self._orbit_keys = keys[order]
+
+    def _build_index(self):
+        lookup = np.zeros(int(self._orbit_keys[-1]) + 1, dtype=np.int64)
+        lookup[self._orbit_keys] = np.arange(len(self._orbit_keys))
+        return lookup[self._key_table()]
+
+    def invariant_tables(self, tables):
+        """Block tables in this layout, one per block, each indexed by the
+        block's value: they are invariant when each depends on its block's
+        weight only and the tables of one class are equal, whatever ufunc
+        `table_values` combines them with."""
+        layout = self._layout()
+        if len(tables) != len(layout):
+            return False
+        first = {}
+        for table, (width, cls) in zip(tables, layout):
+            values = np.arange(1 << width, dtype=np.int64)
+            if len(table) != len(values) or not np.array_equal(
+                    table, table[(1 << _popcount(values)) - 1]):
+                return False
+            if not np.array_equal(first.setdefault(cls, table), table):
+                return False
+        return True
+
+    def table_values(self, ufunc, tables):
+        """`_block_outer(ufunc, tables)` at the orbit representatives only,
+        in orbit order."""
+        out, shift = None, 0
+        for table, (width, _) in zip(tables, self._layout()):
+            value = table[(self.reps >> shift) & ((1 << width) - 1)]
+            out = value if out is None else ufunc(out, value)
+            shift += width
         return out
 
 
@@ -319,13 +423,20 @@ def _two_charge_blocks(n, first, pair, last):
     return [np.array(t, dtype=np.int64) for t in tables]
 
 
-class _TwoChargeOrbits(OrbitStructure):
+class _TwoChargeOrbits(_BlockOrbits):
     """Permutations of the coordinate pairs (2i, 2i+1) and swaps inside a
     pair.  Key: the first bit, the numbers of 00 and 11 pairs, and for even
     n the last bit."""
 
     __slots__ = ()
     group = "pair-permutation"
+
+    def _layout(self):
+        """The first bit, the pairs and, for even n, the last bit, each in
+        a class of its own but the pairs."""
+        pairs = len(_two_charge_pairs(self.n))
+        return [(1, "first")] + [(2, "pair")] * pairs + \
+            [(1, "last")] * (1 - self.n % 2)
 
     @staticmethod
     def order(constraint, n):
@@ -355,13 +466,17 @@ class _TwoChargeOrbits(OrbitStructure):
             self.n, [0, scale * base ** 2], [scale * base, 0, 0, scale], [0, 1]))
 
 
-class _SubblockOrbits(OrbitStructure):
+class _SubblockOrbits(_BlockOrbits):
     """Permutations inside each subblock and of the subblocks.  The orbit
     of a word is the multiset of its subblock weights; the orbits come in
     descending order of the weights sorted in descending order."""
 
     __slots__ = ()
     group = "subblock"
+
+    def _layout(self):
+        p = self.constraint.p
+        return [(self.n // p, "subblock")] * p
 
     @staticmethod
     def order(constraint, n):
@@ -482,7 +597,12 @@ class ConstraintSpec:
     its coefficient list (see the module function `shell_sums`), and
     `self_convolution(n)` the int64 array of the counts
     #{z in A : x ^ z in A} over the packed words x
-    (see `lp.self_convolution`).
+    (see `lp.self_convolution`).  A family whose orbit group permutes
+    blocks (`_BlockOrbits`) may give those counts as
+    `self_convolution_blocks(n)`, one int64 table per block of the group's
+    layout whose product is the array (`_block_outer`); the constrained LP
+    then reads them at the orbit representatives only
+    (`lp.orbit_convolution`).
     """
 
     kind = None  # family tag
@@ -512,6 +632,10 @@ class ConstraintSpec:
         return None
 
     def self_convolution(self, n):
+        blocks = self.self_convolution_blocks(n)
+        return None if blocks is None else _block_outer(np.multiply, blocks)
+
+    def self_convolution_blocks(self, n):
         return None
 
     def __str__(self):
@@ -588,14 +712,13 @@ class TwoCharge(ConstraintSpec):
         mag = 1 << (n // 2)
         return _poly_mul([mag, mag], _poly_pow([1, 0, -1], (n + 1) // 2 - 1))
 
-    def self_convolution(self, n):
+    def self_convolution_blocks(self, n):
         """[x_1 = 0] times 2 [pair in {00, 11}] for each pair of x, times 2
         for even n.  The members start with 0, take 01 or 10 on each pair
         and any last bit for even n, so x ^ z has first bit 0, each pair
         00 or 11 in two ways and the last bit in two ways.  Entries are at
         most |A| <= 2^n."""
-        return _block_outer(np.multiply, _two_charge_blocks(
-            n, [1, 0], [2, 0, 0, 2], [2, 2]))
+        return _two_charge_blocks(n, [1, 0], [2, 0, 0, 2], [2, 2])
 
 
 class Subblock(ConstraintSpec):
@@ -667,20 +790,20 @@ class Subblock(ConstraintSpec):
         return _poly_pow([math.comb(width, w) * row[w] for w in range(width + 1)],
                          self.p)
 
-    def self_convolution(self, n):
+    def self_convolution_blocks(self, n):
         """The product over the subblocks x_b of x of c(w(x_b)), where
         c(w) = [w even] C(w, w/2) C(n/p - w, z - w/2) counts the weight-z
         words z_b with x_b ^ z_b of weight z too: those that meet x_b in
-        w/2 coordinates.  One table over the 2^{n/p} subblock values and
-        p - 1 outer products; every entry is at most |A| = C(n/p, z)^p
-        <= 2^n, so int64 is exact."""
+        w/2 coordinates: one table over the 2^{n/p} subblock values, the
+        same for every subblock.  Every entry of the product is at most
+        |A| = C(n/p, z)^p <= 2^n, so int64 is exact."""
         width = n // self.p
         counts = [math.comb(w, w // 2) * math.comb(width - w, self.z - w // 2)
                   if w % 2 == 0 and w // 2 <= self.z else 0
                   for w in range(width + 1)]
         table = np.array(counts, dtype=np.int64)[
             _popcount(np.arange(1 << width, dtype=np.int64))]
-        return _block_outer(np.multiply, [table] * self.p)
+        return [table] * self.p
 
 
 class Rll(ConstraintSpec):

@@ -256,13 +256,19 @@ def reed_muller(m, r):
     if not 0 <= r <= m:
         raise ValueError("reed_muller requires 0 <= r <= m")
     n = 1 << m
+    ones = (1 << n) - 1
+    # x_j at point i is bit b = m - j of i: the row of x_j repeats, every
+    # 2^(b+1) points, 2^b zeros then 2^b ones
+    coordinate = {}
+    for j in range(1, m + 1):
+        half = 1 << (m - j)
+        pattern = ((1 << half) - 1) << half
+        coordinate[j] = pattern * (ones // ((1 << 2 * half) - 1))
     rows = []
     for mono in _rm_monomials(m, r):
-        row = 0
-        for i in range(n):
-            # x_j at point i is bit (m - j) of i
-            if all((i >> (m - j)) & 1 for j in mono):
-                row |= 1 << i
+        row = ones
+        for j in mono:
+            row &= coordinate[j]
         rows.append(row)
     return BinaryLinearCode(generator=BitMatrix(rows, n), n=n,
                             label="rm(m=%d,r=%d)" % (m, r))

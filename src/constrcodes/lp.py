@@ -28,7 +28,7 @@ import numpy as np
 from .constraints import (MEMBER_ENUM_CAP, cardinality, member_array,
                           orbit_structure)
 from .errors import CapExceeded
-from .spectral import (_check_conv_cap, _parity, _popcount,
+from .spectral import (_CHUNK, _check_conv_cap, _parity, _popcount,
                        krawtchouk_table, self_convolution_counts, wht)
 
 PIVOT_TOL = 1e-9
@@ -49,6 +49,9 @@ DELAY_MIN_ENTRIES = 1 << 11
 REPAIR_LIMIT = 1000
 # smallest reciprocal condition number of a factored basis block
 RCOND_MIN = 1e-12
+# 0-d operands of the simplex's comparisons: a ufunc converts a Python float
+# operand anew on every call
+_TOL, _NEG_TOL, _ZERO = np.array(PIVOT_TOL), np.array(-PIVOT_TOL), np.array(0.0)
 # most orbits (= transform rows) of a constrained Delsarte LP
 ORBIT_ROW_CAP = 1 << 12
 # most ball points gensph maps to orbits at once, and most entries
@@ -145,9 +148,10 @@ class _Tableau:
         return col
 
     def row(self, i):
+        """Row i, read-only: a view of base when no update is pending."""
         if self.k:
             return self.base[i] - self.p[i, :self.k] @ self.q[:self.k]
-        return self.base[i].copy()
+        return self.base[i]
 
     def dense(self):
         """The tableau as one array, every pending update applied."""
@@ -170,26 +174,25 @@ class _Tableau:
         Returns the new row r, valid until the next exchange."""
         piv = col[r]
         v = self.row(r) / piv
-        u = col.copy()
-        u[r] = 0.0
-        k = self.k
+        base, k = self.base, self.k
+        # row r and column q are written exactly below, so their updates
+        # here are void
         if len(self.q):
-            # row r and column q are written exactly below, so their pending
-            # updates are void
             self.p[r, :k] = 0.0
             self.q[:k, q] = 0.0
-            self.p[:, k] = u
+            self.p[:, k] = col
+            self.p[r, k] = 0.0
             self.q[k] = v
             self.q[k, q] = 0.0
             self.k = k + 1
         else:
-            self.base -= u[:, None] * v
-        self.base[r] = v
-        self.base[:, q] = u / -piv
-        self.base[r, q] = 1.0 / piv
-        if self.k == len(self.q):
+            base -= col[:, None] * v
+        base[r] = v
+        np.divide(col, -piv, out=base[:, q])
+        base[r, q] = 1.0 / piv
+        if self.k == len(self.q) > 0:
             self.dense()
-        return self.base[r]
+        return base[r]
 
 
 class _Simplex:
@@ -217,6 +220,8 @@ class _Simplex:
         m, nvars = model.rows.shape
         le_raw = model.relations == "<="
         ge_raw = model.relations == ">="
+        # the model's relations, for the final check against its rows
+        self.relation_masks = le_raw, ge_raw
         # normalize: divide each row by its largest coefficient, negated
         # where the rhs is negative so that every rhs is >= 0
         self.scale = np.abs(model.rows).max(axis=1, initial=0.0)
@@ -228,13 +233,13 @@ class _Simplex:
 
         # the slacks of <= rows and the artificials form the starting basis
         # B = I
-        slack_rows = np.nonzero(le_raw | ge_raw)[0]
-        art_rows = np.nonzero(~le)[0]
+        slack_rows = (le_raw | ge_raw).nonzero()[0]
+        art_rows = (~le).nonzero()[0]
         self.a0 = nvars + len(slack_rows)
         total = self.a0 + len(art_rows)
-        self.unit_row = np.concatenate((np.full(nvars, -1), slack_rows,
-                                        art_rows))
-        self.unit_sign = np.ones(total)
+        self.unit_row = np.concatenate((_filled(nvars, -1, int),
+                                        slack_rows, art_rows))
+        self.unit_sign = _filled(total, 1.0)
         self.unit_sign[nvars:self.a0] = np.where(le[slack_rows], 1.0, -1.0)
         self.orig = np.zeros((m, total))
         arr = self.orig[:, :nvars]
@@ -247,14 +252,14 @@ class _Simplex:
         # the nonbasic slacks are those of the >= rows, which hold
         # artificials
         self.nonbasic = np.concatenate((np.arange(nvars),
-                                        nvars + np.nonzero(~le[slack_rows])[0]))
+                                        nvars + (~le[slack_rows]).nonzero()[0]))
         self.tab = _Tableau(self.orig[:, self.nonbasic])
         self.rhs = self.normalized(model.rhs)
         self.xb = self.rhs.copy()
-        self.ub = np.full(total, np.inf)
+        self.ub = _filled(total, np.inf)
         self.ub[:nvars] = model.upper
         self.ubb = self.ub[self.basis]
-        self.sign = np.ones(len(self.nonbasic))
+        self.sign = _filled(len(self.nonbasic), 1.0)
         self.cost = np.zeros(total)
         self.cost[:nvars] = \
             -model.objective if model.sense == "max" else model.objective
@@ -267,8 +272,9 @@ class _Simplex:
         # artificial, avoiding the degenerate vertex a full phase 1 would
         # end at; columns 0..nvars-1 of the starting tableau are the
         # variables
-        if len(art_rows):
-            col_nnz = (np.abs(arr) > PIVOT_TOL).sum(axis=0)
+        if not len(art_rows):
+            return
+        col_nnz = (np.abs(arr) > PIVOT_TOL).sum(axis=0)
         for i in art_rows:
             row = self.tab.row(i)[:nvars]
             for j in np.nonzero((row > PIVOT_TOL) & (col_nnz == 1)
@@ -276,6 +282,9 @@ class _Simplex:
                 if self.xb[i] / row[j] <= self.ub[j]:
                     self._enter_at_zero(i, j)
                     break
+        # the basic values keep their bounds from here on (the ratio test
+        # counts on it): every step that moves them clips them again
+        self._clip()
 
     def normalized(self, b):
         """Right-hand sides b of the model, normalized, on the rows in use."""
@@ -289,48 +298,72 @@ class _Simplex:
         x[self.basis] = self.xb
         return x
 
-    def _solve_basis(self, y):
+    def _solve_basis(self, y, cost=None):
         """B^-1 y for the basis matrix B = orig[:, basis], or None when B is
-        singular or nearly so.  The basic unit columns are eliminated
+        singular or nearly so; with `cost`, by label, and y 2-d, the pair of
+        that and the simplex multipliers B^-T cost[basis], from the same
+        block in one batched solve.  The basic unit columns are eliminated
         directly: only the block of the other basic columns on the rows no
-        basic unit column covers is factored, and the covered rows follow by
-        one product.  The block counts as nearly singular when a solved
-        column shows its condition number to exceed 1 / RCOND_MIN
+        basic unit column covers is factored, and the covered rows follow
+        by one product.  The block counts as nearly singular when a solved
+        column of y shows its condition number to exceed 1 / RCOND_MIN
         (`_near_singular`); LU with partial pivoting flags only exact
         singularity, and returns entries of order 1 / eps for a block of
         deficient rank."""
-        urow = self.unit_row[self.basis]
+        basis = self.basis
+        urow = self.unit_row[basis]
         unit = urow >= 0
+        cols = (~unit).nonzero()[0]
         covered = urow[unit]
-        free = np.ones(len(self.basis), dtype=bool)
+        free = _filled(len(basis), True, bool)
         free[covered] = False
-        rows = np.nonzero(free)[0]
-        cols = np.nonzero(~unit)[0]
+        rows = free.nonzero()[0]
         if len(rows) != len(cols):  # two basic unit columns share a row
             return None
-        structural = self.basis[cols]
+        structural = basis[cols]
+        sign = self.unit_sign[basis[unit]]
+        cross = self.orig[covered[:, None], structural] \
+            if len(cols) and len(covered) else None
         out = np.empty_like(y)
+        if cost is not None:
+            # a basic unit column fixes the multiplier of its row, and the
+            # structural columns the others: block^T prices = their costs
+            # less what the covered rows already pay
+            prices = np.empty(len(basis))
+            prices[covered] = cost[basis[unit]] * sign
         if len(cols):
             block, part = self.orig[rows[:, None], structural], y[rows]
             try:
-                solved = np.linalg.solve(block, part)
+                if cost is None:
+                    solved = np.linalg.solve(block, part)
+                else:
+                    own = np.zeros(part.shape)
+                    own[:, 0] = cost[structural]
+                    if cross is not None:
+                        own[:, 0] -= prices[covered] @ cross
+                    solved, transposed = np.linalg.solve(
+                        np.array((block, block.T)), np.array((part, own)))
+                    prices[rows] = transposed[:, 0]
             except np.linalg.LinAlgError:
                 return None
             if _near_singular(block, part, solved):
                 return None
             out[cols] = solved
-        sign = self.unit_sign[self.basis[unit]]
-        rest = y[covered]
-        rest -= self.orig[covered[:, None], structural] @ out[cols]
-        rest *= sign[:, None] if y.ndim == 2 else sign
-        out[unit] = rest
+        if len(covered):
+            rest = y[covered]
+            if cross is not None:
+                rest -= cross @ out[cols]
+            rest *= sign[:, None] if y.ndim == 2 else sign
+            out[unit] = rest
         self.state["refactorizations"] += 1
-        return out
+        return out if cost is None else (out, prices)
 
     def _upper_shift(self):
         """The columns of the nonbasic variables at their upper bound, times
-        that bound, summed in label order."""
+        that bound, summed in label order (0.0 when there are none)."""
         uppers = np.sort(self.nonbasic[self.sign < 0])
+        if not len(uppers):
+            return 0.0
         return self.orig[:, uppers] @ self.ub[uppers]
 
     def _reinvert(self, rhs, final=None):
@@ -352,6 +385,34 @@ class _Simplex:
         self.xb = solved[:, nn].copy()
         self._final = None if final is None else (final,
                                                   solved[:, nn + 1].copy())
+        return True
+
+    def _confirm(self, cost, rhs, final):
+        """Recheck optimality on a fresh factorization of the basis, without
+        rebuilding the tableau: one solve gives the basic values at rhs
+        (and at `final`) and the simplex multipliers, and one product
+        prices every column.  When no nonbasic variable can improve the
+        objective, the basic values replace xb (those at `final` are kept
+        for `evaluate`) and this returns True; a singular basis counts as
+        optimal too, as the accumulated tableau is all there is.  Returns
+        False, changing nothing, when some variable can still improve."""
+        shift = self._upper_shift()
+        y = np.empty((len(rhs), 1 if final is None else 2))
+        np.subtract(rhs, shift, y[:, 0])
+        if final is not None:
+            np.subtract(final, shift, y[:, 1])
+        solved = self._solve_basis(y, cost)
+        if solved is None:
+            return True
+        values, prices = solved
+        nonbasic = self.nonbasic
+        reduced = cost[nonbasic] - prices @ self.orig[:, nonbasic]
+        reduced *= self.sign
+        if len(reduced) and reduced[reduced.argmin()] < -PIVOT_TOL:
+            return False
+        self.xb = values[:, 0].copy()
+        self._clip()
+        self._final = None if final is None else (final, values[:, 1].copy())
         return True
 
     def _clip(self):
@@ -384,22 +445,24 @@ class _Simplex:
 
         cost is the objective to minimize, by label, and rhs the normalized
         right-hand sides that the tableau is refactorized against
-        periodically and before declaring optimality; `final`, when given,
-        is solved for by the same refactorizations (see `evaluate`).
-        Returns 'optimal', 'unbounded', or 'iteration_limit'.
+        periodically; `final`, when given, is solved for by the same
+        refactorizations (see `evaluate`).  Optimality is confirmed on a
+        fresh factorization of the basis (`_confirm`), which rebuilds no
+        tableau unless some column can still improve.  Returns 'optimal',
+        'unbounded', or 'iteration_limit'.
         """
         state, tab, ub = self.state, self.tab, self.ub
         basis, nonbasic, sign, ubb = (self.basis, self.nonbasic, self.sign,
                                       self.ubb)
         m, nn = len(basis), len(nonbasic)
         bland_after = 5 * (m + nn + m)  # rows plus all columns, basic included
-        gamma = np.ones(nn)  # Devex reference weights
+        gamma = np.empty(nn)  # Devex reference weights
+        gamma.fill(1.0)
         # work buffers: pricing over the columns, the ratio test over the
-        # rows.  On arrays this small a reduction (any, min, max) costs
-        # several times an argmax or argmin, so the loop uses those
+        # rows
         score, eligible = np.empty(nn), np.empty(nn, dtype=bool)
-        col, size, room, ratios = (np.empty(m), np.empty(m), np.empty(m),
-                                   np.empty(m))
+        flipped, size, room, ratios = (np.empty(m), np.empty(m), np.empty(m),
+                                       np.empty(m))
         drops, blocking = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
         fresh = False
         since_reinvert = 0
@@ -412,64 +475,66 @@ class _Simplex:
                 self._clip()
                 since_reinvert = 0
                 reduced = cost[nonbasic] - cost[basis] @ tab.dense()
-                gamma[:] = 1.0
+                gamma.fill(1.0)
             # a nonbasic variable improves the objective by moving off its
             # bound when its reduced cost has the opposite sign to its
             # direction
-            np.multiply(reduced, sign, out=score)
-            np.less(score, -PIVOT_TOL, out=eligible)
+            np.multiply(reduced, sign, score)
+            np.less(score, _NEG_TOL, eligible)
             if not (nn and eligible[eligible.argmax()]):
-                if fresh:
+                if fresh or self._confirm(cost, rhs, final):
                     return "optimal"
-                # recheck optimality against a freshly factored tableau
+                # the fresh prices show an improving column: go on from a
+                # rebuilt tableau, unless its solve finds the basis nearly
+                # singular
                 if not self._reinvert(rhs, final):
                     return "optimal"
                 self._clip()
                 fresh = True
                 since_reinvert = 0
                 reduced = cost[nonbasic] - cost[basis] @ tab.dense()
-                gamma[:] = 1.0
+                gamma.fill(1.0)
                 continue
             # ties (see TIE_TOL), and every choice under Bland's rule, go to
             # the smallest label
             if state["bland"]:
-                cand = np.nonzero(eligible)[0]
-                q = int(cand[np.argmin(nonbasic[cand])])
+                cand = eligible.nonzero()[0]
+                q = int(cand[nonbasic[cand].argmin()])
             else:
                 # Devex pricing: largest reduced cost relative to the
                 # reference weights, approximating the steepest-edge
                 # criterion
-                np.multiply(reduced, reduced, out=score)
-                score /= gamma
-                score *= eligible
+                np.multiply(reduced, reduced, score)
+                np.divide(score, gamma, score)
+                np.multiply(score, eligible, score)
                 q = int(score.argmax())
                 top = score[q]
                 near = top - top * TIE_TOL
                 score[q] = -1.0
                 if score[score.argmax()] >= near:
                     score[q] = top
-                    cand = np.nonzero(score >= near)[0]
+                    cand = (score >= near).nonzero()[0]
                     q = int(cand[nonbasic[cand].argmin()])
             entering = nonbasic[q]
             direction = sign[q]
             # col is the rate of decrease of each basic value per unit step of
             # the entering variable away from its current bound
             raw = tab.column(q)
-            np.multiply(raw, direction, out=col)
+            col = raw if direction > 0.0 else np.negative(raw, flipped)
             xb = self.xb
             # two-pass ratio test: find the minimum ratio, then pivot on the
             # largest blocking entry within a tiny relative window of it,
             # which keeps ill-conditioned pivots out of the basis.  A basic
             # variable blocks by dropping to 0 or rising to its bound; one
-            # rising to an infinite bound gets an infinite ratio
-            np.abs(col, out=size)
-            np.greater(col, PIVOT_TOL, out=drops)
-            np.greater(size, PIVOT_TOL, out=blocking)
-            np.subtract(ubb, xb, out=room)
+            # rising to an infinite bound gets an infinite ratio.  The basic
+            # values lie within their bounds, so no room is negative
+            np.abs(col, size)
+            np.greater(col, _TOL, drops)
+            np.greater(size, _TOL, blocking)
+            np.subtract(ubb, xb, room)
             np.copyto(room, xb, where=drops)
-            np.maximum(room, 0.0, out=room)
             ratios.fill(np.inf)
-            np.divide(room, size, where=blocking, out=ratios)
+            np.divide(room, size, ratios, where=blocking)
             t_lim = float(ratios[ratios.argmin()]) if m else np.inf
             t_lim += t_lim * 1e-7 + PIVOT_TOL
             if t_lim == np.inf or t_lim > ub[entering] + PIVOT_TOL:
@@ -477,8 +542,8 @@ class _Simplex:
                 # reaches its opposite bound: flip it (or detect unboundedness)
                 if ub[entering] == np.inf:
                     return "unbounded"
-                np.multiply(col, ub[entering], out=size)
-                xb -= size
+                np.multiply(col, ub[entering], size)
+                np.subtract(xb, size, xb)
                 self._clip()
                 sign[q] = -direction
                 self._final = None
@@ -488,16 +553,16 @@ class _Simplex:
                 fresh = False
                 continue
             # the largest |col| among the near-minimal ratios, first by row
-            np.less_equal(ratios, t_lim, out=blocking)
-            np.multiply(size, blocking, out=room)
+            np.less_equal(ratios, t_lim, blocking)
+            np.multiply(size, blocking, room)
             r = int(room.argmax())
             best = max(float(ratios[r]), 0.0)
             if best < PIVOT_TOL:
                 state["degenerate_pivots"] += 1
                 if state["degenerate_pivots"] > bland_after:
                     state["bland"] = True
-            np.multiply(col, best, out=size)
-            xb -= size
+            np.multiply(col, best, size)
+            np.subtract(xb, size, xb)
             xb[r] = ub[entering] - best if direction < 0 else best
             d_q = reduced[q]
             g_q = gamma[q]
@@ -505,16 +570,17 @@ class _Simplex:
             row = self._exchange(r, q, raw, at_upper=col[r] < 0.0)
             # reduced costs and Devex weights follow the same exchange, from
             # the pivot row after the pivot
-            np.multiply(row, d_q, out=score)
-            reduced -= score
+            np.multiply(row, d_q, score)
+            np.subtract(reduced, score, reduced)
             reduced[q] = -d_q * row[q]
-            np.multiply(row, row, out=score)
-            score *= g_q
+            np.multiply(row, row, score)
+            np.multiply(score, g_q, score)
             np.maximum(gamma, score, out=gamma)
             gamma[q] = max(g_q * row[q] * row[q], 1.0)
             if gamma[gamma.argmax()] > 1e12:
-                gamma[:] = 1.0
-            self._clip()
+                gamma.fill(1.0)
+            np.maximum(xb, _ZERO, out=xb)
+            np.minimum(xb, ubb, out=xb)
             state["iterations"] += 1
             since_reinvert += 1
             fresh = False
@@ -571,7 +637,10 @@ class _Simplex:
         status = "optimal"
         if values is not None:
             self.xb = values
-            if self._infeasible().any():
+            bad = self._infeasible()
+            if len(bad) and bad[bad.argmax()]:
+                # the repair pivots on a freshly factored tableau
+                self._reinvert(rhs)
                 status = self.dual(rhs, limit)
         self._clip()
         return status
@@ -659,9 +728,12 @@ def _near_singular(block, y, x):
     singular: for each column, ||block|| ||x_j|| / ||y_j|| (max norms) is a
     lower bound on the block's condition number, which must stay within
     1 / RCOND_MIN."""
-    norm = np.abs(block).sum(axis=1).max()
-    return bool((np.abs(x).max(axis=0) * (norm * RCOND_MIN)
-                 > np.abs(y).max(axis=0)).any())
+    sums = np.abs(block).sum(1)
+    # some column's ||x_j|| times ||block|| RCOND_MIN exceeds ||y_j||
+    excess = np.abs(x)
+    excess *= float(sums[sums.argmax()]) * RCOND_MIN
+    excess -= np.abs(y).max(0)
+    return bool(excess.ravel()[excess.argmax()] > 0.0)
 
 
 # the scales `_lift_scales` hands out, grown on demand
@@ -678,6 +750,14 @@ def _lift_scales(count):
         draws = np.random.default_rng(1).random(max(count, 2 * len(_LIFTS[0])))
         _LIFTS[0] = 1e-6 * (0.5 + 0.5 * draws)
     return _LIFTS[0][:count]
+
+
+def _filled(count, value, dtype=float):
+    """np.full(count, value, dtype) without its Python-level wrapper, which
+    costs a small solve more than the array."""
+    out = np.empty(count, dtype)
+    out.fill(value)
+    return out
 
 
 def _counters():
@@ -726,7 +806,8 @@ def solve(model, limit=ITERATION_LIMIT):
     condensed tableau of the nonbasic columns, with a dual simplex repair
     of the final basis at the unperturbed right-hand sides."""
     state = _counters()
-    if (model.upper < 0).any():
+    upper = model.upper
+    if len(upper) and upper[upper.argmin()] < 0:
         return _solution("infeasible", state)
     status, sx = _optimize(model, state, limit)
     if status == "optimal":
@@ -734,15 +815,20 @@ def solve(model, limit=ITERATION_LIMIT):
     if status != "optimal":
         return _solution(status, state)
     primal = sx.point()[:model.nvars()]
-    # re-verify primal feasibility against the original model
+    # re-verify primal feasibility against the original model: no row may
+    # miss its relation by more than FEAS_TOL relative to its terms
     coeffs, b = model.rows, model.rhs
-    lhs = coeffs @ primal
-    slack = FEAS_TOL * np.maximum(np.maximum(1.0, np.abs(b)),
-                                  np.abs(coeffs) @ np.abs(primal))
-    bad = np.where(model.relations == "<=", lhs > b + slack,
-                   np.where(model.relations == ">=", lhs < b - slack,
-                            np.abs(lhs - b) > slack))
-    if bad.any():
+    excess = coeffs @ primal
+    excess -= b
+    le, ge = sx.relation_masks
+    np.negative(excess, out=excess, where=ge)
+    np.abs(excess, out=excess, where=~(le | ge))
+    slack = np.abs(coeffs) @ np.abs(primal)
+    np.maximum(slack, np.abs(b), out=slack)
+    np.maximum(slack, 1.0, out=slack)
+    slack *= FEAS_TOL
+    bad = excess > slack
+    if len(bad) and bad[bad.argmax()]:
         return _solution("numerical_error", state)
     value = float(np.dot(model.objective, primal))
     return _solution("optimal", state, value, primal.tolist())
@@ -844,12 +930,42 @@ def self_convolution(constraint, n):
 def _check_orbit_invariant(structure, conv):
     """The orbit LP has the full LP's optimum exactly when the pointwise
     bounds, the self-convolution counts, are constant on every orbit: the
-    LP depends on A only through them."""
-    if not np.array_equal(conv, conv[structure.reps][structure.index]):
+    LP depends on A only through them.  Compared one chunk of words at a
+    time against the counts at the orbit representatives."""
+    index = structure.index
+    same = len(conv) == len(index)
+    if same:
+        at_reps = conv[structure.reps]
+    for start in range(0, len(index), _CHUNK):
+        if not same:
+            break
+        stop = start + _CHUNK
+        same = np.array_equal(conv[start:stop], at_reps[index[start:stop]])
+    if not same:
         raise AssertionError(
             "self-convolution counts of %s at n=%d are not constant on the "
             "orbits of the %s group" % (structure.constraint, structure.n,
                                         structure.group))
+
+
+def orbit_convolution(structure):
+    """The self-convolution counts of the structure's constraint at its
+    orbit representatives, an int64 array in orbit order, checked to be
+    constant on the orbits.  When the family gives the counts as block
+    tables (`self_convolution_blocks`) that the group shows to be
+    invariant by themselves (`invariant_tables`), the tables are read at
+    the representatives and no 2^n-entry array is made; otherwise the
+    whole array is built (`self_convolution`) and checked word by word
+    (`_check_orbit_invariant`)."""
+    constraint, n = structure.constraint, structure.n
+    _check_conv_cap(n)
+    constraint.check_length(n)
+    tables = constraint.self_convolution_blocks(n)
+    if tables is not None and structure.invariant_tables(tables):
+        return structure.table_values(np.multiply, tables)
+    conv = self_convolution(constraint, n)
+    _check_orbit_invariant(structure, conv)
+    return conv[structure.reps]
 
 
 def del_constrained_orbits(structure, d, conv=None):
@@ -859,23 +975,26 @@ def del_constrained_orbits(structure, d, conv=None):
 
     max sum f(x) with f >= 0, the transform of f nonnegative, f = 0 at
     weights 1..d-1, f(0) bounded by the classic optimum, and f bounded
-    pointwise by the self-convolution counts `conv` of A.  Averaging an
-    optimum over the group keeps it feasible and optimal, so the optimum
-    is the same for every group that fixes A; the trivial group (one orbit
-    per word) gives the unsymmetrized 2^n-row LP.  The code-size bound is
-    the square root of the optimum.  Refuses groups with more than
+    pointwise by the self-convolution counts of A: `conv`, over all 2^n
+    words, when given, else `orbit_convolution`.  Averaging an optimum
+    over the group keeps it feasible and optimal, so the optimum is the
+    same for every group that fixes A; the trivial group (one orbit per
+    word) gives the unsymmetrized 2^n-row LP.  The code-size bound is the
+    square root of the optimum.  Refuses groups with more than
     ORBIT_ROW_CAP orbits (the 2^12 rows of the trivial group at n = 12),
     since the model is a dense row-by-column tableau.
     """
-    conv = np.asarray(self_convolution(structure.constraint, structure.n)
-                      if conv is None else conv, dtype=np.int64)
+    if conv is None:
+        return _orbit_lp(structure, d, orbit_convolution(structure))
+    conv = np.asarray(conv, dtype=np.int64)
     _check_orbit_invariant(structure, conv)
-    return _orbit_lp(structure, d, conv)
+    return _orbit_lp(structure, d, conv[structure.reps])
 
 
 def _orbit_lp(structure, d, conv):
-    """`del_constrained_orbits` for an int64 `conv` already checked to be
-    constant on the orbits of `structure` (`_check_orbit_invariant`), so
+    """`del_constrained_orbits` for the self-convolution counts `conv` at
+    the orbit representatives of `structure` (int64, in orbit order),
+    already checked to be constant on the orbits (`orbit_convolution`), so
     that the cells of a table column share one check."""
     n = structure.n
     constraint = structure.constraint
@@ -891,15 +1010,15 @@ def _orbit_lp(structure, d, conv):
     # substitute f(0) = u0 - h with 0 <= h <= u0: the h column makes every
     # right-hand side -u0 < 0, so the all-slack origin is strictly feasible
     # and no phase 1 is needed; the zero word is always a singleton orbit
-    # with unit character-sum coefficient
-    u0 = min(float(conv[0]), delsarte)
+    # (the smallest representative) with unit character-sum coefficient
     reps = structure.reps
-    columns = np.flatnonzero((_popcount(reps) >= d) & (conv[reps] > 0))
+    u0 = min(float(conv[reps.argmin()]), delsarte)
+    columns = np.flatnonzero((_popcount(reps) >= d) & (conv > 0))
     rows = np.column_stack((structure.char_sums(columns), -np.ones(len(reps))))
     rows, rhs = _dedupe(rows, np.full(len(reps), -u0))
     model = LpModel("max", np.append(structure.sizes[columns], -1.0), rows,
                     np.full(len(rows), ">="), rhs,
-                    upper=np.append(conv[reps[columns]], u0))
+                    upper=np.append(conv[columns], u0))
     sol = _solved(model, "constrained Delsarte LP (%d, %d, %s) over the %s "
                   "group" % (n, d, constraint, structure.group))
     value = u0 + sol.value

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -304,26 +305,45 @@ def _count_calls(monkeypatch, modules, name):
 def test_table_builds_one_orbit_structure_and_convolution(capsys, monkeypatch):
     # the GenSph cells of Tables II and III use the orbit structure of their
     # table's constrained LP, solve one LP per radius t = floor((d-1)/2), and
-    # the constrained column checks its convolution against the orbits once
+    # the constrained column reads its convolution at the orbit
+    # representatives once, from the family's block tables: no whole-space
+    # convolution is built, and no word-by-word check runs
     from constrcodes import cli, lp
     structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
-    convolutions = _count_calls(monkeypatch, (cli, lp), "self_convolution")
+    convolutions = _count_calls(monkeypatch, (cli, lp), "orbit_convolution")
+    whole = _count_calls(monkeypatch, (lp,), "self_convolution")
     classic = _count_calls(monkeypatch, (lp, cli), "del_classic")
     spheres = _count_calls(monkeypatch, (cli, lp), "gensph")
-    checks = _count_calls(monkeypatch, (cli, lp), "_check_orbit_invariant")
+    checks = _count_calls(monkeypatch, (lp,), "_check_orbit_invariant")
     for table_id, count, radii in (("IV", 1, 0), ("III", 1, 4),
                                    ("even-weights", 0, 0), ("II", 1, 5)):
-        for calls in (structures, convolutions, classic, spheres, checks):
+        for calls in (structures, convolutions, whole, classic, spheres,
+                      checks):
             calls.clear()
         code, out = run(capsys, "table", "--id", table_id)
         assert code == 0 and "status: OK" in out
         assert len(structures) == count and len(convolutions) == count, table_id
-        assert len(checks) == count, table_id
+        assert not whole and not checks, table_id
         assert len(spheres) == radii, table_id
     # Table II reads Del(n,d) from the constrained LP's comparator: one
     # del_classic solve per row
     assert sorted(classic) == [(13, d) for d in range(2, 11)]
     assert sorted((d - 1) // 2 for _, d, _ in spheres) == [0, 1, 2, 3, 4]
+
+
+def test_table_iv_makes_no_whole_space_array(capsys):
+    # n = 18: the orbits come from weight profiles and the convolution from
+    # block tables at the representatives, so no 2^18-entry array (2 MB of
+    # int64) is made
+    run(capsys, "table", "--id", "IV")
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, "table", "--id", "IV")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "status: OK" in out
+    assert peak <= 2 * 10 ** 6, peak
 
 
 def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
@@ -344,9 +364,11 @@ def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
 
     from constrcodes import lp
     structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
-    convolutions = _count_calls(monkeypatch, (cli,), "self_convolution")
+    # the reversal group has no block tables: each column builds and checks
+    # the whole convolution
+    convolutions = _count_calls(monkeypatch, (lp,), "self_convolution")
     spheres = _count_calls(monkeypatch, (cli, lp), "gensph")
-    checks = _count_calls(monkeypatch, (cli, lp), "_check_orbit_invariant")
+    checks = _count_calls(monkeypatch, (lp,), "_check_orbit_invariant")
     monkeypatch.setattr(cli, "_orbit_lp", stub)
     _, rows = cli.TABLE_BUILDERS["VI"]()
     for _, cells in rows:

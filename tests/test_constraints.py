@@ -378,6 +378,51 @@ def test_block_table_keys_match_chunked_keys():
                 (struct.group, struct.constraint, n)
 
 
+def test_block_orbits_match_key_pass():
+    # the 2-charge and subblock orbits from weight profiles against the
+    # bincount of the chunked keys: sizes, representatives, and the index,
+    # built only when first read
+    for n in range(1, 17):
+        structures = [orbit_structure(two_charge(), n)]
+        structures += [orbit_structure(subblock(p, 0), n)
+                       for p in range(1, n + 1) if n % p == 0]
+        for struct in structures:
+            assert struct._index is None
+            keys = OrbitStructure._key_table(struct)
+            counts = np.bincount(keys)
+            present = counts > 0
+            index = (np.cumsum(present) - 1)[keys]
+            reps = np.full(present.sum(), 1 << n)
+            np.minimum.at(reps, index, np.arange(1 << n))
+            where = (struct.group, struct.constraint, n)
+            assert struct.sizes.dtype == struct.reps.dtype == np.int64
+            assert np.array_equal(struct.sizes, counts[present]), where
+            assert np.array_equal(struct.reps, reps), where
+            assert np.array_equal(struct.index, index), where
+            assert struct.index.dtype == np.int64
+
+
+def test_block_tables_invariance_and_values_at_reps():
+    # the families' self-convolution block tables pass the group's table
+    # check and, read at the representatives, equal the whole array there;
+    # a table that depends on more than its block's weight fails the check,
+    # and so does a block table unlike the others of its class
+    for c, n in [(two_charge(), 9), (two_charge(), 10), (subblock(2, 1), 8),
+                 (subblock(3, 2), 9), (subblock(4, 1), 12)]:
+        struct = orbit_structure(c, n)
+        tables = c.self_convolution_blocks(n)
+        assert struct.invariant_tables(tables)
+        assert np.array_equal(struct.table_values(np.multiply, tables),
+                              self_convolution(c, n)[struct.reps])
+        skewed = [t.copy() for t in tables]
+        skewed[1][1] += 1
+        assert not struct.invariant_tables(skewed)
+        assert not struct.invariant_tables(
+            tables[:1] + [2 * tables[1]] + tables[2:])
+        assert not struct.invariant_tables(tables[:-1])
+        assert not orbit_structure(c, n, trivial=True).invariant_tables(tables)
+
+
 def test_orbit_structure_matches_generator_closure():
     # the key-derived orbits against the closure of every word under the
     # group's coordinate permutations: reversal; swaps inside the pairs

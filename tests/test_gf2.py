@@ -56,6 +56,20 @@ def test_dual_code_involution():
         sorted(iterate_span(code.generator.data))
 
 
+def test_reed_muller_rows_match_point_evaluation():
+    # each row ANDs the rows of its monomial's coordinates; the oracle
+    # evaluates the monomial at every point i, x_j being bit m - j of i
+    from constrcodes.gf2 import _rm_monomials
+    for m in range(9):
+        n = 1 << m
+        expected = [sum(1 << i for i in range(n)
+                        if all((i >> (m - j)) & 1 for j in mono))
+                    for mono in _rm_monomials(m, m)]
+        for r in range(m + 1):
+            rows = reed_muller(m, r).generator.data
+            assert list(rows) == expected[:len(rows)], (m, r)
+
+
 def test_reed_muller_dimension_and_duality():
     for m in (3, 4):
         for r in range(0, m):

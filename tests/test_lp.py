@@ -542,6 +542,50 @@ def test_orbit_lp_rejects_conv_not_constant_on_orbits():
         del_constrained_orbits(orbit_structure(c, n), d, conv=conv)
     # every conv is constant on the singleton orbits of the trivial group
     del_constrained_orbits(orbit_structure(c, n, trivial=True), d, conv=conv)
+    # the check compares one chunk of words at a time: a count off in the
+    # last chunk of a 2^16-word array is found too
+    n, c = 16, subblock(2, 2)
+    struct = orbit_structure(c, n)
+    conv = lp.self_convolution(c, n)
+    lp._check_orbit_invariant(struct, conv)
+    conv[(1 << n) - 2] += 1
+    with pytest.raises(AssertionError):
+        lp._check_orbit_invariant(struct, conv)
+    with pytest.raises(AssertionError):
+        lp._check_orbit_invariant(struct, conv[:-1])
+
+
+def test_orbit_convolution_reads_block_tables():
+    # the counts at the representatives from the block tables, or from the
+    # whole array for a group without block tables; the same LP either way
+    for c, n in [(two_charge(), 11), (subblock(3, 1), 12), (rll(1), 9)]:
+        struct = orbit_structure(c, n)
+        conv = lp.self_convolution(c, n)
+        assert np.array_equal(lp.orbit_convolution(struct), conv[struct.reps])
+        for d in (3, 4):
+            assert del_constrained_orbits(struct, d).lp_value == \
+                pytest.approx(del_constrained_orbits(struct, d, conv=conv)
+                              .lp_value, rel=1e-12)
+
+
+def test_optimum_confirmed_without_tableau_rebuild(monkeypatch):
+    # an LP optimal before REINVERT_EVERY pivots confirms its basis on one
+    # factorization and rebuilds no tableau
+    rebuilds = []
+    original = lp._Simplex._reinvert
+
+    def counted(self, *args):
+        rebuilds.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(lp._Simplex, "_reinvert", counted)
+    for build in (lambda: del_classic(13, 2),
+                  lambda: del_constrained(10, 5, rll(2)),
+                  lambda: del_constrained_sym(15, 4, subblock(3, 2))):
+        sol = build().solution
+        assert 0 < sol.iterations < lp.REINVERT_EVERY
+        assert sol.stats["refactorizations"] == 1
+    assert not rebuilds
 
 
 def test_del_constrained_monotone_in_d():
