@@ -28,9 +28,9 @@ from .errors import CapExceeded
 from .gf2 import (BinaryLinearCode, BitMatrix, CodeFormatError, dual_code,
                   gf2_rank, hamming_code, load_code, reed_muller,
                   simplex_code, zero_code)
-from .lp import (SolverError, _orbit_lp, del_classic, del_constrained,
+from .lp import (SolverError, del_classic, del_constrained,
                  del_constrained_orbits, del_constrained_sym, dump_model,
-                 gensph, orbit_convolution)
+                 gensph)
 from .spectral import krawtchouk_table, wht
 
 EXIT_OK = 0
@@ -281,16 +281,14 @@ def _once(compute):
     return value
 
 
-def _orbit_lps(constraint, n):
+def _table_lps(constraint, n):
     """The constrained Delsarte LP and the GenSph bound of `constraint` at
     length n, each as a function of d; their cells share one orbit
-    structure, built at the first call.  The Delsarte cells share the
-    self-convolution counts at its orbit representatives, checked against
-    the structure once, before the first of them is solved
-    (`orbit_convolution`).  GenSph depends on d only through its radius
-    t = floor((d-1)/2), so each radius is solved once."""
+    structure, built at the first call, and with it the self-convolution
+    counts it keeps, checked once (`OrbitStructure.conv`).  GenSph depends
+    on d only through its radius t = floor((d-1)/2), so each radius is
+    solved once."""
     structure = _once(lambda: orbit_structure(constraint, n))
-    conv = _once(lambda: orbit_convolution(structure()))
     spheres = {}
 
     def sphere(d):
@@ -299,7 +297,7 @@ def _orbit_lps(constraint, n):
             spheres[t] = gensph(n, d, constraint, structure=structure())
         return spheres[t]
 
-    return lambda d: _orbit_lp(structure(), d, conv()), sphere
+    return lambda d: del_constrained_orbits(structure(), d), sphere
 
 
 def _cell(column, provenance, expected, compute, places=3):
@@ -325,7 +323,7 @@ def _table_II():
     sym = [64, 45.255, 45.255, 22.627, 17.889, 5.657, 4.619, 2.828, 2.619]
     gsp = [64, 64, 64, 64, 64, 32, 32, 16, 16]
     dcl = [4096, 512, 292.571, 64, 40, 8, 5.333, 3.333, 2.857]
-    lp, sph = _orbit_lps(two_charge(), 13)
+    lp, sph = _table_lps(two_charge(), 13)
     rows = []
     for i, d in enumerate(range(2, 11)):
         # the constrained LP has solved del_classic(13, d) for its comparator
@@ -347,7 +345,7 @@ def _table_III():
     # as the expected cell.
     sym = [1000, 826.236, 826.236, 156.767, 110.851, 22.627]
     gsp = [1000, 1000, 1000, 333.333, 333.333, 166.667]
-    lp, sph = _orbit_lps(subblock(3, 2), 15)
+    lp, sph = _table_lps(subblock(3, 2), 15)
     rows = []
     for i, d in enumerate(range(2, 8)):
         rows.append(("d=%d" % d, [
@@ -360,7 +358,7 @@ def _table_III():
 
 def _table_IV():
     sym = [556.38, 556.38, 227.111, 165.247, 38.118, 28.540, 4.472]
-    lp, _ = _orbit_lps(subblock(2, 2), 18)
+    lp, _ = _table_lps(subblock(2, 2), 18)
     rows = []
     for i, d in enumerate(range(3, 10)):
         rows.append(("d=%d" % d, [
@@ -388,8 +386,8 @@ def _table_VI():
     d1 = [128.557, 74.762, 42.048, 12, 6, 3.2]
     g1 = [144, 111, 111, 63, 63, 26]
     dcl = [512, 85.333, 42.667, 12, 6, 3.2]
-    lp2, sph2 = _orbit_lps(rll(2), 10)
-    lp1, sph1 = _orbit_lps(rll(1), 10)
+    lp2, sph2 = _table_lps(rll(2), 10)
+    lp1, sph1 = _table_lps(rll(1), 10)
     rows = []
     for i, d in enumerate(range(2, 8)):
         # the constrained LPs have solved del_classic(10, d) for their

@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import CapExceeded
 from .gf2 import BitWord
-from .spectral import (_CHUNK, _parity, _popcount, krawtchouk,
-                       krawtchouk_table, weight_class_sums, word_chunks)
+from .spectral import (_CHUNK, _check_conv_cap, _parity, _popcount,
+                       krawtchouk, krawtchouk_table, self_convolution_counts,
+                       weight_class_sums, word_chunks)
 
 MEMBER_ENUM_CAP = 22
 # largest n of the array methods: every word and every shift of it stays a
@@ -176,6 +177,20 @@ def shell_sums(c, n):
     return sums + [0] * (n + 1 - len(sums))
 
 
+def self_convolution(c, n):
+    """The self-convolution counts #{z in A : x ^ z in A} of A at length
+    n, an int64 array over the packed words x: the family's closed form
+    when it has one, otherwise `self_convolution_counts` of its membership
+    array, which the tests keep as the oracle of every closed form."""
+    _check_conv_cap(n)
+    c.check_length(n)
+    conv = c.self_convolution(n)
+    if conv is not None:
+        return conv
+    words = np.arange(1 << n, dtype=np.int64)
+    return self_convolution_counts(member_array(c, n, words), n)
+
+
 # polynomials in y as lists of Python-int coefficients, constant term first
 
 
@@ -233,9 +248,15 @@ class OrbitStructure:
     coordinates and inside them (`_BlockOrbits`) has `sizes` and `reps` in
     closed form, builds `index` only on first use, and keeps the chunked
     pass as its oracle.
+
+    The structure also keeps the self-convolution counts of its constraint
+    at the representatives, `conv`, built on first read and checked to be
+    constant on the orbits: the constrained Delsarte LP depends on A only
+    through them, and its orbit form has the full LP's optimum exactly when
+    they are.
     """
 
-    __slots__ = ("constraint", "n", "sizes", "reps", "_index")
+    __slots__ = ("constraint", "n", "sizes", "reps", "_index", "_conv")
     group = None
 
     def __init__(self, constraint, n):
@@ -245,6 +266,7 @@ class OrbitStructure:
         self.constraint = constraint
         self.n = n
         self._index = None
+        self._conv = None
         self._orbits()
 
     def _orbits(self):
@@ -274,6 +296,33 @@ class OrbitStructure:
     def _build_index(self):
         raise NotImplementedError
 
+    @property
+    def conv(self):
+        """The self-convolution counts at the representatives, an int64
+        array in orbit order, checked to be constant on the orbits."""
+        if self._conv is None:
+            self._conv = self._build_conv()
+        return self._conv
+
+    def _build_conv(self):
+        return self._checked_at_reps(self_convolution(self.constraint, self.n))
+
+    def _checked_at_reps(self, conv):
+        """`conv`, an int64 array over all 2^n words, at the
+        representatives, after checking that it is constant on the orbits:
+        one chunk of words at a time against its values there, so that no
+        2^n-entry temporary is made."""
+        index = self.index
+        if len(conv) == len(index):
+            at_reps = conv[self.reps]
+            if all(np.array_equal(conv[lo:lo + _CHUNK],
+                                  at_reps[index[lo:lo + _CHUNK]])
+                   for lo in range(0, len(index), _CHUNK)):
+                return at_reps
+        raise AssertionError(
+            "self-convolution counts of %s at n=%d are not constant on the "
+            "orbits of the %s group" % (self.constraint, self.n, self.group))
+
     @staticmethod
     def order(constraint, n):
         """The number of permutations in the group at length n.  An orbit
@@ -286,12 +335,6 @@ class OrbitStructure:
 
     def _key_table(self):
         return np.concatenate([self._keys(words) for words in word_chunks(self.n)])
-
-    def invariant_tables(self, tables):
-        """Whether block tables (see `_block_outer`) show by themselves that
-        any array combined from them is constant on the orbits; never for a
-        group without a block layout."""
-        return False
 
     def char_sums(self, columns):
         """int64 matrix of orbit character sums: entry (i, j) is the sum over
@@ -327,7 +370,10 @@ class _BlockOrbits(OrbitStructure):
     and its smallest word gives each class's highest block the smallest
     weight, each block value (1 << a) - 1.  The orbits are ordered by
     the `_keys` of those words, as the key pass orders them; `index` maps
-    the block-table keys (`_key_table`) to orbits when first read."""
+    the block-table keys (`_key_table`) to orbits when first read.  `conv`
+    comes from the family's block tables (`self_convolution_blocks`), read
+    at the representatives once the tables pass `invariant_tables`, so no
+    2^n-entry array is made."""
 
     __slots__ = ("_orbit_keys",)
 
@@ -369,11 +415,20 @@ class _BlockOrbits(OrbitStructure):
         lookup[self._orbit_keys] = np.arange(len(self._orbit_keys))
         return lookup[self._key_table()]
 
+    def _build_conv(self):
+        tables = self.constraint.self_convolution_blocks(self.n)
+        if tables is None or not self.invariant_tables(tables):
+            raise AssertionError(
+                "self-convolution block tables of %s at n=%d do not show the "
+                "counts constant on the orbits of the %s group"
+                % (self.constraint, self.n, self.group))
+        return self.table_values(tables)
+
     def invariant_tables(self, tables):
-        """Block tables in this layout, one per block, each indexed by the
-        block's value: they are invariant when each depends on its block's
-        weight only and the tables of one class are equal, whatever ufunc
-        `table_values` combines them with."""
+        """Whether block tables in this layout, one per block, each indexed
+        by the block's value, show by themselves that their product
+        (`_block_outer`) is constant on the orbits: each depends on its
+        block's weight only, and the tables of one class are equal."""
         layout = self._layout()
         if len(tables) != len(layout):
             return False
@@ -387,13 +442,13 @@ class _BlockOrbits(OrbitStructure):
                 return False
         return True
 
-    def table_values(self, ufunc, tables):
-        """`_block_outer(ufunc, tables)` at the orbit representatives only,
-        in orbit order."""
+    def table_values(self, tables):
+        """`_block_outer(np.multiply, tables)` at the orbit representatives
+        only, in orbit order."""
         out, shift = None, 0
         for table, (width, _) in zip(tables, self._layout()):
             value = table[(self.reps >> shift) & ((1 << width) - 1)]
-            out = value if out is None else ufunc(out, value)
+            out = value if out is None else out * value
             shift += width
         return out
 
@@ -507,16 +562,42 @@ class _SubblockOrbits(_BlockOrbits):
         """Closed form: entry (i, j) is the sum, over the distinct orderings
         a of the subblock weights of orbit `columns[j]`, of the products
         over the subblocks l of K_{a_l}(w_l), w_l the weight of subblock l
-        of reps[i].  Exact: |K_a(w)| <= C(n/p, a), so no product exceeds the
-        orbit's size."""
+        of reps[i]; that is, the coefficient of the orbit's weight multiset
+        in the product over l of sum_a K_a(w_l) t_a.  The product is
+        expanded one subblock at a time, its terms keyed by the sorted
+        weights placed so far, keeping only the terms that divide a
+        column's monomial, so the cost is polynomial in p and not the p!
+        orderings.  Exact: K_a(w) is a sum of signs, one per weight-a word
+        of a subblock, so a coefficient after l subblocks is a sum of
+        signs, one per word on those subblocks with its weight multiset, at
+        most 2^n in magnitude."""
         kraw = np.array(krawtchouk_table(self.n // self.constraint.p).table,
                         dtype=np.int64)
         weights = np.array([_popcount(block) for block in
                             self.constraint.blocks(self.n, self.reps)])
+        keys = [tuple(sorted(key)) for key in weights[:, columns].T.tolist()]
+
+        def smaller(multiset):
+            """Each distinct weight a of a sorted multiset, with the
+            multiset less one a."""
+            return [(a, multiset[:i] + multiset[i + 1:])
+                    for i, a in enumerate(multiset)
+                    if not i or multiset[i - 1] != a]
+
+        # the terms needed after p, p - 1, ..., 0 subblocks
+        needed = [set(keys)]
+        for _ in weights:
+            needed.append({rest for multiset in needed[-1]
+                           for _, rest in smaller(multiset)})
+        terms = {(): np.ones(len(self.reps), dtype=np.int64)}
+        for w, level in zip(weights, reversed(needed[:-1])):
+            factor = kraw[:, w]
+            terms = {multiset: sum(terms[rest] * factor[a]
+                                   for a, rest in smaller(multiset))
+                     for multiset in level}
         out = np.zeros((len(self.reps), len(columns)), dtype=np.int64)
-        for j, orbit in enumerate(columns):
-            for order in set(itertools.permutations(weights[:, orbit].tolist())):
-                out[:, j] += kraw[np.array(order)[:, None], weights].prod(axis=0)
+        for j, key in enumerate(keys):
+            out[:, j] = terms[key]
         return out
 
 
@@ -597,15 +678,14 @@ class ConstraintSpec:
     its coefficient list (see the module function `shell_sums`), and
     `self_convolution(n)` the int64 array of the counts
     #{z in A : x ^ z in A} over the packed words x
-    (see `lp.self_convolution`).  A family whose orbit group permutes
-    blocks (`_BlockOrbits`) may give those counts as
+    (see the module function `self_convolution`).  A family whose orbit
+    group permutes blocks (`_BlockOrbits`) gives those counts as
     `self_convolution_blocks(n)`, one int64 table per block of the group's
-    layout whose product is the array (`_block_outer`); the constrained LP
-    then reads them at the orbit representatives only
-    (`lp.orbit_convolution`).
+    layout whose product is the array (`_block_outer`); its orbit
+    structure then reads them at the representatives only
+    (`OrbitStructure.conv`).
     """
 
-    kind = None  # family tag
     head = None
     params = ()
     p = z = d = i = None  # the parameters, set by the families that take them
@@ -657,7 +737,6 @@ class ConstraintSpec:
 class TwoCharge(ConstraintSpec):
     """The 2-charge set: running sums of (-1)^{x_i} stay within [0, 2]."""
 
-    kind = "two_charge"
     head = "2charge"
     orbits = _TwoChargeOrbits
     auto_lp = "del-sym"
@@ -724,7 +803,6 @@ class TwoCharge(ConstraintSpec):
 class Subblock(ConstraintSpec):
     """Each of the p subblocks of length n/p has weight z."""
 
-    kind = "subblock"
     head = "subblock"
     params = ("p", "z")
     orbits = _SubblockOrbits
@@ -809,7 +887,6 @@ class Subblock(ConstraintSpec):
 class Rll(ConstraintSpec):
     """The (d, infinity)-RLL set: any two ones are at least d + 1 apart."""
 
-    kind = "rll"
     head = "rll"
     params = ("d",)
     orbits = _ReversalOrbits
@@ -890,7 +967,6 @@ class OddStrict(ConstraintSpec):
     """Every run of zeros, the leading and trailing runs included, has odd
     length; the all-zeros word is a member by convention."""
 
-    kind = "odd_strict"
     head = "odd-strict"
     orbits = _ReversalOrbits
 
@@ -938,7 +1014,6 @@ class OddRelaxed(ConstraintSpec):
     """Every internal run of zeros has odd length (even n only); the
     all-zeros word is a member by convention."""
 
-    kind = "odd_relaxed"
     head = "odd"
     orbits = _ReversalOrbits
 
@@ -976,7 +1051,6 @@ class EvenStrict(ConstraintSpec):
     """Every run of zeros, the leading and trailing runs included, has even
     length; the all-zeros word is a member by convention."""
 
-    kind = "even_strict"
     head = "even-strict"
     orbits = _ReversalOrbits
 
@@ -1039,7 +1113,6 @@ class EvenStrict(ConstraintSpec):
 class FixedWeight(ConstraintSpec):
     """The weight-i sphere."""
 
-    kind = "fixed_weight"
     head = "weight"
     params = ("i",)
     orbits = _ReversalOrbits

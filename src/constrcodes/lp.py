@@ -28,8 +28,7 @@ import numpy as np
 from .constraints import (MEMBER_ENUM_CAP, cardinality, member_array,
                           orbit_structure)
 from .errors import CapExceeded
-from .spectral import (_CHUNK, _check_conv_cap, _parity, _popcount,
-                       krawtchouk_table, self_convolution_counts, wht)
+from .spectral import _parity, _popcount, krawtchouk_table, wht
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -913,89 +912,23 @@ def del_full(n, d, cap=12):
     return BoundReport(n, d, None, value, value, solution=sol, model=model)
 
 
-def self_convolution(constraint, n):
-    """The self-convolution counts of A at length n, an int64 array over the
-    packed words: the family's closed form when it has one, otherwise
-    `self_convolution_counts` of its membership array, which the tests keep
-    as the oracle of every closed form."""
-    _check_conv_cap(n)
-    constraint.check_length(n)
-    conv = constraint.self_convolution(n)
-    if conv is not None:
-        return conv
-    words = np.arange(1 << n, dtype=np.int64)
-    return self_convolution_counts(member_array(constraint, n, words), n)
-
-
-def _check_orbit_invariant(structure, conv):
-    """The orbit LP has the full LP's optimum exactly when the pointwise
-    bounds, the self-convolution counts, are constant on every orbit: the
-    LP depends on A only through them.  Compared one chunk of words at a
-    time against the counts at the orbit representatives."""
-    index = structure.index
-    same = len(conv) == len(index)
-    if same:
-        at_reps = conv[structure.reps]
-    for start in range(0, len(index), _CHUNK):
-        if not same:
-            break
-        stop = start + _CHUNK
-        same = np.array_equal(conv[start:stop], at_reps[index[start:stop]])
-    if not same:
-        raise AssertionError(
-            "self-convolution counts of %s at n=%d are not constant on the "
-            "orbits of the %s group" % (structure.constraint, structure.n,
-                                        structure.group))
-
-
-def orbit_convolution(structure):
-    """The self-convolution counts of the structure's constraint at its
-    orbit representatives, an int64 array in orbit order, checked to be
-    constant on the orbits.  When the family gives the counts as block
-    tables (`self_convolution_blocks`) that the group shows to be
-    invariant by themselves (`invariant_tables`), the tables are read at
-    the representatives and no 2^n-entry array is made; otherwise the
-    whole array is built (`self_convolution`) and checked word by word
-    (`_check_orbit_invariant`)."""
-    constraint, n = structure.constraint, structure.n
-    _check_conv_cap(n)
-    constraint.check_length(n)
-    tables = constraint.self_convolution_blocks(n)
-    if tables is not None and structure.invariant_tables(tables):
-        return structure.table_values(np.multiply, tables)
-    conv = self_convolution(constraint, n)
-    _check_orbit_invariant(structure, conv)
-    return conv[structure.reps]
-
-
-def del_constrained_orbits(structure, d, conv=None):
+def del_constrained_orbits(structure, d):
     """The constrained Delsarte LP reduced over the orbits of a symmetry
     group of A (`orbit_structure`): one variable per orbit, one transform
     row per orbit representative.
 
     max sum f(x) with f >= 0, the transform of f nonnegative, f = 0 at
     weights 1..d-1, f(0) bounded by the classic optimum, and f bounded
-    pointwise by the self-convolution counts of A: `conv`, over all 2^n
-    words, when given, else `orbit_convolution`.  Averaging an optimum
-    over the group keeps it feasible and optimal, so the optimum is the
-    same for every group that fixes A; the trivial group (one orbit per
-    word) gives the unsymmetrized 2^n-row LP.  The code-size bound is the
-    square root of the optimum.  Refuses groups with more than
-    ORBIT_ROW_CAP orbits (the 2^12 rows of the trivial group at n = 12),
-    since the model is a dense row-by-column tableau.
+    pointwise by the self-convolution counts of A, which the structure
+    keeps at its representatives (`OrbitStructure.conv`), so that the cells
+    of a table column share one check.  Averaging an optimum over the group
+    keeps it feasible and optimal, so the optimum is the same for every
+    group that fixes A; the trivial group (one orbit per word) gives the
+    unsymmetrized 2^n-row LP.  The code-size bound is the square root of
+    the optimum.  Refuses groups with more than ORBIT_ROW_CAP orbits (the
+    2^12 rows of the trivial group at n = 12), since the model is a dense
+    row-by-column tableau, before the counts are read.
     """
-    if conv is None:
-        return _orbit_lp(structure, d, orbit_convolution(structure))
-    conv = np.asarray(conv, dtype=np.int64)
-    _check_orbit_invariant(structure, conv)
-    return _orbit_lp(structure, d, conv[structure.reps])
-
-
-def _orbit_lp(structure, d, conv):
-    """`del_constrained_orbits` for the self-convolution counts `conv` at
-    the orbit representatives of `structure` (int64, in orbit order),
-    already checked to be constant on the orbits (`orbit_convolution`), so
-    that the cells of a table column share one check."""
     n = structure.n
     constraint = structure.constraint
     if not 1 <= d <= n:
@@ -1005,6 +938,7 @@ def _orbit_lp(structure, d, conv):
                           "group at n=%d > cap %d" % (len(structure.sizes),
                                                       structure.group, n,
                                                       ORBIT_ROW_CAP))
+    conv = structure.conv
     delsarte = del_classic(n, d).lp_value
     size = cardinality(constraint, n)
     # substitute f(0) = u0 - h with 0 <= h <= u0: the h column makes every

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -305,16 +306,17 @@ def _count_calls(monkeypatch, modules, name):
 def test_table_builds_one_orbit_structure_and_convolution(capsys, monkeypatch):
     # the GenSph cells of Tables II and III use the orbit structure of their
     # table's constrained LP, solve one LP per radius t = floor((d-1)/2), and
-    # the constrained column reads its convolution at the orbit
-    # representatives once, from the family's block tables: no whole-space
-    # convolution is built, and no word-by-word check runs
-    from constrcodes import cli, lp
+    # the structure reads its convolution at the orbit representatives
+    # once, from the family's block tables: no whole-space convolution is
+    # built, and no word-by-word check runs
+    from constrcodes import cli, constraints, lp
+    from constrcodes.constraints import OrbitStructure, _BlockOrbits
     structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
-    convolutions = _count_calls(monkeypatch, (cli, lp), "orbit_convolution")
-    whole = _count_calls(monkeypatch, (lp,), "self_convolution")
+    convolutions = _count_calls(monkeypatch, (_BlockOrbits,), "_build_conv")
+    whole = _count_calls(monkeypatch, (constraints,), "self_convolution")
     classic = _count_calls(monkeypatch, (lp, cli), "del_classic")
     spheres = _count_calls(monkeypatch, (cli, lp), "gensph")
-    checks = _count_calls(monkeypatch, (lp,), "_check_orbit_invariant")
+    checks = _count_calls(monkeypatch, (OrbitStructure,), "_checked_at_reps")
     for table_id, count, radii in (("IV", 1, 0), ("III", 1, 4),
                                    ("even-weights", 0, 0), ("II", 1, 5)):
         for calls in (structures, convolutions, whole, classic, spheres,
@@ -346,10 +348,22 @@ def test_table_iv_makes_no_whole_space_array(capsys):
     assert peak <= 2 * 10 ** 6, peak
 
 
+def test_subblock_lp_with_many_subblocks_is_fast(capsys):
+    # 10 subblocks at n = 20: the orbit character sums expand the product
+    # over the subblocks, not the 10! orderings of each column's weights
+    start = time.perf_counter()
+    code, out = run(capsys, "bound", "--n", "20", "--d", "2", "--constraint",
+                    "subblock:p=10,z=1", "--lp", "del-sym")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and get(out, "bound") == "1024.000"
+    assert elapsed < 1.0, elapsed
+
+
 def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
     # the constrained LP itself is stubbed (at the entry the columns call,
-    # past the orbit check): each constrained column must hand all its
-    # cells one orbit structure and one self-convolution, checked once
+    # reading the counts as the LP does): each constrained column must hand
+    # all its cells one orbit structure and one self-convolution, checked
+    # once
     from constrcodes import cli
 
     class Report:
@@ -358,18 +372,20 @@ def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
 
     solved = []
 
-    def stub(structure, d, conv):
-        solved.append((str(structure.constraint), d, id(structure), id(conv)))
+    def stub(structure, d):
+        solved.append((str(structure.constraint), d, id(structure),
+                       id(structure.conv)))
         return Report()
 
-    from constrcodes import lp
+    from constrcodes import constraints, lp
+    from constrcodes.constraints import OrbitStructure
     structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
     # the reversal group has no block tables: each column builds and checks
     # the whole convolution
-    convolutions = _count_calls(monkeypatch, (lp,), "self_convolution")
+    convolutions = _count_calls(monkeypatch, (constraints,), "self_convolution")
     spheres = _count_calls(monkeypatch, (cli, lp), "gensph")
-    checks = _count_calls(monkeypatch, (lp,), "_check_orbit_invariant")
-    monkeypatch.setattr(cli, "_orbit_lp", stub)
+    checks = _count_calls(monkeypatch, (OrbitStructure,), "_checked_at_reps")
+    monkeypatch.setattr(cli, "del_constrained_orbits", stub)
     _, rows = cli.TABLE_BUILDERS["VI"]()
     for _, cells in rows:
         for cell in cells:

@@ -11,8 +11,8 @@ from constrcodes import (CapExceeded, cardinality, char_sum_array,
                          orbit_char_sum, orbit_structure, parse_constraint,
                          rll, self_convolution_counts, shell_sums, subblock,
                          two_charge, two_charge_basis, weight_class_sums, wht)
-from constrcodes.constraints import FAMILIES, OddRelaxed, OrbitStructure
-from constrcodes.lp import self_convolution
+from constrcodes.constraints import (FAMILIES, OddRelaxed, OrbitStructure,
+                                     self_convolution)
 from constrcodes.spectral import _popcount
 from constrcodes.gf2 import BitWord, iterate_span
 
@@ -43,17 +43,17 @@ def bits_to_tuple(bits, n):
 def oracle_member(c, x):
     """Reference membership predicate, written against the definitions."""
     n = len(x)
-    if c.kind == "two_charge":
+    if c.head == "2charge":
         charge = 0
         for xi in x:
             charge += 1 if xi == 0 else -1
             if charge < 0 or charge > 2:
                 return False
         return True
-    if c.kind == "subblock":
+    if c.head == "subblock":
         width = n // c.p
         return all(sum(x[l * width:(l + 1) * width]) == c.z for l in range(c.p))
-    if c.kind == "rll":
+    if c.head == "rll":
         ones = [i for i, xi in enumerate(x) if xi]
         return all(b - a >= c.d + 1 for a, b in zip(ones, ones[1:]))
     runs = []
@@ -65,11 +65,11 @@ def oracle_member(c, x):
         else:
             current += 1
     runs.append(current)
-    if c.kind == "even_strict":
+    if c.head == "even-strict":
         return sum(x) == 0 or all(r % 2 == 0 for r in runs)
-    if c.kind == "odd_strict":
+    if c.head == "odd-strict":
         return sum(x) == 0 or all(r % 2 == 1 for r in runs)
-    if c.kind == "odd_relaxed":
+    if c.head == "odd":
         return sum(x) == 0 or all(r % 2 == 1 for r in runs[1:-1])
     return sum(x) == c.i
 
@@ -402,25 +402,34 @@ def test_block_orbits_match_key_pass():
             assert struct.index.dtype == np.int64
 
 
-def test_block_tables_invariance_and_values_at_reps():
+def test_block_tables_invariance_and_values_at_reps(monkeypatch):
     # the families' self-convolution block tables pass the group's table
-    # check and, read at the representatives, equal the whole array there;
-    # a table that depends on more than its block's weight fails the check,
-    # and so does a block table unlike the others of its class
+    # check and, read at the representatives, equal the whole array there,
+    # which is what the structure keeps; the trivial group keeps the whole
+    # array at its representatives.  A table that depends on more than its
+    # block's weight fails the check, and so does a block table unlike the
+    # others of its class, and the structure then refuses its counts
     for c, n in [(two_charge(), 9), (two_charge(), 10), (subblock(2, 1), 8),
                  (subblock(3, 2), 9), (subblock(4, 1), 12)]:
         struct = orbit_structure(c, n)
         tables = c.self_convolution_blocks(n)
+        whole = self_convolution(c, n)
         assert struct.invariant_tables(tables)
-        assert np.array_equal(struct.table_values(np.multiply, tables),
-                              self_convolution(c, n)[struct.reps])
+        assert np.array_equal(struct.table_values(tables), whole[struct.reps])
+        assert np.array_equal(struct.conv, whole[struct.reps])
+        trivial = orbit_structure(c, n, trivial=True)
+        assert np.array_equal(trivial.conv, whole)
         skewed = [t.copy() for t in tables]
         skewed[1][1] += 1
         assert not struct.invariant_tables(skewed)
         assert not struct.invariant_tables(
             tables[:1] + [2 * tables[1]] + tables[2:])
         assert not struct.invariant_tables(tables[:-1])
-        assert not orbit_structure(c, n, trivial=True).invariant_tables(tables)
+        monkeypatch.setattr(type(c), "self_convolution_blocks",
+                            lambda self, n: skewed)
+        with pytest.raises(AssertionError):
+            orbit_structure(c, n).conv
+        monkeypatch.undo()
 
 
 def test_orbit_structure_matches_generator_closure():
@@ -480,6 +489,24 @@ def test_orbit_char_sum_matches_brute():
         for i, s_rep in enumerate(struct.reps.tolist()):
             for j in range(len(orbits)):
                 assert orbit_char_sum(struct, j, s_rep) == brute[i][j]
+
+
+def test_subblock_char_sums_match_brute():
+    # the subblock expansion over the blocks against the brute-force orbit
+    # sums, for every representative and orbit, over every subblock count
+    # p from one to n (p! orderings per column in the sum it replaced)
+    for c, n in [(subblock(1, 5), 12), (subblock(2, 3), 12),
+                 (subblock(3, 2), 12), (subblock(4, 1), 12),
+                 (subblock(6, 1), 12), (subblock(12, 0), 12),
+                 (subblock(5, 1), 10), (subblock(2, 0), 10),
+                 (subblock(7, 1), 7)]:
+        struct = orbit_structure(c, n)
+        orbits = np.arange(len(struct.sizes))
+        expected = [[orbit_char_sum(struct, j, s_rep) for j in orbits]
+                    for s_rep in struct.reps.tolist()]
+        assert struct.char_sums(orbits).tolist() == expected, (c, n)
+        assert struct.char_sums(orbits[::-2]).tolist() == \
+            [row[::-2] for row in expected], (c, n)
 
 
 def test_orbit_char_sum_matrix_matches_scalar():

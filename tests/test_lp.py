@@ -14,8 +14,8 @@ from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
                          gensph, iterate_span, krawtchouk_table, member_int,
                          member_ints, odd_relaxed, odd_strict, orbit_char_sum,
                          orbit_structure, rll, solve, subblock, two_charge)
-from constrcodes import lp
-from constrcodes.constraints import OrbitStructure
+from constrcodes import constraints, lp
+from constrcodes.constraints import OrbitStructure, self_convolution
 from constrcodes.lp import (DELAY, ITERATION_LIMIT, _counters, _dedupe,
                             _optimize, _Simplex, _Tableau, _undominated)
 from constrcodes.spectral import self_convolution_counts
@@ -534,38 +534,42 @@ def test_orbit_lp_is_smaller():
     assert sym.model.nvars() < full.model.nvars()
 
 
-def test_orbit_lp_rejects_conv_not_constant_on_orbits():
+def test_orbit_lp_rejects_conv_not_constant_on_orbits(monkeypatch):
     n, d, c = 8, 3, rll(1)
     conv = self_convolution_counts([member_int(c, n, x) for x in range(1 << n)], n)
     conv[0b00000011] += 1  # its reversal 0b11000000 keeps the old count
+    # the altered counts as the family's closed form
+    monkeypatch.setattr(type(c), "self_convolution", lambda self, n: conv)
     with pytest.raises(AssertionError):
-        del_constrained_orbits(orbit_structure(c, n), d, conv=conv)
+        del_constrained_orbits(orbit_structure(c, n), d)
     # every conv is constant on the singleton orbits of the trivial group
-    del_constrained_orbits(orbit_structure(c, n, trivial=True), d, conv=conv)
+    del_constrained_orbits(orbit_structure(c, n, trivial=True), d)
     # the check compares one chunk of words at a time: a count off in the
     # last chunk of a 2^16-word array is found too
     n, c = 16, subblock(2, 2)
     struct = orbit_structure(c, n)
-    conv = lp.self_convolution(c, n)
-    lp._check_orbit_invariant(struct, conv)
+    conv = self_convolution(c, n)
+    assert np.array_equal(struct._checked_at_reps(conv), struct.conv)
     conv[(1 << n) - 2] += 1
     with pytest.raises(AssertionError):
-        lp._check_orbit_invariant(struct, conv)
+        struct._checked_at_reps(conv)
     with pytest.raises(AssertionError):
-        lp._check_orbit_invariant(struct, conv[:-1])
+        struct._checked_at_reps(conv[:-1])
 
 
-def test_orbit_convolution_reads_block_tables():
+def test_orbit_convolution_reads_block_tables(monkeypatch):
     # the counts at the representatives from the block tables, or from the
-    # whole array for a group without block tables; the same LP either way
-    for c, n in [(two_charge(), 11), (subblock(3, 1), 12), (rll(1), 9)]:
+    # whole array for a group without block tables; the block groups read
+    # no whole array
+    whole = []
+    monkeypatch.setattr(constraints, "self_convolution",
+                        lambda c, n: whole.append(n) or self_convolution(c, n))
+    for c, n, reads in [(two_charge(), 11, 0), (subblock(3, 1), 12, 0),
+                        (rll(1), 9, 1)]:
+        whole.clear()
         struct = orbit_structure(c, n)
-        conv = lp.self_convolution(c, n)
-        assert np.array_equal(lp.orbit_convolution(struct), conv[struct.reps])
-        for d in (3, 4):
-            assert del_constrained_orbits(struct, d).lp_value == \
-                pytest.approx(del_constrained_orbits(struct, d, conv=conv)
-                              .lp_value, rel=1e-12)
+        assert np.array_equal(struct.conv, self_convolution(c, n)[struct.reps])
+        assert len(whole) == reads
 
 
 def test_optimum_confirmed_without_tableau_rebuild(monkeypatch):
@@ -755,6 +759,18 @@ def test_orbit_lp_refused_before_orbits_are_built(monkeypatch):
     monkeypatch.setattr(OrbitStructure, "__init__", fail)
     with pytest.raises(CapExceeded):
         del_constrained_sym(22, 3, rll(1))
+
+
+def test_orbit_lp_refused_before_counts_are_built(monkeypatch):
+    # the trivial group leaves 2^20 orbits at n = 20, far over the row cap:
+    # the LP is refused before the structure builds its self-convolution
+    calls = []
+    monkeypatch.setattr(constraints, "self_convolution",
+                        lambda c, n: calls.append(n))
+    structure = orbit_structure(rll(1), 20, trivial=True)
+    with pytest.raises(CapExceeded):
+        del_constrained_orbits(structure, 3)
+    assert not calls
 
 
 # -- dual certificates ---------------------------------------------------------
