@@ -44,6 +44,14 @@ def families(n, wide=True):
     return out
 
 
+def words(n):
+    """Fixed length-n words for `fourier --s`: all zeros, all ones, both
+    alternations, one on the first and last coordinates, and a word in the
+    span of the 2-charge pair basis with both signs of its pairs."""
+    return ["0" * n, "1" * n, ("10" * n)[:n], ("01" * n)[:n],
+            "1" + "0" * (n - 2) + "1", ("0" + "1100" * n)[:n]]
+
+
 def commands():
     """The argv lists of every golden command, each in every format."""
     out = []
@@ -59,6 +67,10 @@ def commands():
         for c in families(n, wide=False):
             for sub in ("weight-dist", "fourier"):
                 out.append([sub, "--constraint", c, "--n", str(n)])
+    # single character sums beyond int64 words, where only Python ints serve
+    for n in (63, 64, 128):
+        for c in families(n):
+            out += [["fourier", "--constraint", c, "--s", s] for s in words(n)]
     return [argv + ["--format", fmt] for argv in out for fmt in FORMATS]
 
 
