@@ -300,11 +300,11 @@ def _table_lps(constraint, n):
     return lambda d: del_constrained_orbits(structure(), d), sphere
 
 
-def _cell(column, provenance, expected, compute, places=3):
+def _cell(column, provenance, expected, compute):
     """One table cell: computed lazily, compared against the embedded
     expected value (exact for strings, 5e-3 for floats)."""
     return {"column": column, "provenance": provenance,
-            "expected": expected, "compute": compute, "places": places}
+            "expected": expected, "compute": compute}
 
 
 def _table_I():

@@ -6,14 +6,16 @@ For a constrained set A of length-n binary words, the character sum at s is
 
 an exact integer equal to 2^n times the Fourier coefficient of A's
 indicator at s.  Each family is one subclass of `ConstraintSpec` that
-defines its membership rule and F via a closed form or recurrence, on one
-packed word and, vectorized, on an int64 array of words; the cardinality
-|A| = F_A(0) follows, and brute-force enumeration is available as an oracle
-for every family.  The shell sums of F_A, and for some families the
-self-convolution of A, also come in closed form, with the passes over all
-2^n words as their fallback and oracle.
+defines its membership rule and F once, via a closed form or recurrence
+written in expressions that take either one packed word as a Python int
+(any length) or an int64 array of words (length up to ARRAY_CAP); the
+cardinality |A| = F_A(0) follows, and brute-force enumeration is available
+as an oracle for every family.  The shell sums of F_A, and for some
+families the self-convolution of A, also come in closed form, with the
+passes over all 2^n words as their fallback and oracle.
 """
 
+import functools
 import itertools
 import math
 
@@ -22,12 +24,12 @@ import numpy as np
 from .errors import CapExceeded
 from .gf2 import BitWord
 from .spectral import (_CHUNK, _check_conv_cap, _parity, _popcount,
-                       krawtchouk, krawtchouk_table, self_convolution_counts,
+                       krawtchouk_table, self_convolution_counts,
                        weight_class_sums, word_chunks)
 
 MEMBER_ENUM_CAP = 22
-# largest n of the array methods: every word and every shift of it stays a
-# nonnegative int64
+# largest n of int64 array input to `member` and `char_sum`: every word and
+# every shift of it stays a nonnegative int64
 ARRAY_CAP = 62
 
 
@@ -35,37 +37,23 @@ ARRAY_CAP = 62
 # membership
 
 
-def _zero_runs(bits, n):
-    """Lengths of the leading, internal, and trailing runs of zeros."""
-    runs = []
-    last = -1
-    while bits:
-        low = bits & -bits
-        position = low.bit_length() - 1
-        runs.append(position - last - 1)
-        last = position
-        bits ^= low
-    runs.append(n - 1 - last)
-    return runs
+@functools.cache
+def _even_bits(n):
+    """The word with ones on the bits 0, 2, 4, ... below n."""
+    return ((1 << 2 * ((n + 1) // 2)) - 1) // 3
 
 
-def _zero_runs_array(n, words, odd_runs, ends):
-    """Whether every internal run of zeros of each word of an int64 array,
-    and the leading and trailing runs too when `ends`, has odd length (if
-    `odd_runs`) or even length; the all-zeros word passes.  One scan over
-    the coordinates keeps the parity of the current run."""
-    odd = np.zeros(words.shape, dtype=bool)  # the current run's parity
-    seen = np.zeros(words.shape, dtype=bool)  # a one has been read
-    ok = np.ones(words.shape, dtype=bool)
-    for i in range(n):
-        one = ((words >> i) & 1).astype(bool)
-        closed = one if ends else one & seen
-        ok &= ~closed | (odd == odd_runs)
-        seen |= one
-        odd = ~one & ~odd
-    if ends:
-        ok &= odd == odd_runs
-    return ok | (words == 0)
+def _weight(words):
+    """The weight of a Python int, or of each word of an int64 array."""
+    return _popcount(words) if isinstance(words, np.ndarray) else words.bit_count()
+
+
+def _at_weight(table, words):
+    """table[w(x)] for a list of Python ints `table`: the entry itself for
+    a Python int x, an int64 array for an int64 array of words x."""
+    if isinstance(words, np.ndarray):
+        return np.array(table, dtype=np.int64)[_popcount(words)]
+    return table[words.bit_count()]
 
 
 def member_int(c, n, bits):
@@ -96,7 +84,7 @@ def _word_array(c, n, words):
 
 def member_array(c, n, words):
     """Membership of each packed word of an integer array, as a bool array."""
-    return c.member_array(n, _word_array(c, n, words))
+    return c.member(n, _word_array(c, n, words))
 
 
 def enumerate_members(c, n, cap=MEMBER_ENUM_CAP):
@@ -157,7 +145,7 @@ def char_sum_array(c, n, words):
     |F_A(s)| <= |A| <= 2^n, and every family's intermediate values are
     character sums of shorter sets or partial products bounded the same
     way, so nothing overflows at n <= ARRAY_CAP."""
-    return c.char_sum_array(n, _word_array(c, n, words))
+    return c.char_sum(n, _word_array(c, n, words))
 
 
 def cardinality(c, n):
@@ -216,17 +204,6 @@ def _poly_pow(a, k):
     for _ in range(k):
         out = _poly_mul(out, a)
     return out
-
-
-def _bit_signs(words, i):
-    """(-1)^{bit i} of each word of a nonnegative int64 array, as a new
-    int64 array.  The recurrences update it in place, so that a step of a
-    whole-space pass allocates one array and not one per operation."""
-    signs = words >> i
-    signs &= 1
-    signs *= -2
-    signs += 1
-    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -665,12 +642,14 @@ class ConstraintSpec:
     A family class gives its grammar head `head` and parameter names
     `params` (the text form is `head` or `head:name=<int>,...`), validates
     the parameters in `__init__` and the blocklength in `check_length`, and
-    defines on packed words that fit in n coordinates the membership rule
-    `member` and the exact character sum `char_sum`, and their vectorized
-    forms over an int64 array of such words, `member_array` (bool) and
-    `char_sum_array` (int64).  `orbits` is the
-    orbit-group class of a symmetry group of the set, and `auto_lp` the
-    bound program `bound --lp auto` solves.
+    defines once the membership rule `member(n, bits)` and the exact
+    character sum `char_sum(n, s)`.  Their argument is a packed word that
+    fits in n coordinates, either a Python int (any n), which gives a
+    Python bool or int, or an int64 array of such words (n <= ARRAY_CAP),
+    which gives a bool or int64 array: the same expressions serve both, over
+    `_weight` and `_at_weight`, with no numpy scalar on the int path.
+    `orbits` is the orbit-group class of a symmetry group of the set, and
+    `auto_lp` the bound program `bound --lp auto` solves.
 
     Two whole-space objects may also have a closed form; a family without
     one returns None and the generic pass over all 2^n words is used.
@@ -700,12 +679,6 @@ class ConstraintSpec:
         raise NotImplementedError
 
     def char_sum(self, n, s):
-        raise NotImplementedError
-
-    def member_array(self, n, words):
-        raise NotImplementedError
-
-    def char_sum_array(self, n, s):
         raise NotImplementedError
 
     def shell_sums(self, n):
@@ -742,48 +715,25 @@ class TwoCharge(ConstraintSpec):
     auto_lp = "del-sym"
 
     def member(self, n, bits):
-        total = 0
-        for i in range(n):
-            total += 1 - 2 * ((bits >> i) & 1)
-            if not 0 <= total <= 2:
-                return False
-        return True
+        """x_1 = 0 and each pair (2i, 2i+1) holds exactly one 1: the running
+        sum is 1 after x_1 and after each such pair, a 00 or 11 pair takes
+        it out of [0, 2], and the last coordinate of even n to 0 or 2.  The
+        pairs are the bit pairs of rest = bits >> 1 from bit 0, below n - 2."""
+        pairs = _even_bits(n - 2)
+        rest = bits >> 1
+        return ((bits & 1) == 0) & (((rest ^ (rest >> 1)) & pairs) == pairs)
 
     def char_sum(self, n, s):
         """0 outside span(B) (see `two_charge_basis`), otherwise
-        (+-) 2^{floor(n/2)} with sign (-1)^{number of double-one pairs in s}."""
-        rest = s >> 1
-        neg_pairs = 0
-        for _ in range((n + 1) // 2 - 1):
-            pair = rest & 0b11
-            if pair == 0b11:
-                neg_pairs ^= 1
-            elif pair:
-                return 0
-            rest >>= 2
-        if rest:
-            # coordinates beyond the last pair (even n) must be zero
-            return 0
-        mag = 1 << (n // 2)
-        return -mag if neg_pairs else mag
-
-    def member_array(self, n, words):
-        charge = np.zeros_like(words)
-        ok = np.ones(words.shape, dtype=bool)
-        for i in range(n):
-            charge += 1 - 2 * ((words >> i) & 1)
-            ok &= (charge >= 0) & (charge <= 2)
-        return ok
-
-    def char_sum_array(self, n, s):
-        """`char_sum` by masks: with rest = s >> 1, s is in span(B) when the
-        low and high bits of every pair of rest agree (for even n the last
-        bit of s is paired with a zero bit past the word, so it must be
-        zero); the double-one pairs are then the set low bits of rest."""
-        rest = s >> 1
-        low = rest & 0x5555555555555555
-        spanned = low == ((rest >> 1) & 0x5555555555555555)
-        return np.where(spanned, 1 - 2 * _parity(low), 0) << (n // 2)
+        (+-) 2^{floor(n/2)} with sign (-1)^{number of double-one pairs in
+        s}.  With rest = s >> 1, s is in span(B) when the low and high bits
+        of every pair of rest agree (for even n the last bit of s is paired
+        with a zero bit past the word, so it must be zero); the double-one
+        pairs are then the set low bits of rest."""
+        even = _even_bits(n)
+        low = (s >> 1) & even
+        spanned = low == ((s >> 2) & even)
+        return spanned * (1 - 2 * (_weight(low) & 1)) << (n // 2)
 
     def shell_sums(self, n):
         """2^{floor(n/2)} (1 + y) (1 - y^2)^{ceil(n/2) - 1}: the first bit of
@@ -833,31 +783,18 @@ class Subblock(ConstraintSpec):
         return out
 
     def member(self, n, bits):
-        return all(block.bit_count() == self.z for block in self.blocks(n, bits))
-
-    def char_sum(self, n, s):
-        """Product over subblocks of K_z^{(n/p)}(weight of s's subblock)."""
-        width = n // self.p
-        out = 1
-        for block in self.blocks(n, s):
-            out *= krawtchouk(width, self.z, block.bit_count())
-            if not out:
-                return 0
-        return out
-
-    def member_array(self, n, words):
-        ok = np.ones(words.shape, dtype=bool)
-        for block in self.blocks(n, words):
-            ok &= _popcount(block) == self.z
+        ok = True
+        for block in self.blocks(n, bits):
+            ok = ok & (_weight(block) == self.z)
         return ok
 
-    def char_sum_array(self, n, s):
-        """A Krawtchouk-row lookup on each subblock weight; every partial
-        product is at most C(n/p, z)^p = |A| in magnitude."""
-        row = np.array(krawtchouk_table(n // self.p).table[self.z], dtype=np.int64)
-        out = np.ones_like(s)
+    def char_sum(self, n, s):
+        """Product over subblocks of K_z^{(n/p)}(weight of s's subblock);
+        every partial product is at most C(n/p, z)^p = |A| in magnitude."""
+        row = krawtchouk_table(n // self.p).table[self.z]
+        out = 1
         for block in self.blocks(n, s):
-            out *= row[_popcount(block)]
+            out = out * _at_weight(row, block)
         return out
 
     def shell_sums(self, n):
@@ -897,52 +834,26 @@ class Rll(ConstraintSpec):
         self.d = d
 
     def member(self, n, bits):
-        last = -self.d - 1
-        while bits:
-            low = bits & -bits
-            position = low.bit_length() - 1
-            if position - last <= self.d:
-                return False
-            last = position
-            bits ^= low
-        return True
-
-    def member_array(self, n, words):
-        ok = np.ones(words.shape, dtype=bool)
-        for j in range(1, min(self.d, n - 1) + 1):
-            ok &= (words & (words >> j)) == 0
-        return ok
+        """No one lies on any of the d coordinates above another."""
+        near = bits >> 1
+        for j in range(2, min(self.d, n - 1) + 1):
+            near = near | bits >> j
+        return (bits & near) == 0
 
     def char_sum(self, n, s):
         """The suffix recurrence
 
-            F^(m)(t) = F^(m-1)(t >> 1) + (-1)^{t & 1} F^(m-d-1)(t >> (d+1)),
+            F^(m)(t) = F^(m-1)(t >> 1) + (-1)^{t & 1} F^(m-d-1)(t >> (d+1))
 
-        valid for m >= d+2, over the length-m suffixes t of s (its top m
-        coordinates).  For m <= d+1 the members are 0^m and the m single-one
-        words, so F^(m)(t) = 1 + m - 2 w(t)."""
-        d = self.d
-        vals = [1 + m - 2 * (s >> (n - m)).bit_count()
-                for m in range(min(n, d + 1) + 1)]
-        for m in range(d + 2, n + 1):
-            if (s >> (n - m)) & 1:
-                vals.append(vals[m - 1] - vals[m - d - 1])
-            else:
-                vals.append(vals[m - 1] + vals[m - d - 1])
-        return vals[n]
-
-    def char_sum_array(self, n, s):
-        """The suffix recurrence of `char_sum` on every word at once, keeping
-        the last d + 1 arrays; |F^(m)| <= 2^m."""
-        d = self.d
-        vals = [1 + m - 2 * _popcount(s >> (n - m))
-                for m in range(1, min(n, d + 1) + 1)]
-        for m in range(d + 2, n + 1):
-            step = _bit_signs(s, n - m)
-            step *= vals[0]
-            step += vals[-1]
-            vals.append(step)
-            del vals[0]
+        over the length-m suffixes t of s (its top m coordinates), m = 1..n,
+        with F^(m) = 1 for m <= 0: a member of length m is 0 and a member of
+        length m - 1, or 1, then d zeros (as many as fit) and a member of
+        length m - d - 1.  The coordinate read at length m is bit n - m of
+        s; |F^(m)| <= 2^m."""
+        back = -self.d - 1
+        vals = [1] * (self.d + 1)
+        for i in range(n - 1, -1, -1):
+            vals.append(vals[-1] + (1 - 2 * ((s >> i) & 1)) * vals[back])
         return vals[-1]
 
     def shell_sums(self, n):
@@ -970,38 +881,21 @@ class OddStrict(ConstraintSpec):
     head = "odd-strict"
     orbits = _ReversalOrbits
 
-    def member(self, n, bits):
-        return bits == 0 or all(r % 2 == 1 for r in _zero_runs(bits, n))
-
     @staticmethod
-    def odd_coordinates(n):
-        """The word with ones on the coordinates 1, 3, ..., n (bits 0, 2,
-        ..., n - 1)."""
-        return ((1 << (n + 1)) - 1) // 3
+    def support(n):
+        """The members form a subspace: for odd n the words supported on
+        the coordinates 2, 4, ..., n - 1 (bits 1, 3, ..., n - 2), which is
+        this word; for even n only the all-zeros word, by the convention."""
+        return _even_bits(n - 1) << 1 if n % 2 else 0
+
+    def member(self, n, bits):
+        return (bits & ~self.support(n)) == 0
 
     def char_sum(self, n, s):
-        """For odd n the members form the subspace of words supported on
-        even coordinates, so F(s) = 2^{floor(n/2)} exactly when s is
-        supported on the odd coordinates 1, 3, ..., n, else 0.  For even n
-        the set is just {0^n} by the all-zeros convention, so F(s) = 1."""
-        if n % 2 == 0:
-            return 1
-        if s & ~self.odd_coordinates(n):
-            return 0
-        return 1 << (n // 2)
-
-    def member_array(self, n, words):
-        """The closed form of `char_sum`: for odd n the members are the
-        words with no one on the odd coordinates, for even n only the
-        all-zeros word."""
-        if n % 2 == 0:
-            return words == 0
-        return (words & self.odd_coordinates(n)) == 0
-
-    def char_sum_array(self, n, s):
-        if n % 2 == 0:
-            return np.ones_like(s)
-        return ((s & ~self.odd_coordinates(n)) == 0) << (n // 2)
+        """|A| = 2^{floor(n/2)} (odd n) or 1 (even n) when s is orthogonal
+        to the subspace A, else 0."""
+        support = self.support(n)
+        return ((s & support) == 0) << support.bit_count()
 
     def shell_sums(self, n):
         """2^{floor(n/2)} (1 + y)^{ceil(n/2)} for odd n, (1 + y)^n for even n."""
@@ -1023,28 +917,16 @@ class OddRelaxed(ConstraintSpec):
             raise ValueError("the relaxed odd constraint is only supported for even n")
 
     def member(self, n, bits):
-        return bits == 0 or all(r % 2 == 1 for r in _zero_runs(bits, n)[1:-1])
+        """All ones lie on coordinates of one parity: two consecutive ones
+        are then an even distance apart, an odd run of zeros between them."""
+        even = _even_bits(n)
+        return ((bits & even) == 0) | ((bits & even << 1) == 0)
 
     def char_sum(self, n, s):
         """2^{n/2+1}-1 at s = 0, 2^{n/2}-1 when s is itself a nonzero
         member, and -1 otherwise."""
-        if s == 0:
-            return (1 << (n // 2 + 1)) - 1
-        if self.member(n, s):
-            return (1 << (n // 2)) - 1
-        return -1
-
-    def member_array(self, n, words):
-        return _zero_runs_array(n, words, odd_runs=True, ends=False)
-
-    def char_sum_array(self, n, s):
-        out = np.where(self.member_array(n, s), (1 << (n // 2)) - 1, -1)
-        out[s == 0] = (1 << (n // 2 + 1)) - 1
-        return out
-
-
-# F at lengths 1 and 2: the members are 0 and 1, and 00 and 11
-_EVEN_BASE = {1: (2, 0), 2: (2, 0, 0, 2)}
+        half = n // 2
+        return (self.member(n, s) << half) + ((s == 0) << half) - 1
 
 
 class EvenStrict(ConstraintSpec):
@@ -1055,43 +937,32 @@ class EvenStrict(ConstraintSpec):
     orbits = _ReversalOrbits
 
     def member(self, n, bits):
-        return bits == 0 or all(r % 2 == 0 for r in _zero_runs(bits, n))
+        """With a one put below the first coordinate (bit 0 of `marked`),
+        every run of zeros has even length exactly when each one of
+        `marked`, at bit q, has n - q ones above it, mod 2: consecutive
+        ones are then an odd distance apart, and the top one has an even
+        number n - q of zeros above it.  The parities of the ones above
+        every bit come from log2(n) shifted xors."""
+        marked = bits << 1 | 1
+        above = marked >> 1
+        shift = 1
+        while shift < n:
+            above ^= above >> shift
+            shift <<= 1
+        odd_distance = _even_bits(n + 1) if n % 2 else _even_bits(n) << 1
+        return (((above ^ odd_distance) & marked) == 0) | (bits == 0)
 
     def char_sum(self, n, s):
-        """The four-case suffix recurrence:
+        """The suffix recurrence
 
-            m even, s1 = 0:  F^(m) =  F^(m-1) + F^(m-2) - 1
-            m even, s1 = 1:  F^(m) = -F^(m-1) + F^(m-2) + 1
-            m odd,  s1 = 0:  F^(m) =  F^(m-1) + F^(m-2)
-            m odd,  s1 = 1:  F^(m) = -F^(m-1) + F^(m-2)
+            F^(m)(t) = (-1)^{t & 1} (F^(m-1)(t >> 1) - [m even]) + F^(m-2)(t >> 2)
 
-        where F^(m-1), F^(m-2) are taken at the corresponding suffixes of s."""
-        if n <= 2:
-            return _EVEN_BASE[n][s]
-        vals = [0, _EVEN_BASE[1][s >> (n - 1)], _EVEN_BASE[2][s >> (n - 2)]]
-        for m in range(3, n + 1):
-            t = s >> (n - m)
-            if t & 1:
-                vals.append(-vals[m - 1] + vals[m - 2] + (1 if m % 2 == 0 else 0))
-            else:
-                vals.append(vals[m - 1] + vals[m - 2] - (1 if m % 2 == 0 else 0))
-        return vals[n]
-
-    def member_array(self, n, words):
-        return _zero_runs_array(n, words, odd_runs=False, ends=True)
-
-    def char_sum_array(self, n, s):
-        """The recurrence of `char_sum` on every word at once, keeping the
-        last two arrays; |F^(m)| <= 2^m."""
-        if n <= 2:
-            return np.array(_EVEN_BASE[n], dtype=np.int64)[s]
-        prev2 = np.array(_EVEN_BASE[1], dtype=np.int64)[s >> (n - 1)]
-        prev1 = np.array(_EVEN_BASE[2], dtype=np.int64)[s >> (n - 2)]
-        for m in range(3, n + 1):
-            step = _bit_signs(s, n - m)
-            step *= prev1 - 1 if m % 2 == 0 else prev1
-            step += prev2
-            prev2, prev1 = prev1, step
+        over the length-m suffixes t of s (its top m coordinates), m = 1..n,
+        from F^(-1) = F^(0) = 1; |F^(m)| <= 2^m."""
+        prev2 = prev1 = 1
+        for m in range(1, n + 1):
+            sign = 1 - 2 * ((s >> (n - m)) & 1)
+            prev2, prev1 = prev1, sign * (prev1 - 1 + m % 2) + prev2
         return prev1
 
     def shell_sums(self, n):
@@ -1128,18 +999,11 @@ class FixedWeight(ConstraintSpec):
             raise ValueError("fixed weight i=%d exceeds blocklength %d" % (self.i, n))
 
     def member(self, n, bits):
-        return bits.bit_count() == self.i
+        return _weight(bits) == self.i
 
     def char_sum(self, n, s):
-        """K_i^{(n)}(w(s))."""
-        return krawtchouk(n, self.i, s.bit_count())
-
-    def member_array(self, n, words):
-        return _popcount(words) == self.i
-
-    def char_sum_array(self, n, s):
-        """A lookup in the Krawtchouk row K_i^{(n)}; |K_i(j)| <= C(n, i)."""
-        return np.array(krawtchouk_table(n).table[self.i], dtype=np.int64)[_popcount(s)]
+        """K_i^{(n)}(w(s)); |K_i(j)| <= C(n, i)."""
+        return _at_weight(krawtchouk_table(n).table[self.i], s)
 
     def shell_sums(self, n):
         """W(j) = C(n, j) K_i(j): the one-subblock case of `Subblock`."""

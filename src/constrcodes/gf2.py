@@ -152,9 +152,10 @@ def gf2_rank(m):
     return len(_echelonize(rows))
 
 
-def _kernel_basis(rows, n):
-    """Basis (packed ints) of the right kernel {x : r . x = 0 for all rows r}."""
-    basis = _echelonize(rows)
+def _kernel_basis(basis, n):
+    """Basis (packed ints) of the right kernel {x : r . x = 0 for all rows r}
+    of rows with the echelon basis `basis` (`_echelonize`).  Each kernel
+    vector has a free bit that no other one has, so they are independent."""
     pivots = sorted(basis)
     free = [j for j in range(n) if j not in basis]
     out = []
@@ -167,6 +168,13 @@ def _kernel_basis(rows, n):
     return out
 
 
+def _rank_and_kernel(matrix, n):
+    """The rank of a BitMatrix and a basis of its right kernel, as a
+    BitMatrix, from one echelon form."""
+    basis = _echelonize(matrix.data)
+    return len(basis), BitMatrix(_kernel_basis(basis, n), n)
+
+
 class BinaryLinearCode:
     """[n, k] binary linear code given by full-rank generator/parity-check pair."""
 
@@ -177,16 +185,23 @@ class BinaryLinearCode:
             raise ValueError("need a generator or a parity-check matrix")
         if n is None:
             n = generator.cols if generator is not None else parity_check.cols
+        # the echelon form of a matrix given alone gives its rank and the
+        # other matrix, its kernel
+        gen_rank = check_rank = None
         if generator is None:
-            generator = BitMatrix(_kernel_basis(parity_check.data, n), n)
+            check_rank, generator = _rank_and_kernel(parity_check, n)
         if parity_check is None:
-            parity_check = BitMatrix(_kernel_basis(generator.data, n), n)
+            gen_rank, parity_check = _rank_and_kernel(generator, n)
         if generator.cols != n or parity_check.cols != n:
             raise ValueError("matrix widths disagree with blocklength")
+        if gen_rank is None:
+            gen_rank = gf2_rank(generator)
+        if check_rank is None:
+            check_rank = gf2_rank(parity_check)
         k = generator.rows
-        if gf2_rank(generator) != k:
+        if gen_rank != k:
             raise ValueError("generator matrix is rank deficient")
-        if gf2_rank(parity_check) != parity_check.rows or parity_check.rows != n - k:
+        if check_rank != parity_check.rows or parity_check.rows != n - k:
             raise ValueError("parity-check matrix must be full rank with n-k rows")
         for g in generator.data:
             for h in parity_check.data:

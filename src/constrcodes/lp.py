@@ -941,18 +941,17 @@ def del_constrained_orbits(structure, d):
     conv = structure.conv
     delsarte = del_classic(n, d).lp_value
     size = cardinality(constraint, n)
-    # substitute f(0) = u0 - h with 0 <= h <= u0: the h column makes every
-    # right-hand side -u0 < 0, so the all-slack origin is strictly feasible
-    # and no phase 1 is needed; the zero word is always a singleton orbit
-    # (the smallest representative) with unit character-sum coefficient
+    # f(0) = u0, its upper bound, is optimal: the zero word is always a
+    # singleton orbit (the smallest representative) with coefficient +1 in
+    # every transform row and in the objective.  Every right-hand side is
+    # then -u0 < 0, so the all-slack origin is strictly feasible and no
+    # phase 1 is needed
     reps = structure.reps
     u0 = min(float(conv[reps.argmin()]), delsarte)
     columns = np.flatnonzero((_popcount(reps) >= d) & (conv > 0))
-    rows = np.column_stack((structure.char_sums(columns), -np.ones(len(reps))))
-    rows, rhs = _dedupe(rows, np.full(len(reps), -u0))
-    model = LpModel("max", np.append(structure.sizes[columns], -1.0), rows,
-                    np.full(len(rows), ">="), rhs,
-                    upper=np.append(conv[columns], u0))
+    rows, rhs = _dedupe(structure.char_sums(columns), np.full(len(reps), -u0))
+    model = LpModel("max", structure.sizes[columns], rows,
+                    np.full(len(rows), ">="), rhs, upper=conv[columns])
     sol = _solved(model, "constrained Delsarte LP (%d, %d, %s) over the %s "
                   "group" % (n, d, constraint, structure.group))
     value = u0 + sol.value

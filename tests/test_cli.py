@@ -2,6 +2,7 @@ import json
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from constrcodes import hamming_code, save_code
@@ -200,17 +201,23 @@ def test_verify_injected_fault(capsys):
 
 
 def test_verify_charsum_checks_array_methods(capsys, monkeypatch):
+    # a family method wrong on int64 arrays only is caught and reported
+    # under the array function's name
     from constrcodes.constraints import EvenStrict, Rll
-    for cls, method, wrong in (
-            (Rll, "char_sum_array", lambda value: value + (value == 1)),
-            (EvenStrict, "member_array", lambda value: ~value)):
+    for cls, method, key, wrong in (
+            (Rll, "char_sum", "char_sum_array", lambda value: value + (value == 1)),
+            (EvenStrict, "member", "member_array", lambda value: ~value)):
         original = getattr(cls, method)
+
+        def patched(self, n, words, original=original, wrong=wrong):
+            value = original(self, n, words)
+            return wrong(value) if isinstance(words, np.ndarray) else value
+
         with monkeypatch.context() as patch:
-            patch.setattr(cls, method, lambda self, n, words, original=original,
-                          wrong=wrong: wrong(original(self, n, words)))
+            patch.setattr(cls, method, patched)
             code, out = run(capsys, "verify", "--max-n", "5", "--suites", "charsum")
         assert code == 1
-        assert '"%s": ' % method in out
+        assert '"%s": ' % key in out
 
 
 def test_verify_unknown_suite(capsys):

@@ -13,7 +13,7 @@ from constrcodes import (CapExceeded, cardinality, char_sum_array,
                          two_charge, two_charge_basis, weight_class_sums, wht)
 from constrcodes.constraints import (FAMILIES, OddRelaxed, OrbitStructure,
                                      self_convolution)
-from constrcodes.spectral import _popcount
+from constrcodes.spectral import _popcount, krawtchouk
 from constrcodes.gf2 import BitWord, iterate_span
 
 
@@ -164,34 +164,185 @@ def test_words_outside_n_coordinates_are_rejected():
                     member_int(c, n, s)
 
 
+# -- the per-family Python-int forms, oracle of member and char_sum ----------
+
+
+def _zero_runs(bits, n):
+    """Lengths of the leading, internal, and trailing runs of zeros."""
+    runs = []
+    last = -1
+    while bits:
+        low = bits & -bits
+        position = low.bit_length() - 1
+        runs.append(position - last - 1)
+        last = position
+        bits ^= low
+    runs.append(n - 1 - last)
+    return runs
+
+
+def int_member(c, n, bits):
+    """Membership of one packed word, by scans over its bits and runs."""
+    if c.head == "2charge":
+        total = 0
+        for i in range(n):
+            total += 1 - 2 * ((bits >> i) & 1)
+            if not 0 <= total <= 2:
+                return False
+        return True
+    if c.head == "subblock":
+        return all(block.bit_count() == c.z for block in c.blocks(n, bits))
+    if c.head == "rll":
+        last = -c.d - 1
+        while bits:
+            low = bits & -bits
+            position = low.bit_length() - 1
+            if position - last <= c.d:
+                return False
+            last = position
+            bits ^= low
+        return True
+    if c.head == "odd-strict":
+        return bits == 0 or all(r % 2 == 1 for r in _zero_runs(bits, n))
+    if c.head == "odd":
+        return bits == 0 or all(r % 2 == 1 for r in _zero_runs(bits, n)[1:-1])
+    if c.head == "even-strict":
+        return bits == 0 or all(r % 2 == 0 for r in _zero_runs(bits, n))
+    return bits.bit_count() == c.i
+
+
+# F of even-strict at lengths 1 and 2: the members are 0 and 1, and 00 and 11
+_EVEN_BASE = {1: (2, 0), 2: (2, 0, 0, 2)}
+
+
+def int_char_sum(c, n, s):
+    """F_A(s) of one packed word, by the families' pair scan, recurrences
+    from their base cases, and Krawtchouk values."""
+    if c.head == "2charge":
+        rest = s >> 1
+        neg_pairs = 0
+        for _ in range((n + 1) // 2 - 1):
+            pair = rest & 0b11
+            if pair == 0b11:
+                neg_pairs ^= 1
+            elif pair:
+                return 0
+            rest >>= 2
+        if rest:
+            return 0
+        return -(1 << (n // 2)) if neg_pairs else 1 << (n // 2)
+    if c.head == "subblock":
+        out = 1
+        for block in c.blocks(n, s):
+            out *= krawtchouk(n // c.p, c.z, block.bit_count())
+        return out
+    if c.head == "rll":
+        d = c.d
+        vals = [1 + m - 2 * (s >> (n - m)).bit_count()
+                for m in range(min(n, d + 1) + 1)]
+        for m in range(d + 2, n + 1):
+            if (s >> (n - m)) & 1:
+                vals.append(vals[m - 1] - vals[m - d - 1])
+            else:
+                vals.append(vals[m - 1] + vals[m - d - 1])
+        return vals[n]
+    if c.head == "odd-strict":
+        if n % 2 == 0:
+            return 1
+        return 0 if s & ~(((1 << (n + 1)) - 1) // 3) else 1 << (n // 2)
+    if c.head == "odd":
+        if s == 0:
+            return (1 << (n // 2 + 1)) - 1
+        return (1 << (n // 2)) - 1 if int_member(c, n, s) else -1
+    if c.head == "even-strict":
+        if n <= 2:
+            return _EVEN_BASE[n][s]
+        vals = [0, _EVEN_BASE[1][s >> (n - 1)], _EVEN_BASE[2][s >> (n - 2)]]
+        for m in range(3, n + 1):
+            even = 1 if m % 2 == 0 else 0
+            if (s >> (n - m)) & 1:
+                vals.append(-vals[m - 1] + vals[m - 2] + even)
+            else:
+                vals.append(vals[m - 1] + vals[m - 2] - even)
+        return vals[n]
+    return krawtchouk(n, c.i, s.bit_count())
+
+
+def check_against_int_oracle(c, n, words):
+    """member and char_sum on each word as a Python int, exactly the
+    oracle's bool and int, and for n <= 62 on all of them as an int64 array,
+    the same values as a bool and an int64 array."""
+    members = [int_member(c, n, x) for x in words]
+    sums = [int_char_sum(c, n, x) for x in words]
+    got = [member_int(c, n, x) for x in words]
+    assert all(type(v) is bool for v in got) and got == members, (str(c), n)
+    got = [char_sum_int(c, n, x) for x in words]
+    assert all(type(v) is int for v in got) and got == sums, (str(c), n)
+    if n <= 62:
+        member_arr = member_array(c, n, words)
+        sum_arr = char_sum_array(c, n, words)
+        assert member_arr.dtype == bool and sum_arr.dtype == np.int64
+        assert member_arr.tolist() == members, (str(c), n)
+        assert sum_arr.tolist() == sums, (str(c), n)
+
+
+def long_words(rng, n):
+    """All zeros, all ones, uniform words, sparse words (where the
+    run-length sets have members), words off the odd and off the even
+    coordinates (the odd-strict and odd members), 2-charge members and
+    words of the span of the pair basis, and even-strict members."""
+    odd_coordinates = ((1 << (n + 1)) - 1) // 3
+    words = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(60)]
+    words += [sum(1 << i for i in rng.sample(range(n), rng.randint(1, 6)))
+              for _ in range(60)]
+    words += [rng.getrandbits(n) & ~odd_coordinates for _ in range(20)]
+    words += [rng.getrandbits(n) & odd_coordinates for _ in range(20)]
+    basis = two_charge_basis(n)
+    for _ in range(20):
+        words.append(sum(1 << (i + rng.randrange(2)) for i in range(1, n - 1, 2))
+                     | rng.randrange(2 - n % 2) << (n - 1))
+        span = 0
+        for b in rng.sample(basis, rng.randint(1, len(basis))):
+            span ^= b
+        words += [span, span ^ (1 << rng.randrange(n))]
+        word, position = 0, 0
+        while position < n:
+            if position + 2 <= n and rng.randrange(2):
+                position += 2
+            else:
+                word |= 1 << position
+                position += 1
+        words.append(word)
+    return words
+
+
 def test_array_methods_match_scalar_on_every_word():
     for n in range(1, 15):
-        words = np.arange(1 << n)
-        for c in all_constraints(n):
-            members = member_array(c, n, words)
-            sums = char_sum_array(c, n, words)
-            assert members.dtype == bool and sums.dtype == np.int64
-            assert members.tolist() == [member_int(c, n, x) for x in words.tolist()], \
-                (str(c), n)
-            assert sums.tolist() == [char_sum_int(c, n, x) for x in words.tolist()], \
-                (str(c), n)
+        words = list(range(1 << n))
+        for c in all_constraints(n) + [odd_strict()] * (1 - n % 2):
+            check_against_int_oracle(c, n, words)
 
 
 def test_array_methods_match_scalar_on_long_words():
-    # uniform words, sparse words (where the run-length sets have members)
-    # and words off the odd coordinates (the odd-strict members)
     rng = random.Random(17)
     for n in range(33, 63):
-        words = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(60)]
-        words += [sum(1 << i for i in rng.sample(range(n), rng.randint(1, 6)))
-                  for _ in range(60)]
-        words += [rng.getrandbits(n) & ~(((1 << (n + 1)) - 1) // 3)
-                  for _ in range(20)]
+        words = long_words(rng, n)
         for c in all_constraints(n) + [fixed_weight(2), fixed_weight(n - 1)]:
-            assert member_array(c, n, words).tolist() == \
-                [member_int(c, n, x) for x in words], (str(c), n)
-            assert char_sum_array(c, n, words).tolist() == \
-                [char_sum_int(c, n, x) for x in words], (str(c), n)
+            check_against_int_oracle(c, n, words)
+
+
+def test_int_methods_match_oracle_beyond_int64():
+    # lengths past ARRAY_CAP, which only the Python-int path serves
+    rng = random.Random(23)
+    for n in (63, 64, 128, 256):
+        words = long_words(rng, n)
+        cases = all_constraints(n) + [odd_strict()] * (1 - n % 2)
+        cases += [fixed_weight(2), fixed_weight(n - 1)]
+        cases += [subblock(4, 3)] * (n % 4 == 0)
+        for c in cases:
+            check_against_int_oracle(c, n, words)
+        with pytest.raises(CapExceeded):
+            member_array(cases[0], n, [0])
 
 
 def test_array_methods_check_words_and_cap():
@@ -225,14 +376,14 @@ def test_two_charge_spectrum_support():
 
 
 def test_two_charge_char_sum_array_matches_scalar():
-    # the mask form against the pair scan of the scalar char_sum: every
+    # the mask form against the pair scan of the int oracle: every
     # word up to n = 14, then seeded words of the span of the pair basis,
     # the same words with one bit flipped, and uniform words
     c = two_charge()
     for n in range(1, 15):
         words = np.arange(1 << n)
         assert char_sum_array(c, n, words).tolist() == \
-            [c.char_sum(n, s) for s in words.tolist()], n
+            [int_char_sum(c, n, s) for s in words.tolist()], n
     rng = random.Random(31)
     for n in range(15, 63):
         basis = two_charge_basis(n)
@@ -245,7 +396,7 @@ def test_two_charge_char_sum_array_matches_scalar():
         words = span + [w ^ (1 << rng.randrange(n)) for w in span]
         words += [rng.getrandbits(n) for _ in range(100)]
         assert char_sum_array(c, n, words).tolist() == \
-            [c.char_sum(n, s) for s in words], n
+            [int_char_sum(c, n, s) for s in words], n
 
 
 def test_shell_sums_closed_forms_match_whole_space_pass():

@@ -164,3 +164,29 @@ def test_span_chunks_match_iterate_span():
         words = np.concatenate(chunks).tolist()
         assert len(words) == 1 << k
         assert set(words) == set(iterate_span(rows)), (n, k)
+
+
+def test_matrix_given_alone_is_echelonized_once(monkeypatch):
+    # its one echelon form gives both its rank and the other matrix; the
+    # built matrix has its rank checked, and a rank-deficient given matrix
+    # is still refused
+    from constrcodes import gf2
+    calls = []
+    original = gf2._echelonize
+
+    def counted(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(gf2, "_echelonize", counted)
+    for build in (lambda: reed_muller(5, 2), lambda: hamming_code(4)):
+        calls.clear()
+        code = build()
+        given = [list(m.data) for m in (code.generator, code.parity_check)]
+        assert sorted(calls) == sorted(given)
+    rows = [0b0011, 0b0110, 0b0101]
+    with pytest.raises(ValueError):
+        BinaryLinearCode(generator=BitMatrix(rows, 4))
+    with pytest.raises(ValueError):
+        BinaryLinearCode(parity_check=BitMatrix(rows, 4))
