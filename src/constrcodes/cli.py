@@ -8,6 +8,7 @@ limit.  They follow the exception class, never the message text.
 """
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -202,15 +203,14 @@ def _primary_bound(n, d, constraint, which):
 def run_bound(args):
     started = time.perf_counter()
     constraint = parse_constraint(args.constraint) if args.constraint else None
-    which = args.lp
-    provenance = []
-    if which == "all":
-        report_obj, name = _primary_bound(args.n, args.d, constraint, "auto")
-        provenance.append(name)
-        result = {"n": args.n, "d": args.d,
-                  "constraint": str(constraint) if constraint else "none",
-                  "lp_value": report_obj.lp_value,
-                  "bound": report_obj.code_size_bound}
+    report_obj, name = _primary_bound(
+        args.n, args.d, constraint, "auto" if args.lp == "all" else args.lp)
+    provenance = [name]
+    result = {"n": args.n, "d": args.d,
+              "constraint": str(constraint) if constraint else "none",
+              "lp_value": report_obj.lp_value,
+              "bound": report_obj.code_size_bound}
+    if args.lp == "all":
         if constraint is not None:
             result["gensph"] = gensph(args.n, args.d, constraint).code_size_bound
             provenance.append("gensph")
@@ -220,14 +220,7 @@ def run_bound(args):
             "delsarte", report_obj.code_size_bound)
         provenance.append("del_classic")
     else:
-        report_obj, name = _primary_bound(args.n, args.d, constraint, which)
-        provenance.append(name)
-        result = {"n": args.n, "d": args.d,
-                  "constraint": str(constraint) if constraint else "none",
-                  "lp_value": report_obj.lp_value,
-                  "bound": report_obj.code_size_bound}
-        for key, value in sorted(report_obj.comparators.items()):
-            result[key] = value
+        result.update(sorted(report_obj.comparators.items()))
     if args.lp_dump:
         dump_model(report_obj.model, args.lp_dump)
     return _emit(args, {"n": args.n, "d": args.d,
@@ -268,27 +261,15 @@ def run_fourier(args):
 # reference tables
 
 
-def _once(compute):
-    """`compute` wrapped to run at the first call only: the cells of one
-    table share a value this way (each table builds its own), and so do
-    the calls of `main` their parser."""
-    memo = []
-
-    def value():
-        if not memo:
-            memo.append(compute())
-        return memo[0]
-    return value
-
-
 def _table_lps(constraint, n):
     """The constrained Delsarte LP and the GenSph bound of `constraint` at
     length n, each as a function of d; their cells share one orbit
     structure, built at the first call, and with it the self-convolution
-    counts it keeps, checked once (`OrbitStructure.conv`).  GenSph depends
-    on d only through its radius t = floor((d-1)/2), so each radius is
-    solved once."""
-    structure = _once(lambda: orbit_structure(constraint, n))
+    counts it keeps, checked once (`OrbitStructure.conv`).  The LP of the
+    latest d is kept for the other cells of its row.  GenSph depends on d
+    only through its radius t = floor((d-1)/2), so each radius is solved
+    once."""
+    structure = functools.cache(lambda: orbit_structure(constraint, n))
     spheres = {}
 
     def sphere(d):
@@ -297,7 +278,8 @@ def _table_lps(constraint, n):
             spheres[t] = gensph(n, d, constraint, structure=structure())
         return spheres[t]
 
-    return lambda d: del_constrained_orbits(structure(), d), sphere
+    return functools.lru_cache(maxsize=1)(
+        lambda d: del_constrained_orbits(structure(), d)), sphere
 
 
 def _cell(column, provenance, expected, compute):
@@ -307,122 +289,121 @@ def _cell(column, provenance, expected, compute):
             "expected": expected, "compute": compute}
 
 
-def _table_I():
-    rows = []
-    expect = {(4, 2): "16", (4, 3): "128", (5, 3): "2048",
-              (6, 4): "6.711e7", (7, 5): "1.441e17", (8, 6): "1.329e36"}
-    for (m, r), exp in expect.items():
-        rows.append(("rm:m=%d,r=%d" % (m, r), [
-            _cell("N(C; 2charge)", "count_in_code", exp,
-                  lambda m=m, r=r: _sci(count_in_code(
-                      reed_muller(m, r), two_charge()).value))]))
-    return "2-charge constrained codeword counts in Reed-Muller codes", rows
+# The reference tables, each described once: `table --id` and the
+# acceptance tests evaluate these cells.
+#
+# Bound tables: id -> (caption, n, first d, columns), one row per d from the
+# first d on.  A column is (label, program, constraint, expected value per
+# d).  `del` and `del-sym` are the constrained Delsarte LP under the
+# constraint's symmetry group (they differ in the provenance shown),
+# `gensph` the generalized sphere-packing bound, and `classic` Del(n,d),
+# read from the comparator of the constraint's constrained LP, which has
+# solved del_classic(n, d) already.
+BOUND_TABLES = {
+    "II": ("upper bounds for 2-charge constrained codes at n=13", 13, 2, [
+        ("sqrt(Del)", "del-sym", "2charge",
+         [64, 45.255, 45.255, 22.627, 17.889, 5.657, 4.619, 2.828, 2.619]),
+        ("GenSph", "gensph", "2charge", [64, 64, 64, 64, 64, 32, 32, 16, 16]),
+        ("Del(n,d)", "classic", "2charge",
+         [4096, 512, 292.571, 64, 40, 8, 5.333, 3.333, 2.857])]),
+    "III": ("upper bounds for subblock-constrained codes at (n,p,z)=(15,3,2)",
+            15, 2, [
+                # d=5: the source table lists 157.767; the optimum of the
+                # stated LP is 24576 = 3 * 2^13 exactly (cross-checked
+                # against an independent solver), whose square root is
+                # 156.767, the value kept here
+                ("sqrt(Del)", "del-sym", "subblock:p=3,z=2",
+                 [1000, 826.236, 826.236, 156.767, 110.851, 22.627]),
+                ("GenSph", "gensph", "subblock:p=3,z=2",
+                 [1000, 1000, 1000, 333.333, 333.333, 166.667])]),
+    "IV": ("upper bounds for subblock-constrained codes at (n,p,z)=(18,2,2)",
+           18, 3, [
+               ("sqrt(Del)", "del-sym", "subblock:p=2,z=2",
+                [556.38, 556.38, 227.111, 165.247, 38.118, 28.540, 4.472])]),
+    "VI": ("upper bounds for runlength-constrained codes at n=10", 10, 2, [
+        ("sqrt(Del) rll:d=2", "del", "rll:d=2",
+         [49.578, 32.075, 21.721, 7.856, 4.899, 2.529]),
+        ("GenSph rll:d=2", "gensph", "rll:d=2", [60, 46.5, 46.5, 34, 34, 19]),
+        ("sqrt(Del) rll:d=1", "del", "rll:d=1",
+         [128.557, 74.762, 42.048, 12, 6, 3.2]),
+        ("GenSph rll:d=1", "gensph", "rll:d=1", [144, 111, 111, 63, 63, 26]),
+        ("Del(n,d)", "classic", "rll:d=2", [512, 85.333, 42.667, 12, 6, 3.2])]),
+}
+
+# Count tables: id -> (caption, column, constraint, [(code, expected count)]).
+# No constraint means the odd-run constraints (odd-strict at odd n, odd at
+# even n), counted by `count_odd_in_code` and checked against its closed
+# forms.
+COUNT_TABLES = {
+    "I": ("2-charge constrained codeword counts in Reed-Muller codes",
+          "N(C; 2charge)", "2charge",
+          [("rm:m=4,r=2", "16"), ("rm:m=4,r=3", "128"), ("rm:m=5,r=3", "2048"),
+           ("rm:m=6,r=4", "6.711e7"), ("rm:m=7,r=5", "1.441e17"),
+           ("rm:m=8,r=6", "1.329e36")]),
+    "V": ("runlength-constrained codeword counts (at least one 0 between 1s)",
+          "N(C; rll:d=1)", "rll:d=1",
+          [("rm:m=4,r=2", "83"), ("rm:m=4,r=3", "1292"), ("hamming:m=3", "4"),
+           ("hamming:m=4", "101")]),
+    "even-counts": ("codeword counts under the strict even-run constraint",
+                    "N(C; even-strict)", "even-strict",
+                    [("rm:m=4,r=2", "198"), ("rm:m=4,r=3", "1597"),
+                     ("hamming:m=3", "6"), ("hamming:m=4", "116")]),
+    "odd-counts": ("codeword counts under the odd-run constraints, "
+                   "with closed forms", "N(C; odd)", None,
+                   [("hamming:m=3", "2"), ("hamming:m=4", "16"),
+                    ("hamming:m=5", "2048"), ("rm:m=3,r=1", "3"),
+                    ("rm:m=4,r=2", "31"), ("rm:m=5,r=3", "4095")]),
+}
+
+_BOUND_PROVENANCE = {"del": "del_constrained", "del-sym": "del_constrained_sym",
+                     "gensph": "gensph", "classic": "del_classic"}
 
 
-def _table_II():
-    sym = [64, 45.255, 45.255, 22.627, 17.889, 5.657, 4.619, 2.828, 2.619]
-    gsp = [64, 64, 64, 64, 64, 32, 32, 16, 16]
-    dcl = [4096, 512, 292.571, 64, 40, 8, 5.333, 3.333, 2.857]
-    lp, sph = _table_lps(two_charge(), 13)
+def _bound_value(program, lp, sphere, d):
+    if program == "gensph":
+        return sphere(d).code_size_bound
+    report = lp(d)
+    if program == "classic":
+        return report.comparators["delsarte"]
+    return report.code_size_bound
+
+
+def _bound_table(caption, n, first_d, columns):
+    """(caption, rows) of a `BOUND_TABLES` entry; the columns of one
+    constraint share its `_table_lps`."""
+    lps = {text: _table_lps(parse_constraint(text), n)
+           for _, _, text, _ in columns}
     rows = []
-    for i, d in enumerate(range(2, 11)):
-        # the constrained LP has solved del_classic(13, d) for its comparator
-        report = _once(lambda d=d: lp(d))
+    for i, d in enumerate(range(first_d, first_d + len(columns[0][3]))):
         rows.append(("d=%d" % d, [
-            _cell("sqrt(Del)", "del_constrained_sym", sym[i],
-                  lambda report=report: report().code_size_bound),
-            _cell("GenSph", "gensph", gsp[i],
-                  lambda d=d: sph(d).code_size_bound),
-            _cell("Del(n,d)", "del_classic", dcl[i],
-                  lambda report=report: report().comparators["delsarte"])]))
-    return "upper bounds for 2-charge constrained codes at n=13", rows
+            _cell(label, _BOUND_PROVENANCE[program], expected[i],
+                  functools.partial(_bound_value, program, *lps[text], d))
+            for label, program, text, expected in columns]))
+    return caption, rows
 
 
-def _table_III():
-    # The d=5 entry is listed as 157.767 in the source table; the optimum of
-    # the stated LP is 24576 exactly (cross-checked against an independent
-    # solver), whose square root is 156.767.  The recomputed value is kept
-    # as the expected cell.
-    sym = [1000, 826.236, 826.236, 156.767, 110.851, 22.627]
-    gsp = [1000, 1000, 1000, 333.333, 333.333, 166.667]
-    lp, sph = _table_lps(subblock(3, 2), 15)
-    rows = []
-    for i, d in enumerate(range(2, 8)):
-        rows.append(("d=%d" % d, [
-            _cell("sqrt(Del)", "del_constrained_sym", sym[i],
-                  lambda d=d: lp(d).code_size_bound),
-            _cell("GenSph", "gensph", gsp[i],
-                  lambda d=d: sph(d).code_size_bound)]))
-    return "upper bounds for subblock-constrained codes at (n,p,z)=(15,3,2)", rows
+def _count(code_text, constraint_text):
+    code = parse_code(code_text)
+    if constraint_text is not None:
+        return _sci(count_in_code(code, parse_constraint(constraint_text)).value)
+    report = count_odd_in_code(code)
+    if report.predicted is not None and report.predicted != report.count:
+        return "count %d != closed form %d" % (report.count, report.predicted)
+    return _sci(report.count)
 
 
-def _table_IV():
-    sym = [556.38, 556.38, 227.111, 165.247, 38.118, 28.540, 4.472]
-    lp, _ = _table_lps(subblock(2, 2), 18)
-    rows = []
-    for i, d in enumerate(range(3, 10)):
-        rows.append(("d=%d" % d, [
-            _cell("sqrt(Del)", "del_constrained_sym", sym[i],
-                  lambda d=d: lp(d).code_size_bound)]))
-    return "upper bounds for subblock-constrained codes at (n,p,z)=(18,2,2)", rows
-
-
-def _table_V():
-    expect = [("rm:m=4,r=2", lambda: reed_muller(4, 2), "83"),
-              ("rm:m=4,r=3", lambda: reed_muller(4, 3), "1292"),
-              ("hamming:m=3", lambda: hamming_code(3), "4"),
-              ("hamming:m=4", lambda: hamming_code(4), "101")]
-    rows = []
-    for label, make, exp in expect:
-        rows.append((label, [
-            _cell("N(C; rll:d=1)", "count_in_code", exp,
-                  lambda make=make: str(count_in_code(make(), rll(1)).value))]))
-    return "runlength-constrained codeword counts (at least one 0 between 1s)", rows
-
-
-def _table_VI():
-    d2 = [49.578, 32.075, 21.721, 7.856, 4.899, 2.529]
-    g2 = [60, 46.5, 46.5, 34, 34, 19]
-    d1 = [128.557, 74.762, 42.048, 12, 6, 3.2]
-    g1 = [144, 111, 111, 63, 63, 26]
-    dcl = [512, 85.333, 42.667, 12, 6, 3.2]
-    lp2, sph2 = _table_lps(rll(2), 10)
-    lp1, sph1 = _table_lps(rll(1), 10)
-    rows = []
-    for i, d in enumerate(range(2, 8)):
-        # the constrained LPs have solved del_classic(10, d) for their
-        # comparator
-        report2 = _once(lambda d=d: lp2(d))
-        rows.append(("d=%d" % d, [
-            _cell("sqrt(Del) rll:d=2", "del_constrained", d2[i],
-                  lambda report2=report2: report2().code_size_bound),
-            _cell("GenSph rll:d=2", "gensph", g2[i],
-                  lambda d=d: sph2(d).code_size_bound),
-            _cell("sqrt(Del) rll:d=1", "del_constrained", d1[i],
-                  lambda d=d: lp1(d).code_size_bound),
-            _cell("GenSph rll:d=1", "gensph", g1[i],
-                  lambda d=d: sph1(d).code_size_bound),
-            _cell("Del(n,d)", "del_classic", dcl[i],
-                  lambda report2=report2: report2().comparators["delsarte"])]))
-    return "upper bounds for runlength-constrained codes at n=10", rows
-
-
-def _table_even_counts():
-    expect = [("rm:m=4,r=2", lambda: reed_muller(4, 2), "198"),
-              ("rm:m=4,r=3", lambda: reed_muller(4, 3), "1597"),
-              ("hamming:m=3", lambda: hamming_code(3), "6"),
-              ("hamming:m=4", lambda: hamming_code(4), "116")]
-    rows = []
-    for label, make, exp in expect:
-        rows.append((label, [
-            _cell("N(C; even-strict)", "count_in_code", exp,
-                  lambda make=make: str(count_in_code(make(), even_strict()).value))]))
-    return "codeword counts under the strict even-run constraint", rows
+def _count_table(caption, column, constraint, codes):
+    """(caption, rows) of a `COUNT_TABLES` entry, one row per code."""
+    provenance = "count_odd_in_code" if constraint is None else "count_in_code"
+    return caption, [
+        (code, [_cell(column, provenance, expected,
+                      functools.partial(_count, code, constraint))])
+        for code, expected in codes]
 
 
 def _table_even_weights():
     expected = (1, 9, 0, 120, 0, 462, 0, 792, 0, 715, 0, 364, 0, 105, 0, 16, 0, 1)
-    dist = _once(lambda: weight_distribution(even_strict(), 17))
+    dist = functools.cache(lambda: weight_distribution(even_strict(), 17))
     rows = []
     for i, exp in enumerate(expected):
         rows.append(("w=%d" % i, [
@@ -431,29 +412,12 @@ def _table_even_weights():
     return "weight distribution of the strict even-run set at n=17", rows
 
 
-def _table_odd_counts():
-    specs = [("hamming:m=3", lambda: hamming_code(3), "2"),
-             ("hamming:m=4", lambda: hamming_code(4), "16"),
-             ("hamming:m=5", lambda: hamming_code(5), "2048"),
-             ("rm:m=3,r=1", lambda: reed_muller(3, 1), "3"),
-             ("rm:m=4,r=2", lambda: reed_muller(4, 2), "31"),
-             ("rm:m=5,r=3", lambda: reed_muller(5, 3), "4095")]
-    rows = []
-    for label, make, exp in specs:
-        def count(make=make):
-            report = count_odd_in_code(make())
-            if report.predicted is not None and report.predicted != report.count:
-                return "count %d != closed form %d" % (report.count, report.predicted)
-            return str(report.count)
-        rows.append((label, [
-            _cell("N(C; odd)", "count_odd_in_code", exp, count)]))
-    return "codeword counts under the odd-run constraints, with closed forms", rows
-
-
 TABLE_BUILDERS = {
-    "I": _table_I, "II": _table_II, "III": _table_III, "IV": _table_IV,
-    "V": _table_V, "VI": _table_VI, "even-counts": _table_even_counts,
-    "even-weights": _table_even_weights, "odd-counts": _table_odd_counts,
+    **{tid: functools.partial(_bound_table, *spec)
+       for tid, spec in BOUND_TABLES.items()},
+    **{tid: functools.partial(_count_table, *spec)
+       for tid, spec in COUNT_TABLES.items()},
+    "even-weights": _table_even_weights,
 }
 
 
@@ -480,30 +444,12 @@ def _evaluate_cell(cell):
 def run_table(args):
     started = time.perf_counter()
     caption, row_specs = TABLE_BUILDERS[args.id]()
-    rows = []
-    any_mismatch = False
-    for label, cells in row_specs:
-        evaluated = [_evaluate_cell(c) for c in cells]
-        any_mismatch = any_mismatch or any(c["status"] == "MISMATCH"
-                                           for c in evaluated)
-        rows.append({"row": label, "cells": evaluated})
-    if args.format == "json":
-        payload = {
-            "inputs": {"id": args.id},
-            "result": {"id": args.id, "caption": caption, "rows": rows,
-                       "status": "MISMATCH" if any_mismatch else "OK"},
-            "provenance": sorted({c["provenance"] for r in rows
-                                  for c in r["cells"]}),
-            "timing_ms": int(round((time.perf_counter() - started) * 1000)),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print("table,row,column,value,expected,status,provenance")
-        for row in rows:
-            for c in row["cells"]:
-                print(",".join([args.id, row["row"], c["column"], c["value"],
-                                c["expected"], c["status"], c["provenance"]]))
-    else:
+    rows = [{"row": label, "cells": [_evaluate_cell(c) for c in cells]}
+            for label, cells in row_specs]
+    cells = [(row["row"], c) for row in rows for c in row["cells"]]
+    status = ("MISMATCH" if any(c["status"] == "MISMATCH" for _, c in cells)
+              else "OK")
+    if args.format == "text":
         print("Table %s: %s" % (args.id, caption))
         for row in rows:
             parts = []
@@ -512,8 +458,16 @@ def run_table(args):
                 parts.append("%s=%s (expected %s)%s"
                              % (c["column"], c["value"], c["expected"], mark))
             print("  %-14s %s" % (row["row"], "  ".join(parts)))
-        print("status: %s" % ("MISMATCH" if any_mismatch else "OK"))
-    return EXIT_FAIL if any_mismatch else EXIT_OK
+        print("status: %s" % status)
+    else:
+        csv_rows = [("table", "row", "column", "value", "expected", "status",
+                     "provenance")]
+        csv_rows += [(args.id, label, c["column"], c["value"], c["expected"],
+                      c["status"], c["provenance"]) for label, c in cells]
+        _emit(args, {"id": args.id},
+              {"id": args.id, "caption": caption, "rows": rows, "status": status},
+              sorted({c["provenance"] for _, c in cells}), started, csv_rows)
+    return EXIT_OK if status == "OK" else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +734,7 @@ DISPATCH = {
 
 
 # one parser per process, built at the first call of main
-_parser = _once(build_parser)
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None):

@@ -171,19 +171,18 @@ def macwilliams(dist, code_size):
 def code_weight_distribution(code, cap=ENUMERATION_CAP):
     """Weight distribution of a code, enumerating the smaller of C and C-perp."""
     n, k = code.n, code.k
-    if k <= n - k:
-        if k > cap:
-            raise CapExceeded("enumeration of 2^%d codewords exceeds the cap" % k)
-        counts = [0] * (n + 1)
-        for x in iterate_span(code.generator.data):
-            counts[x.bit_count()] += 1
-        return WeightDistribution(n, counts)
-    if n - k > cap:
-        raise CapExceeded("enumeration of 2^%d dual codewords exceeds the cap" % (n - k))
+    primal = k <= n - k
+    if primal:
+        rows, dim, what = code.generator.data, k, "codewords"
+    else:
+        rows, dim, what = code.parity_check.data, n - k, "dual codewords"
+    if dim > cap:
+        raise CapExceeded("enumeration of 2^%d %s exceeds the cap" % (dim, what))
     counts = [0] * (n + 1)
-    for x in iterate_span(code.parity_check.data):
+    for x in iterate_span(rows):
         counts[x.bit_count()] += 1
-    return macwilliams(WeightDistribution(n, counts), 1 << (n - k))
+    dist = WeightDistribution(n, counts)
+    return dist if primal else macwilliams(dist, 1 << dim)
 
 
 class TwoChargeStructure:

@@ -22,8 +22,8 @@ overhead twice as often, and was slower than 2^14 both there and in the
 `spectral` benchmark workload.
 """
 
+import functools
 import math
-import threading
 
 import numpy as np
 
@@ -147,20 +147,10 @@ class Krawtchouk:
         return self.table[i][j]
 
 
-_KRAW_CACHE = {}
-_KRAW_LOCK = threading.Lock()
-
-
+@functools.cache
 def krawtchouk_table(n):
     """Shared per-n Krawtchouk table."""
-    tab = _KRAW_CACHE.get(n)
-    if tab is None:
-        with _KRAW_LOCK:
-            tab = _KRAW_CACHE.get(n)
-            if tab is None:
-                tab = Krawtchouk(n)
-                _KRAW_CACHE[n] = tab
-    return tab
+    return Krawtchouk(n)
 
 
 def krawtchouk(n, i, j):

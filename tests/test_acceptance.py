@@ -5,12 +5,11 @@ import time
 
 import pytest
 
-from constrcodes import (count_in_code, del_classic, del_constrained,
-                         del_constrained_sym, even_strict, gensph,
-                         hamming_code, reed_muller, rll, subblock, two_charge,
-                         weight_distribution)
-from constrcodes.cli import (_sci, _suite_charsum, _suite_counts,
-                             _suite_fourier, _suite_lp_sym,
+from constrcodes import (count_in_code, count_odd_in_code, del_classic,
+                         del_constrained, del_constrained_sym, gensph,
+                         hamming_code, reed_muller, rll, subblock, two_charge)
+from constrcodes.cli import (TABLE_BUILDERS, _evaluate_cell, _suite_charsum,
+                             _suite_counts, _suite_fourier, _suite_lp_sym,
                              _suite_macwilliams, _suite_plotkin)
 
 
@@ -31,17 +30,30 @@ class budget:
                 "%.1f s exceeds the %.0f s budget" % (elapsed, self.seconds)
 
 
+def _cells(table_id):
+    """{(row, column): cell} of a table's description."""
+    _, rows = TABLE_BUILDERS[table_id]()
+    return {(label, cell["column"]): cell for label, cells in rows
+            for cell in cells}
+
+
+def _assert_tables_ok(*table_ids):
+    """Every cell of the tables matches its reference value."""
+    for table_id in table_ids:
+        for key, cell in _cells(table_id).items():
+            result = _evaluate_cell(cell)
+            assert result["status"] == "OK", (table_id, key, result)
+
+
+def _reference(table_id, row, column):
+    return _cells(table_id)[row, column]["expected"]
+
+
 def test_criterion_1_two_charge_counts_in_rm():
     with budget(60):
-        values = {(m, r): count_in_code(reed_muller(m, r), two_charge()).value
-                  for (m, r) in [(4, 2), (4, 3), (5, 3), (6, 4), (7, 5), (8, 6)]}
-    assert values[(4, 2)] == 16
-    assert values[(4, 3)] == 128
-    assert values[(5, 3)] == 2048
-    assert values[(6, 4)] == 67108864
-    assert _sci(values[(6, 4)]) == "6.711e7"
-    assert _sci(values[(7, 5)]) == "1.441e17"
-    assert _sci(values[(8, 6)]) == "1.329e36"
+        _assert_tables_ok("I")
+        # the table shows 4 significant digits of this count
+        assert count_in_code(reed_muller(6, 4), two_charge()).value == 67108864
 
 
 def test_criterion_2_hamming_two_charge_closed_form():
@@ -53,16 +65,8 @@ def test_criterion_2_hamming_two_charge_closed_form():
 
 def test_criterion_3_rll_even_odd_counts():
     with budget(30):
-        assert count_in_code(reed_muller(4, 2), rll(1)).value == 83
-        assert count_in_code(reed_muller(4, 3), rll(1)).value == 1292
-        assert count_in_code(hamming_code(3), rll(1)).value == 4
-        assert count_in_code(hamming_code(4), rll(1)).value == 101
-        assert count_in_code(reed_muller(4, 2), even_strict()).value == 198
-        assert count_in_code(reed_muller(4, 3), even_strict()).value == 1597
-        assert count_in_code(hamming_code(3), even_strict()).value == 6
-        assert count_in_code(hamming_code(4), even_strict()).value == 116
+        _assert_tables_ok("V", "even-counts", "odd-counts")
         # odd-run counts against their closed forms, m <= 5
-        from constrcodes import count_odd_in_code
         for m in (3, 4, 5):
             report = count_odd_in_code(hamming_code(m))
             assert report.count == report.predicted
@@ -73,61 +77,34 @@ def test_criterion_3_rll_even_odd_counts():
 
 def test_criterion_4_even_weight_distribution_n17():
     with budget(60):
-        dist = weight_distribution(even_strict(), 17)
-    assert dist.counts == [1, 9, 0, 120, 0, 462, 0, 792, 0, 715, 0, 364,
-                           0, 105, 0, 16, 0, 1]
+        _assert_tables_ok("even-weights")
 
 
 def test_criterion_5_table_n13_two_charge():
-    sym = [64, 45.255, 45.255, 22.627, 17.889, 5.657, 4.619, 2.828, 2.619]
-    gsp = [64, 64, 64, 64, 64, 32, 32, 16, 16]
-    dcl = [4096, 512, 292.571, 64, 40, 8, 5.333, 3.333, 2.857]
+    # the table reads every constrained LP through the orbit structure it
+    # shares across a column, and Del(n,d) from that LP's comparator; the
+    # entry points a caller uses give the same values
     with budget(120):
-        for i, d in enumerate(range(2, 11)):
-            assert del_constrained_sym(13, d, two_charge()).code_size_bound == \
-                pytest.approx(sym[i], abs=5e-3)
-            assert gensph(13, d, two_charge()).lp_value == \
-                pytest.approx(gsp[i], abs=5e-3)
-            assert del_classic(13, d).code_size_bound == \
-                pytest.approx(dcl[i], abs=5e-3)
+        _assert_tables_ok("II")
+        assert del_constrained_sym(13, 9, two_charge()).code_size_bound == \
+            pytest.approx(_reference("II", "d=9", "sqrt(Del)"), abs=5e-3)
+        assert del_classic(13, 9).code_size_bound == \
+            pytest.approx(_reference("II", "d=9", "Del(n,d)"), abs=5e-3)
 
 
 def test_criterion_6_subblock_tables():
-    # The (15,3,2) entry at d=5 is 156.767: the LP optimum there is exactly
-    # 24576 = 3 * 2^13 (confirmed to 1e-13 against an independent solver),
-    # and sqrt(24576) = 156.7669...
-    sym15 = [1000, 826.236, 826.236, 156.767, 110.851, 22.627]
-    gsp15 = [1000, 1000, 1000, 333.333, 333.333, 166.667]
-    sym18 = [556.38, 556.38, 227.111, 165.247, 38.118, 28.540, 4.472]
     with budget(120):
-        c15 = subblock(3, 2)
-        for i, d in enumerate(range(2, 8)):
-            assert del_constrained_sym(15, d, c15).code_size_bound == \
-                pytest.approx(sym15[i], abs=5e-3)
-            assert gensph(15, d, c15).lp_value == \
-                pytest.approx(gsp15[i], abs=5e-3)
-        c18 = subblock(2, 2)
-        for i, d in enumerate(range(3, 10)):
-            assert del_constrained_sym(18, d, c18).code_size_bound == \
-                pytest.approx(sym18[i], abs=5e-3)
+        _assert_tables_ok("III", "IV")
+        assert gensph(15, 5, subblock(3, 2)).code_size_bound == \
+            pytest.approx(_reference("III", "d=5", "GenSph"), abs=5e-3)
 
 
 def test_criterion_7_rll_bound_table_n10():
-    d2 = [49.578, 32.075, 21.721, 7.856, 4.899, 2.529]
-    g2 = [60, 46.5, 46.5, 34, 34, 19]
-    d1 = [128.557, 74.762, 42.048, 12, 6, 3.2]
-    g1 = [144, 111, 111, 63, 63, 26]
-    dcl = [512, 85.333, 42.667, 12, 6, 3.2]
     with budget(180):
-        for i, d in enumerate(range(2, 8)):
-            assert del_constrained(10, d, rll(2)).code_size_bound == \
-                pytest.approx(d2[i], abs=5e-3)
-            assert gensph(10, d, rll(2)).lp_value == pytest.approx(g2[i], abs=5e-3)
-            assert del_constrained(10, d, rll(1)).code_size_bound == \
-                pytest.approx(d1[i], abs=5e-3)
-            assert gensph(10, d, rll(1)).lp_value == pytest.approx(g1[i], abs=5e-3)
-            assert del_classic(10, d).code_size_bound == \
-                pytest.approx(dcl[i], abs=5e-3)
+        _assert_tables_ok("VI")
+        assert del_constrained(10, 4, rll(2)).code_size_bound == \
+            pytest.approx(_reference("VI", "d=4", "sqrt(Del) rll:d=2"),
+                          abs=5e-3)
 
 
 @pytest.mark.parametrize("suite", [_suite_charsum, _suite_counts,
