@@ -212,7 +212,10 @@ def run_bound(args):
               "bound": report_obj.code_size_bound}
     if args.lp == "all":
         if constraint is not None:
-            result["gensph"] = gensph(args.n, args.d, constraint).code_size_bound
+            # GenSph reuses the orbit structure of the primary program
+            result["gensph"] = gensph(
+                args.n, args.d, constraint,
+                structure=report_obj.structure).code_size_bound
             provenance.append("gensph")
         # the primary program has solved del_classic already: as itself
         # without a constraint, for its comparator with one

@@ -11,14 +11,20 @@ columns only: a pivot exchanges one basic and one nonbasic label.  It
 writes its pivot row and column exactly and leaves its rank-1 update of the
 other entries pending; every DELAY pivots the pending updates reach the
 tableau as one matrix product, so the m x |N| rewrite runs in BLAS-3, not
-as two numpy passes per pivot.  A refactorization eliminates the basic
-slack and artificial columns, which are signed unit vectors, directly and
-factors only the block of the other basic columns on the rows those leave
-free; it solves for the nonbasic columns and the right-hand side together.
-Phase 2 runs on perturbed right-hand sides; the refactorization that
-confirms the final basis solves for the true ones as well, and if the basic
-values there leave their bounds, dual simplex pivots repair the basis (it
-stays dual feasible).
+as two numpy passes per pivot.  Only the model's own columns are stored:
+every slack and artificial column is a signed unit vector, kept as its row
+and sign, and each product with one is its single exact term, so a solve
+holds no m x m array.  A refactorization eliminates the basic unit columns
+directly and factors only the block of the other basic columns on the rows
+those leave free; it solves for the nonbasic columns and the right-hand
+side together.  It runs when the exchanges have drifted from the model:
+every DELAY pivots the residuals of the basic values and of the entering
+column are measured against the model's columns, and past DRIFT_TOL, or
+REINVERT_CAP pivots after the last one, the tableau is rebuilt.  Phase 2
+runs on perturbed right-hand sides; the refactorization that confirms the
+final basis solves for the true ones as well, and if the basic values there
+leave their bounds, dual simplex pivots repair the basis (it stays dual
+feasible).
 """
 
 import math
@@ -33,7 +39,15 @@ from .spectral import _parity, _popcount, krawtchouk_table, wht
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 ITERATION_LIMIT = 10 ** 6
-REINVERT_EVERY = 250
+# the drift of the exchanged tableau from the model (`_Simplex._drift`),
+# measured every DELAY steps, past which it is refactorized: ten times
+# FEAS_TOL, since the ratio test lets basic values overshoot a bound by up
+# to 1e-7 relative before it clips them, which leaves residuals of that
+# order (the largest seen over every table and `bound --lp all` model at
+# n <= 10: 1.0e-7; the tableau columns drift by at most 4e-10 there)
+DRIFT_TOL = 1e-6
+# the most steps between refactorizations, whatever the drift
+REINVERT_CAP = 2000
 # Devex scores within this relative distance of the best count as ties: the
 # rounding of BLAS products differs in their last bits between thread counts
 # and builds, and must not decide the pivot path
@@ -53,9 +67,10 @@ RCOND_MIN = 1e-12
 _TOL, _NEG_TOL, _ZERO = np.array(PIVOT_TOL), np.array(-PIVOT_TOL), np.array(0.0)
 # most orbits (= transform rows) of a constrained Delsarte LP
 ORBIT_ROW_CAP = 1 << 12
-# most ball points gensph maps to orbits at once, and most entries
-# `_undominated` compares at once (unless the matrix itself is larger)
+# most ball points gensph maps to orbits at once
 BALL_BLOCK = 1 << 20
+# most support words, or matrix entries, `_undominated` compares at once
+PAIR_BLOCK = 1 << 16
 
 
 class LpModel:
@@ -90,8 +105,9 @@ class LpSolution:
     """Solver outcome: status, objective value, primal point, iteration
     count (pivots plus bound flips), and the solver counters in `stats`:
     degenerate pivots, bound flips, basis factorizations, whether Bland's
-    rule took over, and the dual simplex pivots that repaired the final
-    basis."""
+    rule took over, the dual simplex pivots that repaired the final basis,
+    and the largest drift residual measured (`max_residual`, see
+    `_Simplex._drift`)."""
 
     __slots__ = ("status", "value", "primal", "iterations", "stats")
 
@@ -197,11 +213,14 @@ class _Tableau:
 class _Simplex:
     """The bounded simplex over the model's rows, normalized.
 
-    Variables are labelled by their columns in `orig`: the model's
-    variables, one slack per inequality (+1 on <=, -1 on >=) and one
-    artificial per >= or = row, in that order.  A slack or artificial
-    column is a signed unit vector, in row unit_row[label] with sign
-    unit_sign[label]; unit_row is -1 for every other column.  Row i of the
+    Variables are labelled in this order: the model's variables, one slack
+    per inequality (+1 on <=, -1 on >=) and one artificial per >= or = row.
+    `orig` holds the normalized columns of the model's variables only, m by
+    nvars.  A slack or artificial column is a signed unit vector, in row
+    unit_row[label] with sign unit_sign[label] (unit_row is -1 for the
+    model's variables), and is never stored: the starting tableau, the
+    refactorizations, the pricing in `_confirm`, the perturbation and the
+    drift residuals write or add it as its one entry.  Row i of the
     condensed tableau `tab` belongs to the basic variable basis[i] and
     column j to the nonbasic variable nonbasic[j], and xb holds the basic
     values.  Variable bounds are ub, by label, with 0 below.  Two arrays by
@@ -212,6 +231,13 @@ class _Simplex:
     normalized on the rows in use, `cost` the model's objective to
     minimize, by label, `kept` the model rows still in use (phase 1 drops
     redundant ones), and `state` the solver counters.
+
+    The primal and dual loops refactorize on measured drift, not on a fixed
+    count: every DELAY steps `_drift` computes the residuals of the basic
+    values and of the entering tableau column against the model, and the
+    tableau is rebuilt (`_reinvert`) when one exceeds DRIFT_TOL, or after
+    REINVERT_CAP steps whatever they are.  The counters keep the number of
+    factorizations and the largest residual.
     """
 
     def __init__(self, model, state):
@@ -240,11 +266,7 @@ class _Simplex:
                                         slack_rows, art_rows))
         self.unit_sign = _filled(total, 1.0)
         self.unit_sign[nvars:self.a0] = np.where(le[slack_rows], 1.0, -1.0)
-        self.orig = np.zeros((m, total))
-        arr = self.orig[:, :nvars]
-        np.divide(model.rows, self.scale[:, None], out=arr)
-        self.orig[self.unit_row[nvars:], np.arange(nvars, total)] = \
-            self.unit_sign[nvars:]
+        self.orig = model.rows / self.scale[:, None]
         self.basis = np.empty(m, dtype=int)
         self.basis[slack_rows] = np.arange(nvars, self.a0)
         self.basis[art_rows] = np.arange(self.a0, total)
@@ -252,7 +274,8 @@ class _Simplex:
         # artificials
         self.nonbasic = np.concatenate((np.arange(nvars),
                                         nvars + (~le[slack_rows]).nonzero()[0]))
-        self.tab = _Tableau(self.orig[:, self.nonbasic])
+        self.tab = _Tableau(self._columns(self.nonbasic,
+                                          np.zeros((m, len(self.nonbasic)))))
         self.rhs = self.normalized(model.rhs)
         self.xb = self.rhs.copy()
         self.ub = _filled(total, np.inf)
@@ -273,7 +296,7 @@ class _Simplex:
         # variables
         if not len(art_rows):
             return
-        col_nnz = (np.abs(arr) > PIVOT_TOL).sum(axis=0)
+        col_nnz = (np.abs(self.orig) > PIVOT_TOL).sum(axis=0)
         for i in art_rows:
             row = self.tab.row(i)[:nvars]
             for j in np.nonzero((row > PIVOT_TOL) & (col_nnz == 1)
@@ -297,15 +320,70 @@ class _Simplex:
         x[self.basis] = self.xb
         return x
 
+    def _columns(self, labels, out):
+        """Write the columns of the variables `labels` into out, which is
+        zero, each unit column as its one entry."""
+        unit = labels >= self.orig.shape[1]
+        if not unit.any():
+            return np.take(self.orig, labels, axis=1, out=out)
+        kept = (~unit).nonzero()[0]
+        out[:, kept] = self.orig[:, labels[kept]]
+        unit = unit.nonzero()[0]
+        out[self.unit_row[labels[unit]], unit] = self.unit_sign[labels[unit]]
+        return out
+
+    def _basis_times(self, v, w):
+        """B v + orig w for the basis matrix B, with v by basis position and
+        w by model variable, zero at the basic ones: each basic unit column
+        adds its one exact term, and the entries of v at basic model
+        variables go into w, so that one product reads orig."""
+        basis = self.basis
+        urow = self.unit_row[basis]
+        unit = urow >= 0
+        out = np.zeros(len(v))
+        out[urow[unit]] = self.unit_sign[basis[unit]] * v[unit]
+        struct = ~unit
+        w[basis[struct]] = v[struct]
+        out += self.orig @ w
+        return out
+
+    def _drift(self, rhs, col, entering):
+        """How far the exchanges have drifted from the model: the larger of
+        the residual of the basic values, B x_B + (the columns at their
+        upper bound, times it) - rhs, relative to max(1, |rhs|, |x_B|), and
+        the residual of the tableau column col of the nonbasic variable
+        `entering`, B col - its column, relative to max(1, |col|), in max
+        norms.  Also kept in the counters as the largest seen."""
+        nvars = self.orig.shape[1]
+        w = np.zeros(nvars)
+        uppers = self.nonbasic[self.sign < 0]
+        w[uppers] = self.ub[uppers]
+        values = self._basis_times(self.xb, w)
+        values -= rhs
+        w = np.zeros(nvars)
+        if entering < nvars:
+            w[entering] = -1.0
+        column = self._basis_times(col, w)
+        if entering >= nvars:
+            column[self.unit_row[entering]] -= self.unit_sign[entering]
+        scale = max(1.0, float(np.abs(rhs).max(initial=0.0)),
+                    float(np.abs(self.xb).max(initial=0.0)))
+        drift = max(float(np.abs(values).max(initial=0.0)) / scale,
+                    float(np.abs(column).max(initial=0.0))
+                    / max(1.0, float(np.abs(col).max(initial=0.0))))
+        state = self.state
+        state["max_residual"] = max(state["max_residual"], drift)
+        return drift
+
     def _solve_basis(self, y, cost=None):
-        """B^-1 y for the basis matrix B = orig[:, basis], or None when B is
-        singular or nearly so; with `cost`, by label, and y 2-d, the pair of
-        that and the simplex multipliers B^-T cost[basis], from the same
-        block in one batched solve.  The basic unit columns are eliminated
-        directly: only the block of the other basic columns on the rows no
-        basic unit column covers is factored, and the covered rows follow
-        by one product.  The block counts as nearly singular when a solved
-        column of y shows its condition number to exceed 1 / RCOND_MIN
+        """B^-1 y for the basis matrix B, the columns of the basic variables,
+        or None when B is singular or nearly so; with `cost`, by label, and y
+        2-d, the pair of that and the simplex multipliers B^-T cost[basis],
+        from the same block in one batched solve.  The basic unit columns are
+        eliminated directly: only the block of the other basic columns on the
+        rows no basic unit column covers is factored, and the covered rows
+        follow by one product.  The block counts as nearly singular when a
+        solved column of y shows its condition number to exceed 1 / RCOND_MIN
         (`_near_singular`); LU with partial pivoting flags only exact
         singularity, and returns entries of order 1 / eps for a block of
         deficient rank."""
@@ -366,20 +444,22 @@ class _Simplex:
         return self.orig[:, uppers] @ self.ub[uppers]
 
     def _reinvert(self, rhs, final=None):
-        """Rebuild the tableau and the basic values, unclipped, from orig
-        for the current basis, discarding the rounding error accumulated by
-        the exchanges; one solve covers the nonbasic columns and the
-        right-hand side together, and the right-hand side `final` too when
+        """Rebuild the tableau and the basic values, unclipped, from the
+        model's columns for the current basis, discarding the rounding error
+        accumulated by the exchanges; one solve covers the nonbasic columns and
+        the right-hand side together, and the right-hand side `final` too when
         given (kept for `evaluate`).  A singular basis returns False and
         changes nothing."""
         shift = self._upper_shift()
-        columns = [self.orig[:, self.nonbasic], rhs - shift]
+        nn = len(self.nonbasic)
+        y = np.zeros((len(rhs), nn + (1 if final is None else 2)))
+        self._columns(self.nonbasic, y[:, :nn])
+        np.subtract(rhs, shift, y[:, nn])
         if final is not None:
-            columns.append(final - shift)
-        solved = self._solve_basis(np.column_stack(columns))
+            np.subtract(final, shift, y[:, nn + 1])
+        solved = self._solve_basis(y)
         if solved is None:
             return False
-        nn = len(self.nonbasic)
         self.tab.reset(solved[:, :nn])
         self.xb = solved[:, nn].copy()
         self._final = None if final is None else (final,
@@ -404,8 +484,14 @@ class _Simplex:
         if solved is None:
             return True
         values, prices = solved
+        # every column's price by label, a unit column's the one multiplier
+        # of its row (a slack of a row phase 1 dropped is never nonbasic)
+        nvars = self.orig.shape[1]
+        priced = np.concatenate((prices @ self.orig,
+                                 prices[self.unit_row[nvars:]]
+                                 * self.unit_sign[nvars:]))
         nonbasic = self.nonbasic
-        reduced = cost[nonbasic] - prices @ self.orig[:, nonbasic]
+        reduced = cost[nonbasic] - priced[nonbasic]
         reduced *= self.sign
         if len(reduced) and reduced[reduced.argmin()] < -PIVOT_TOL:
             return False
@@ -443,10 +529,10 @@ class _Simplex:
         """Run bounded-variable simplex pivots until optimal or interrupted.
 
         cost is the objective to minimize, by label, and rhs the normalized
-        right-hand sides that the tableau is refactorized against
-        periodically; `final`, when given, is solved for by the same
-        refactorizations (see `evaluate`).  Optimality is confirmed on a
-        fresh factorization of the basis (`_confirm`), which rebuilds no
+        right-hand sides that the tableau is refactorized against when it
+        drifts (see the class); `final`, when given, is solved for by the
+        same refactorizations (see `evaluate`).  Optimality is confirmed on
+        a fresh factorization of the basis (`_confirm`), which rebuilds no
         tableau unless some column can still improve.  Returns 'optimal',
         'unbounded', or 'iteration_limit'.
         """
@@ -463,16 +549,17 @@ class _Simplex:
         flipped, size, room, ratios = (np.empty(m), np.empty(m), np.empty(m),
                                        np.empty(m))
         drops, blocking = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
-        fresh = False
-        since_reinvert = 0
+        fresh = drifted = False
+        since_reinvert = since_check = 0
         reduced = cost[nonbasic] - cost[basis] @ tab.dense()
         while True:
             if state["iterations"] >= limit:
                 return "iteration_limit"
-            if since_reinvert >= REINVERT_EVERY:
+            if drifted or since_reinvert >= REINVERT_CAP:
                 fresh = self._reinvert(rhs, final)
                 self._clip()
-                since_reinvert = 0
+                drifted = False
+                since_reinvert = since_check = 0
                 reduced = cost[nonbasic] - cost[basis] @ tab.dense()
                 gamma.fill(1.0)
             # a nonbasic variable improves the objective by moving off its
@@ -490,7 +577,7 @@ class _Simplex:
                     return "optimal"
                 self._clip()
                 fresh = True
-                since_reinvert = 0
+                since_reinvert = since_check = 0
                 reduced = cost[nonbasic] - cost[basis] @ tab.dense()
                 gamma.fill(1.0)
                 continue
@@ -519,6 +606,11 @@ class _Simplex:
             # col is the rate of decrease of each basic value per unit step of
             # the entering variable away from its current bound
             raw = tab.column(q)
+            if since_check >= DELAY:
+                since_check = 0
+                if self._drift(rhs, raw, entering) > DRIFT_TOL:
+                    drifted = True
+                    continue
             col = raw if direction > 0.0 else np.negative(raw, flipped)
             xb = self.xb
             # two-pass ratio test: find the minimum ratio, then pivot on the
@@ -549,6 +641,7 @@ class _Simplex:
                 state["bound_flips"] += 1
                 state["iterations"] += 1
                 since_reinvert += 1
+                since_check += 1
                 fresh = False
                 continue
             # the largest |col| among the near-minimal ratios, first by row
@@ -582,6 +675,7 @@ class _Simplex:
             np.minimum(xb, ubb, out=xb)
             state["iterations"] += 1
             since_reinvert += 1
+            since_check += 1
             fresh = False
 
     def drop_artificials(self):
@@ -601,17 +695,19 @@ class _Simplex:
             else:
                 keep[i] = False
         # the row dropped with a basic artificial is the row of its unit
-        # column; a slack of a dropped row is a zero column from then on
+        # column; a slack of a dropped row, nonbasic, is a zero column from
+        # then on and goes as well
         rows = np.ones(len(keep), dtype=bool)
         rows[self.unit_row[self.basis[~keep]]] = False
         renumber = np.where(rows, np.cumsum(rows) - 1, -1)
         unit_row = self.unit_row[:a0]
-        real = self.nonbasic < a0
+        urow = self.unit_row[self.nonbasic]
+        real = (self.nonbasic < a0) & ((urow < 0) | rows[urow])
         self.tab = _Tableau(self.tab.dense()[keep][:, real])
         self.nonbasic, self.sign = self.nonbasic[real], self.sign[real]
         self.xb, self.basis = self.xb[keep], self.basis[keep]
         self.ubb = self.ubb[keep]
-        self.orig, self.kept = self.orig[rows, :a0], self.kept[rows]
+        self.orig, self.kept = self.orig[rows], self.kept[rows]
         self.rhs = self.rhs[rows]
         self.unit_row = np.where(unit_row >= 0, renumber[unit_row], -1)
         self.unit_sign = self.unit_sign[:a0]
@@ -666,20 +762,20 @@ class _Simplex:
         basis, nonbasic, cost = self.basis, self.nonbasic, self.cost
         sign, ubb = self.sign, self.ubb
         reduced = cost[nonbasic] - cost[basis] @ tab.dense()
-        fresh = True
-        since_reinvert = 0
+        fresh, drifted = True, False
+        since_reinvert = since_check = 0
         while True:
             xb = self.xb
             bad = self._infeasible()
             if not bad.any() and fresh:
                 return "optimal"
-            # refactorize periodically, and recheck feasibility against a
-            # freshly factored tableau
-            if not bad.any() or since_reinvert >= REINVERT_EVERY:
+            # refactorize on drift or at the cap, and recheck feasibility
+            # against a freshly factored tableau
+            if not bad.any() or drifted or since_reinvert >= REINVERT_CAP:
                 if not self._reinvert(rhs):
                     return "numerical_error"
-                fresh = True
-                since_reinvert = 0
+                fresh, drifted = True, False
+                since_reinvert = since_check = 0
                 reduced = cost[nonbasic] - cost[basis] @ tab.dense()
                 continue
             if state["iterations"] >= limit:
@@ -709,6 +805,11 @@ class _Simplex:
             q = int(cand[np.argmax(np.abs(row[cand]))])
             entering = nonbasic[q]
             col = tab.column(q)
+            if since_check >= DELAY:
+                since_check = 0
+                if self._drift(rhs, col, entering) > DRIFT_TOL:
+                    drifted = True
+                    continue
             theta = (xb[r] - (0.0 if below else ubb[r])) / col[r]
             xb -= theta * col
             xb[r] = (ub[entering] if sign[q] < 0 else 0.0) + theta
@@ -719,6 +820,7 @@ class _Simplex:
             state["iterations"] += 1
             state["repair_pivots"] += 1
             since_reinvert += 1
+            since_check += 1
             fresh = False
 
 
@@ -761,7 +863,8 @@ def _filled(count, value, dtype=float):
 
 def _counters():
     return {"iterations": 0, "degenerate_pivots": 0, "bound_flips": 0,
-            "refactorizations": 0, "bland": False, "repair_pivots": 0}
+            "refactorizations": 0, "bland": False, "repair_pivots": 0,
+            "max_residual": 0.0}
 
 
 def _solution(status, state, value=None, primal=None):
@@ -794,7 +897,7 @@ def _optimize(model, state, limit):
     # final basis against the true right-hand sides
     rhs = sx.rhs
     lift = _lift_scales(len(rhs)) * np.maximum(1.0, np.abs(rhs))
-    perturbed = rhs + sx.orig[:, sx.basis] @ lift
+    perturbed = rhs + sx._basis_times(lift, np.zeros(sx.orig.shape[1]))
     sx.xb += lift
     sx._clip()
     return sx.primal(sx.cost, perturbed, limit, final=rhs), sx
@@ -834,13 +937,15 @@ def solve(model, limit=ITERATION_LIMIT):
 
 
 class BoundReport:
-    """An upper bound on A(n, d; A) together with the raw LP optimum."""
+    """An upper bound on A(n, d; A) together with the raw LP optimum, and
+    the orbit structure the LP was built over, if any."""
 
     __slots__ = ("n", "d", "constraint", "lp_value", "code_size_bound",
-                 "comparators", "solution", "model")
+                 "comparators", "solution", "model", "structure")
 
     def __init__(self, n, d, constraint, lp_value, code_size_bound,
-                 comparators=None, solution=None, model=None):
+                 comparators=None, solution=None, model=None,
+                 structure=None):
         self.n = n
         self.d = d
         self.constraint = constraint
@@ -849,6 +954,7 @@ class BoundReport:
         self.comparators = comparators or {}
         self.solution = solution
         self.model = model
+        self.structure = structure
 
     def __repr__(self):
         return "BoundReport(n=%d, d=%d, code_size_bound=%.6g)" % (
@@ -959,7 +1065,7 @@ def del_constrained_orbits(structure, d):
     return BoundReport(n, d, constraint, value, bound,
                        comparators={"delsarte": delsarte,
                                     "cardinality": size},
-                       solution=sol, model=model)
+                       solution=sol, model=model, structure=structure)
 
 
 def del_constrained(n, d, constraint, cap=12):
@@ -993,21 +1099,38 @@ def _undominated(matrix):
     sum, so a column's dominators come before it.
 
     By transitivity a column is dropped exactly when some column before it
-    in that order is entrywise at most it, dropped or not.  So each block
-    of columns is compared with the kept columns before it and with the
-    columns before each one inside the block; a block is sized so that the
-    comparison holds at most max(BALL_BLOCK, matrix.size) booleans."""
+    in that order is entrywise at most it, dropped or not.  So each block of
+    64 columns is compared with the kept columns before it and with the
+    columns before each one inside the block.  A column at most another is
+    zero wherever the other is, so the supports, packed into bitsets, are
+    compared first, and the values only of the pairs whose support is a
+    subset; at most PAIR_BLOCK support words or matrix entries at once."""
     order = np.argsort(matrix.sum(axis=0), kind="stable")
-    columns = matrix[:, order]
-    count = len(order)
+    columns = np.ascontiguousarray(matrix.T[order])
+    count, m = columns.shape
+    words = max(1, -(-m // 64))
+    packed = np.zeros((count, 8 * words), dtype=np.uint8)
+    packed[:, :-(-m // 8)] = np.packbits(columns > 0, axis=1)
+    support = packed.view(np.uint64)
     keep = np.zeros(count, dtype=bool)
-    step = max(1, BALL_BLOCK // max(1, matrix.size))
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        before = np.flatnonzero(keep[:hi] | (np.arange(hi) >= lo))
-        below = (columns[:, before, None] <= columns[:, None, lo:hi]).all(axis=0)
-        below &= before[:, None] < np.arange(lo, hi)
-        keep[lo:hi] = ~below.any(axis=0)
+    pair_step = max(1, PAIR_BLOCK // max(1, m))
+    for lo in range(0, count, 64):
+        hi = min(lo + 64, count)
+        inside = np.arange(lo, hi)
+        before = np.concatenate((np.flatnonzero(keep[:lo]), inside))
+        outside = ~support[lo:hi]
+        dropped = np.zeros(hi - lo, dtype=bool)
+        step = max(1, PAIR_BLOCK // ((hi - lo) * words))
+        for start in range(0, len(before), step):
+            part = before[start:start + step]
+            pairs = ~(support[part, None, :] & outside).any(axis=2)
+            pairs &= part[:, None] < inside
+            i, j = pairs.nonzero()
+            for at in range(0, len(i), pair_step):
+                a, b = part[i[at:at + pair_step]], j[at:at + pair_step]
+                below = (columns[a] <= columns[lo + b]).all(axis=1)
+                dropped[b[below]] = True
+        keep[lo:hi] = ~dropped
     return np.sort(order[keep]).tolist()
 
 
@@ -1059,7 +1182,7 @@ def gensph(n, d, constraint, cap=16, structure=None):
     sol = _solved(model, "gensph(%d, 2t+1=%d, %s)" % (n, 2 * t + 1, constraint))
     return BoundReport(n, d, constraint, sol.value, sol.value,
                        comparators={"cardinality": cardinality(constraint, n)},
-                       solution=sol, model=model)
+                       solution=sol, model=model, structure=struct)
 
 
 class CertificateRejected(ValueError):

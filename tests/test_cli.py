@@ -115,6 +115,25 @@ def test_bound_all_solves_del_classic_once(capsys, monkeypatch):
         assert calls == [(13, 9)]
 
 
+def test_bound_all_builds_one_orbit_structure(capsys, monkeypatch):
+    # the constrained LP and GenSph share the orbit structure, for a
+    # primary program of either kind (del for rll, del-sym for 2charge)
+    from constrcodes.constraints import OrbitStructure
+    original, calls = OrbitStructure.__init__, []
+
+    def counted(self, constraint, n):
+        calls.append((str(constraint), n))
+        original(self, constraint, n)
+
+    monkeypatch.setattr(OrbitStructure, "__init__", counted)
+    for constraint, n in (("rll:d=1", 8), ("2charge", 9)):
+        calls.clear()
+        code, _ = run(capsys, "bound", "--n", str(n), "--d", "3",
+                      "--constraint", constraint, "--lp", "all")
+        assert code == 0
+        assert calls == [(constraint, n)]
+
+
 def test_bound_lp_dump(tmp_path, capsys):
     path = tmp_path / "model.lp"
     code, _ = run(capsys, "bound", "--n", "9", "--d", "3",
