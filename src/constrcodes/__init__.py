@@ -18,7 +18,6 @@ from .gf2 import (
     coset_decompose,
     coset_weight_enumerator,
     dual_code,
-    enumerate_codewords,
     gf2_rank,
     hamming_code,
     iterate_span,
@@ -43,9 +42,7 @@ from .constraints import (
     cardinality,
     char_sum,
     char_sum_array,
-    char_sum_brute,
     char_sum_int,
-    enumerate_members,
     even_strict,
     fixed_weight,
     member,

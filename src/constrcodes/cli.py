@@ -40,8 +40,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_SOLVER = 4
 
-FULL_SPACE_CAP = 22
-
 
 # ---------------------------------------------------------------------------
 # grammars
@@ -249,8 +247,6 @@ def run_fourier(args):
     if args.n is None:
         raise ValueError("fourier needs --n or --s")
     n = args.n
-    if n > FULL_SPACE_CAP:
-        raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, FULL_SPACE_CAP))
     sums = shell_sums(constraint, n)
     report = {"constraint": str(constraint), "n": n,
               "weight_class_sums": [str(v) for v in sums]}

@@ -28,6 +28,8 @@ from .spectral import (_CHUNK, _check_conv_cap, _parity, _popcount,
                        weight_class_sums, word_chunks)
 
 MEMBER_ENUM_CAP = 22
+# largest n of the shell sums, and so of `fourier --n` and `weight-dist --n`
+FULL_SPACE_CAP = 22
 # largest n of int64 array input to `member` and `char_sum`: every word and
 # every shift of it stays a nonnegative int64
 ARRAY_CAP = 62
@@ -87,18 +89,6 @@ def member_array(c, n, words):
     return c.member(n, _word_array(c, n, words))
 
 
-def enumerate_members(c, n, cap=MEMBER_ENUM_CAP):
-    """Yield the members of A as BitWord, in lexicographic order."""
-    if n > cap:
-        raise CapExceeded("member enumeration refuses n=%d > cap %d" % (n, cap))
-    c.check_length(n)
-    fmt = "0%db" % n
-    for m in range(1 << n):
-        bits = int(format(m, fmt)[::-1], 2)
-        if member_int(c, n, bits):
-            yield BitWord(n, bits)
-
-
 def member_ints(c, n, cap=MEMBER_ENUM_CAP):
     """Members of A as a list of packed ints (enumeration order)."""
     if n > cap:
@@ -120,11 +110,6 @@ def two_charge_basis(n):
     for i in range(1, (n + 1) // 2):
         basis.append(0b11 << (2 * i - 1))
     return basis
-
-
-def char_sum_brute(c, n, s, cap=MEMBER_ENUM_CAP):
-    """Oracle: direct sum over enumerated members."""
-    return sum(-1 if (x & s).bit_count() & 1 else 1 for x in member_ints(c, n, cap))
 
 
 def char_sum_int(c, n, s):
@@ -157,7 +142,11 @@ def shell_sums(c, n):
     """W(j) = sum of F_A(s) over the words s of weight j, for j = 0..n, as
     Python ints: the family's closed form when it has one, otherwise one
     whole-space pass of `char_sum_array` (`weight_class_sums`), which the
-    tests keep as the oracle of every closed form."""
+    tests keep as the oracle of every closed form.  Refuses n >
+    FULL_SPACE_CAP before the length is checked."""
+    if n > FULL_SPACE_CAP:
+        raise CapExceeded("full-space pass refuses n=%d > cap %d"
+                          % (n, FULL_SPACE_CAP))
     c.check_length(n)
     sums = c.shell_sums(n)
     if sums is None:
@@ -222,15 +211,15 @@ class OrbitStructure:
     x.  By default all three come from the keys of all 2^n words,
     `_key_table`, and their `np.bincount`; `_key_table` takes `_keys` one
     chunk of `word_chunks(n)` at a time.  A group that permutes blocks of
-    coordinates and inside them (`_BlockOrbits`) has `sizes` and `reps` in
-    closed form, builds `index` only on first use, and keeps the chunked
-    pass as its oracle.
+    coordinates and inside them (`_BlockOrbits`) is given by its block
+    layout and per-weight key terms, from which its order, keys, `sizes`
+    and `reps` follow in closed form; it builds `index` only on first use.
 
     The structure also keeps the self-convolution counts of its constraint
     at the representatives, `conv`, built on first read and checked to be
-    constant on the orbits: the constrained Delsarte LP depends on A only
-    through them, and its orbit form has the full LP's optimum exactly when
-    they are.
+    constant on the orbits (a block group's counts are so by construction):
+    the constrained Delsarte LP depends on A only through them, and its
+    orbit form has the full LP's optimum exactly when they are.
     """
 
     __slots__ = ("constraint", "n", "sizes", "reps", "_index", "_conv")
@@ -276,7 +265,7 @@ class OrbitStructure:
     @property
     def conv(self):
         """The self-convolution counts at the representatives, an int64
-        array in orbit order, checked to be constant on the orbits."""
+        array in orbit order, constant on the orbits."""
         if self._conv is None:
             self._conv = self._build_conv()
         return self._conv
@@ -338,28 +327,45 @@ class OrbitStructure:
 
 class _BlockOrbits(OrbitStructure):
     """A group given by a layout of consecutive bit blocks, each with a
-    class: it permutes the coordinates inside every block, and the blocks
-    of one class among themselves.  The orbit of a word is then its weight
-    profile, the multiset of its block weights in each class, so the
-    orbits follow from the profiles without a pass over the words: an
-    orbit of class multisets M_c over k_c blocks of width w_c has
+    class, `layout(constraint, n)`: it permutes the coordinates inside every
+    block, and the blocks of one class (all of one width) among themselves.
+    The orbit of a word is then its weight profile, the multiset of its
+    block weights in each class, and the group is the layout plus
+    `_key_weights()`, per class the key term of a block by its weight: the
+    key of a word is the sum of its blocks' terms (`_keys`), and `_key_table`
+    takes the same sums for all 2^n words by outer sums of per-block tables
+    (`_block_outer`).  The order is prod_c k_c! (w_c!)^{k_c} over the classes
+    c of k_c blocks of width w_c.  The orbits follow from the profiles
+    without a pass over the words: an orbit of class multisets M_c has
     prod_c k_c! / prod_a mult_a(M_c)! * prod_{a in M_c} C(w_c, a) words,
     and its smallest word gives each class's highest block the smallest
-    weight, each block value (1 << a) - 1.  The orbits are ordered by
-    the `_keys` of those words, as the key pass orders them; `index` maps
-    the block-table keys (`_key_table`) to orbits when first read.  `conv`
-    comes from the family's block tables (`self_convolution_blocks`), read
-    at the representatives once the tables pass `invariant_tables`, so no
-    2^n-entry array is made."""
+    weight, each block value (1 << a) - 1.  The orbits are ordered by the
+    keys of those words; `index` maps `_key_table` to orbits when first
+    read.  `conv` is the product over the blocks of the family's entry for
+    the block's class and weight (`self_convolution_weights`), read at the
+    representatives, so no 2^n-entry array is made; a count that depends
+    on each block's weight and class only is constant on the orbits."""
 
     __slots__ = ("_orbit_keys",)
 
-    def _layout(self):
+    @staticmethod
+    def layout(constraint, n):
         """(width, class) of each block, lowest bits first."""
         raise NotImplementedError
 
+    def _key_weights(self):
+        """Per class, the nonnegative key term of a block by its weight."""
+        raise NotImplementedError
+
+    @classmethod
+    def order(cls, constraint, n):
+        layout = cls.layout(constraint, n)
+        classes = [c for _, c in layout]
+        return math.prod(math.factorial(width) for width, _ in layout) * \
+            math.prod(math.factorial(classes.count(c)) for c in set(classes))
+
     def _orbits(self):
-        layout = self._layout()
+        layout = self.layout(self.constraint, self.n)
         shifts = np.cumsum([0] + [width for width, _ in layout]).tolist()
         sizes, reps = [1], [0]
         for cls in dict.fromkeys(c for _, c in layout):
@@ -392,42 +398,28 @@ class _BlockOrbits(OrbitStructure):
         lookup[self._orbit_keys] = np.arange(len(self._orbit_keys))
         return lookup[self._key_table()]
 
-    def _build_conv(self):
-        tables = self.constraint.self_convolution_blocks(self.n)
-        if tables is None or not self.invariant_tables(tables):
-            raise AssertionError(
-                "self-convolution block tables of %s at n=%d do not show the "
-                "counts constant on the orbits of the %s group"
-                % (self.constraint, self.n, self.group))
-        return self.table_values(tables)
-
-    def invariant_tables(self, tables):
-        """Whether block tables in this layout, one per block, each indexed
-        by the block's value, show by themselves that their product
-        (`_block_outer`) is constant on the orbits: each depends on its
-        block's weight only, and the tables of one class are equal."""
-        layout = self._layout()
-        if len(tables) != len(layout):
-            return False
-        first = {}
-        for table, (width, cls) in zip(tables, layout):
-            values = np.arange(1 << width, dtype=np.int64)
-            if len(table) != len(values) or not np.array_equal(
-                    table, table[(1 << _popcount(values)) - 1]):
-                return False
-            if not np.array_equal(first.setdefault(cls, table), table):
-                return False
-        return True
-
-    def table_values(self, tables):
-        """`_block_outer(np.multiply, tables)` at the orbit representatives
-        only, in orbit order."""
+    def _block_values(self, ufunc, weights, words):
+        """ufunc-combined weights[c][w] over the blocks of each word of an
+        int64 array, c the block's class and w its weight."""
         out, shift = None, 0
-        for table, (width, _) in zip(tables, self._layout()):
-            value = table[(self.reps >> shift) & ((1 << width) - 1)]
-            out = value if out is None else out * value
+        for width, cls in self.layout(self.constraint, self.n):
+            value = np.array(weights[cls], dtype=np.int64)[
+                _popcount((words >> shift) & ((1 << width) - 1))]
+            out = value if out is None else ufunc(out, value)
             shift += width
         return out
+
+    def _keys(self, words):
+        return self._block_values(np.add, self._key_weights(), words)
+
+    def _key_table(self):
+        return _block_outer(np.add, self.layout(self.constraint, self.n),
+                            self._key_weights())
+
+    def _build_conv(self):
+        return self._block_values(
+            np.multiply, self.constraint.self_convolution_weights(self.n),
+            self.reps)
 
 
 def _two_charge_pairs(n):
@@ -436,23 +428,18 @@ def _two_charge_pairs(n):
     return list(range(1, last, 2))
 
 
-def _block_outer(ufunc, tables):
-    """The array over the packed words x whose entry at x is
-    ufunc-combined from tables[l][block l of x], where the blocks are
-    consecutive runs of bits, the first table's block lowest and
-    len(tables[l]) = 2^(width of block l): outer operations, last block
-    first, flattened."""
-    out = tables[0]
-    for table in tables[1:]:
-        out = ufunc.outer(table, out).ravel()
+def _block_outer(ufunc, layout, weights):
+    """The int64 array over the packed words x whose entry at x is
+    ufunc-combined from weights[c][w] over the blocks of x, c the block's
+    class and w its weight, the blocks consecutive runs of bits given by
+    `layout` ((width, class) each, lowest first): outer operations on one
+    table per block over its 2^width values, last block first, flattened."""
+    out = None
+    for width, cls in layout:
+        table = np.array(weights[cls], dtype=np.int64)[
+            _popcount(np.arange(1 << width, dtype=np.int64))]
+        out = table if out is None else ufunc.outer(table, out).ravel()
     return out
-
-
-def _two_charge_blocks(n, first, pair, last):
-    """int64 block tables in the 2-charge layout, for `_block_outer`: the
-    first bit, the pairs (2i, 2i+1) and, for even n, the last bit."""
-    tables = [first] + [pair] * len(_two_charge_pairs(n)) + [last] * (1 - n % 2)
-    return [np.array(t, dtype=np.int64) for t in tables]
 
 
 class _TwoChargeOrbits(_BlockOrbits):
@@ -463,39 +450,21 @@ class _TwoChargeOrbits(_BlockOrbits):
     __slots__ = ()
     group = "pair-permutation"
 
-    def _layout(self):
+    @staticmethod
+    def layout(constraint, n):
         """The first bit, the pairs and, for even n, the last bit, each in
         a class of its own but the pairs."""
-        pairs = len(_two_charge_pairs(self.n))
-        return [(1, "first")] + [(2, "pair")] * pairs + \
-            [(1, "last")] * (1 - self.n % 2)
+        return [(1, "first")] + [(2, "pair")] * len(_two_charge_pairs(n)) + \
+            [(1, "last")] * (1 - n % 2)
 
-    @staticmethod
-    def order(constraint, n):
-        pairs = len(_two_charge_pairs(n))
-        return math.factorial(pairs) << pairs
-
-    def _keys(self, words):
-        pairs = _two_charge_pairs(self.n)
-        t00 = np.zeros_like(words)
-        t11 = np.zeros_like(words)
-        for low in pairs:
-            pair = (words >> low) & 0b11
-            t00 += pair == 0
-            t11 += pair == 0b11
-        keys = ((words & 1) * (len(pairs) + 1) + t00) * (len(pairs) + 1) + t11
-        if self.n % 2 == 0:
-            keys = 2 * keys + ((words >> (self.n - 1)) & 1)
-        return keys
-
-    def _key_table(self):
-        """`_keys` of all words as a sum of block terms: (P + 1)^2 times the
-        first bit, (P + 1) [pair = 00] + [pair = 11] for each of the P
-        pairs, all doubled for even n plus the last bit."""
+    def _key_weights(self):
+        """The digits of the key in base P + 1, P pairs: the first bit, the
+        number of 00 pairs and of 11 pairs, all doubled for even n plus the
+        last bit."""
         base = len(_two_charge_pairs(self.n)) + 1
         scale = 2 - self.n % 2
-        return _block_outer(np.add, _two_charge_blocks(
-            self.n, [0, scale * base ** 2], [scale * base, 0, 0, scale], [0, 1]))
+        return {"first": [0, scale * base ** 2], "pair": [scale * base, 0, scale],
+                "last": [0, 1]}
 
 
 class _SubblockOrbits(_BlockOrbits):
@@ -506,34 +475,17 @@ class _SubblockOrbits(_BlockOrbits):
     __slots__ = ()
     group = "subblock"
 
-    def _layout(self):
-        p = self.constraint.p
-        return [(self.n // p, "subblock")] * p
-
     @staticmethod
-    def order(constraint, n):
-        p = constraint.p
-        return math.factorial(p) * math.factorial(n // p) ** p
+    def layout(constraint, n):
+        return [(n // constraint.p, "subblock")] * constraint.p
 
-    def _keys(self, words):
-        # the multiset of subblock weights as a number in base p + 1, whose
-        # digit w counts the subblocks of weight w, subtracted from its
-        # largest value so that heavier multisets come first
-        p = self.constraint.p
-        powers = (p + 1) ** np.arange(self.n // p + 1, dtype=np.int64)
-        keys = np.full_like(words, p * powers[-1])
-        for block in self.constraint.blocks(self.n, words):
-            keys -= powers[_popcount(block)]
-        return keys
-
-    def _key_table(self):
-        """`_keys` of all words from one table over the 2^{n/p} subblock
-        values and p - 1 outer sums."""
-        p = self.constraint.p
-        width = self.n // p
-        powers = (p + 1) ** np.arange(width + 1, dtype=np.int64)
-        table = -powers[_popcount(np.arange(1 << width, dtype=np.int64))]
-        return _block_outer(np.add, [table + p * powers[-1]] + [table] * (p - 1))
+    def _key_weights(self):
+        """The multiset of subblock weights as a number in base p + 1, whose
+        digit w counts the subblocks of weight w, subtracted from its
+        largest value so that heavier multisets come first: (p + 1)^{n/p}
+        - (p + 1)^w for a subblock of weight w."""
+        base, width = self.constraint.p + 1, self.n // self.constraint.p
+        return {"subblock": [base ** width - base ** w for w in range(width + 1)]}
 
     def char_sums(self, columns):
         """Closed form: entry (i, j) is the sum, over the distinct orderings
@@ -659,10 +611,11 @@ class ConstraintSpec:
     #{z in A : x ^ z in A} over the packed words x
     (see the module function `self_convolution`).  A family whose orbit
     group permutes blocks (`_BlockOrbits`) gives those counts as
-    `self_convolution_blocks(n)`, one int64 table per block of the group's
-    layout whose product is the array (`_block_outer`); its orbit
-    structure then reads them at the representatives only
-    (`OrbitStructure.conv`).
+    `self_convolution_weights(n)`, per class of the group's layout a list
+    of each block's factor by its weight: the count at x is the product of
+    its blocks' factors, which `self_convolution` expands through the
+    layout (`_block_outer`) and the orbit structure reads at the
+    representatives only (`OrbitStructure.conv`).
     """
 
     head = None
@@ -685,10 +638,12 @@ class ConstraintSpec:
         return None
 
     def self_convolution(self, n):
-        blocks = self.self_convolution_blocks(n)
-        return None if blocks is None else _block_outer(np.multiply, blocks)
+        weights = self.self_convolution_weights(n)
+        if weights is None:
+            return None
+        return _block_outer(np.multiply, self.orbits.layout(self, n), weights)
 
-    def self_convolution_blocks(self, n):
+    def self_convolution_weights(self, n):
         return None
 
     def __str__(self):
@@ -741,13 +696,13 @@ class TwoCharge(ConstraintSpec):
         mag = 1 << (n // 2)
         return _poly_mul([mag, mag], _poly_pow([1, 0, -1], (n + 1) // 2 - 1))
 
-    def self_convolution_blocks(self, n):
-        """[x_1 = 0] times 2 [pair in {00, 11}] for each pair of x, times 2
-        for even n.  The members start with 0, take 01 or 10 on each pair
-        and any last bit for even n, so x ^ z has first bit 0, each pair
-        00 or 11 in two ways and the last bit in two ways.  Entries are at
-        most |A| <= 2^n."""
-        return _two_charge_blocks(n, [1, 0], [2, 0, 0, 2], [2, 2])
+    def self_convolution_weights(self, n):
+        """[x_1 = 0] times 2 [pair of weight 0 or 2] for each pair of x,
+        times 2 for even n.  The members start with 0, take 01 or 10 on
+        each pair and any last bit for even n, so x ^ z has first bit 0,
+        each pair 00 or 11 in two ways and the last bit in two ways.  The
+        counts are at most |A| <= 2^n."""
+        return {"first": [1, 0], "pair": [2, 0, 2], "last": [2, 2]}
 
 
 class Subblock(ConstraintSpec):
@@ -805,20 +760,17 @@ class Subblock(ConstraintSpec):
         return _poly_pow([math.comb(width, w) * row[w] for w in range(width + 1)],
                          self.p)
 
-    def self_convolution_blocks(self, n):
+    def self_convolution_weights(self, n):
         """The product over the subblocks x_b of x of c(w(x_b)), where
         c(w) = [w even] C(w, w/2) C(n/p - w, z - w/2) counts the weight-z
         words z_b with x_b ^ z_b of weight z too: those that meet x_b in
-        w/2 coordinates: one table over the 2^{n/p} subblock values, the
-        same for every subblock.  Every entry of the product is at most
-        |A| = C(n/p, z)^p <= 2^n, so int64 is exact."""
+        w/2 coordinates.  Every product is at most |A| = C(n/p, z)^p <=
+        2^n, so int64 is exact."""
         width = n // self.p
-        counts = [math.comb(w, w // 2) * math.comb(width - w, self.z - w // 2)
-                  if w % 2 == 0 and w // 2 <= self.z else 0
-                  for w in range(width + 1)]
-        table = np.array(counts, dtype=np.int64)[
-            _popcount(np.arange(1 << width, dtype=np.int64))]
-        return [table] * self.p
+        return {"subblock": [
+            math.comb(w, w // 2) * math.comb(width - w, self.z - w // 2)
+            if w % 2 == 0 and w // 2 <= self.z else 0
+            for w in range(width + 1)]}
 
 
 class Rll(ConstraintSpec):

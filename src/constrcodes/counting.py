@@ -122,14 +122,13 @@ def _krawtchouk_transform(values, divisor, message):
     return WeightDistribution(n, counts)
 
 
-def weight_distribution(constraint, n, cap=22):
+def weight_distribution(constraint, n):
     """Weight distribution of the constrained set A itself.
 
     a_i = (1 / 2^n) * sum_j K_i(j) * W(j), where W(j) collects F_A over the
-    weight-j shell (`shell_sums`); exact division is asserted.
+    weight-j shell (`shell_sums`, which refuses n > FULL_SPACE_CAP); exact
+    division is asserted.
     """
-    if n > cap:
-        raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, cap))
     shell = shell_sums(constraint, n)
     return _krawtchouk_transform(shell, 1 << n, "weight-%d count is not an integer")
 

@@ -323,16 +323,6 @@ def span_chunks(rows):
         yield base ^ offset
 
 
-def enumerate_codewords(c, cap=ENUMERATION_CAP):
-    """Yield all 2^k codewords as BitWord, starting with the all-zeros word."""
-    if c.k > cap:
-        raise CapExceeded(
-            "enumeration of 2^%d codewords exceeds the cap of 2^%d; "
-            "raise the cap explicitly to proceed" % (c.k, cap))
-    for w in iterate_span(c.generator.data):
-        yield BitWord(c.n, w)
-
-
 class CosetDecomposition:
     """Cosets of sub_code inside super_code, with canonical representatives."""
 

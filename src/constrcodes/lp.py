@@ -289,25 +289,6 @@ class _Simplex:
         # the next exchange or bound flip
         self._final = None
 
-        # crash: a >= or = row whose only use of some positive column is
-        # that row can start with that column basic instead of an
-        # artificial, avoiding the degenerate vertex a full phase 1 would
-        # end at; columns 0..nvars-1 of the starting tableau are the
-        # variables
-        if not len(art_rows):
-            return
-        col_nnz = (np.abs(self.orig) > PIVOT_TOL).sum(axis=0)
-        for i in art_rows:
-            row = self.tab.row(i)[:nvars]
-            for j in np.nonzero((row > PIVOT_TOL) & (col_nnz == 1)
-                                & (self.nonbasic[:nvars] < nvars))[0]:
-                if self.xb[i] / row[j] <= self.ub[j]:
-                    self._enter_at_zero(i, j)
-                    break
-        # the basic values keep their bounds from here on (the ratio test
-        # counts on it): every step that moves them clips them again
-        self._clip()
-
     def normalized(self, b):
         """Right-hand sides b of the model, normalized, on the rows in use."""
         return (b / self.scale)[self.kept]
@@ -518,7 +499,7 @@ class _Simplex:
 
     def _enter_at_zero(self, r, q):
         """Exchange a nonbasic variable resting at 0 into the basis at row
-        r, outside the pricing loop (crash basis, artificial drive-out)."""
+        r, outside the pricing loop (artificial drive-out)."""
         col = self.tab.column(q)
         theta = self.xb[r] / col[r]
         self.xb -= theta * col

@@ -157,6 +157,20 @@ def test_fourier_weight_classes(capsys):
     assert get(out, "weight_class_sums") == "6 0 -12 0 6"
 
 
+def test_full_space_cap_exit_codes(capsys):
+    # one cap refuses the full-space pass of both commands at n > 22 (exit
+    # 3), before the blocklength is checked, so the relaxed odd constraint
+    # at odd n = 23 is refused by the cap and at n = 21 by its length rule
+    for argv in (["fourier", "--constraint", "rll:d=1"],
+                 ["weight-dist", "--constraint", "rll:d=1"],
+                 ["fourier", "--constraint", "odd"],
+                 ["weight-dist", "--constraint", "odd"]):
+        assert run(capsys, *argv, "--n", "23")[0] == 3, argv
+        assert run(capsys, *argv, "--n", "21")[0] == \
+            (2 if "odd" in argv else 0), argv
+    assert run(capsys, "fourier", "--constraint", "rll:d=1", "--n", "22")[0] == 0
+
+
 def test_weight_dist_constrained_set(capsys):
     code, out = run(capsys, "weight-dist", "--constraint", "even-strict",
                     "--n", "8", "--format", "csv")
@@ -333,8 +347,8 @@ def test_table_builds_one_orbit_structure_and_convolution(capsys, monkeypatch):
     # the GenSph cells of Tables II and III use the orbit structure of their
     # table's constrained LP, solve one LP per radius t = floor((d-1)/2), and
     # the structure reads its convolution at the orbit representatives
-    # once, from the family's block tables: no whole-space convolution is
-    # built, and no word-by-word check runs
+    # once, from the family's per-weight block factors: no whole-space
+    # convolution is built, and no word-by-word check runs
     from constrcodes import cli, constraints, lp
     from constrcodes.constraints import OrbitStructure, _BlockOrbits
     structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
@@ -361,8 +375,8 @@ def test_table_builds_one_orbit_structure_and_convolution(capsys, monkeypatch):
 
 def test_table_iv_makes_no_whole_space_array(capsys):
     # n = 18: the orbits come from weight profiles and the convolution from
-    # block tables at the representatives, so no 2^18-entry array (2 MB of
-    # int64) is made
+    # per-weight block factors at the representatives, so no 2^18-entry
+    # array (2 MB of int64) is made
     run(capsys, "table", "--id", "IV")
     tracemalloc.start()
     try:
@@ -406,7 +420,7 @@ def test_table_vi_columns_share_orbit_structure_and_convolution(monkeypatch):
     from constrcodes import constraints, lp
     from constrcodes.constraints import OrbitStructure
     structures = _count_calls(monkeypatch, (cli, lp), "orbit_structure")
-    # the reversal group has no block tables: each column builds and checks
+    # the reversal group has no block layout: each column builds and checks
     # the whole convolution
     convolutions = _count_calls(monkeypatch, (constraints,), "self_convolution")
     spheres = _count_calls(monkeypatch, (cli, lp), "gensph")

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from constrcodes import (CapExceeded, cardinality, char_sum_array,
-                         char_sum_brute, char_sum_int, enumerate_members,
-                         even_strict, fixed_weight, member, member_array,
-                         member_int, member_ints, odd_relaxed, odd_strict,
+                         char_sum_int, even_strict, fixed_weight, member,
+                         member_array, member_int, member_ints, odd_relaxed,
+                         odd_strict,
                          orbit_char_sum, orbit_structure, parse_constraint,
                          rll, self_convolution_counts, shell_sums, subblock,
                          two_charge, two_charge_basis, weight_class_sums, wht)
 from constrcodes.constraints import (FAMILIES, OddRelaxed, OrbitStructure,
-                                     self_convolution)
+                                     _two_charge_pairs, self_convolution)
 from constrcodes.spectral import _popcount, krawtchouk
 from constrcodes.gf2 import BitWord, iterate_span
 
@@ -72,6 +72,20 @@ def oracle_member(c, x):
     if c.head == "odd":
         return sum(x) == 0 or all(r % 2 == 1 for r in runs[1:-1])
     return sum(x) == c.i
+
+
+def enumerate_members(c, n):
+    """Yield the members of A as BitWord, in lexicographic order."""
+    fmt = "0%db" % n
+    for m in range(1 << n):
+        bits = int(format(m, fmt)[::-1], 2)
+        if member_int(c, n, bits):
+            yield BitWord(n, bits)
+
+
+def char_sum_brute(c, n, s):
+    """Oracle: direct sum over the enumerated members."""
+    return sum(-1 if (x & s).bit_count() & 1 else 1 for x in member_ints(c, n))
 
 
 def test_membership_matches_oracle():
@@ -515,18 +529,71 @@ def _swaps(n, pairs):
     return out
 
 
+def two_charge_keys(n, words):
+    """Oracle of the pair-permutation key: ((first bit) (P + 1) + number of
+    00 pairs) (P + 1) + number of 11 pairs over the P pairs (2i, 2i+1), for
+    even n doubled plus the last bit."""
+    pairs = _two_charge_pairs(n)
+    t00 = np.zeros_like(words)
+    t11 = np.zeros_like(words)
+    for low in pairs:
+        pair = (words >> low) & 0b11
+        t00 += pair == 0
+        t11 += pair == 0b11
+    keys = ((words & 1) * (len(pairs) + 1) + t00) * (len(pairs) + 1) + t11
+    if n % 2 == 0:
+        keys = 2 * keys + ((words >> (n - 1)) & 1)
+    return keys
+
+
+def subblock_keys(p, n, words):
+    """Oracle of the subblock key: the multiset of subblock weights as a
+    number in base p + 1, whose digit w counts the subblocks of weight w,
+    subtracted from its largest value."""
+    powers = (p + 1) ** np.arange(n // p + 1, dtype=np.int64)
+    keys = np.full_like(words, p * powers[-1])
+    for block in subblock(p, 0).blocks(n, words):
+        keys -= powers[_popcount(block)]
+    return keys
+
+
+def block_structures(n):
+    """The 2-charge structure and a subblock structure for every p | n."""
+    return [orbit_structure(two_charge(), n)] + [
+        orbit_structure(subblock(p, 0), n)
+        for p in range(1, n + 1) if n % p == 0]
+
+
 def test_block_table_keys_match_chunked_keys():
-    # the per-block key tables of the 2-charge and subblock groups against
-    # the chunked pass of `_keys` they replace
+    # the keys of the 2-charge and subblock groups, summed from per-weight
+    # block terms, against per-word formulas: the outer-sum table of all
+    # words, and the chunked pass of `_keys`; this pins the orbit numbering
     for n in range(1, 17):
-        structures = [orbit_structure(two_charge(), n)]
-        structures += [orbit_structure(subblock(p, 0), n)
-                       for p in range(1, n + 1) if n % p == 0]
-        for struct in structures:
+        words = np.arange(1 << n, dtype=np.int64)
+        for struct in block_structures(n):
+            c = struct.constraint
+            expected = (two_charge_keys(n, words) if c == two_charge()
+                        else subblock_keys(c.p, n, words))
+            where = (struct.group, c, n)
             keys = struct._key_table()
-            assert keys.dtype == np.int64
-            assert np.array_equal(keys, OrbitStructure._key_table(struct)), \
-                (struct.group, struct.constraint, n)
+            assert keys.dtype == np.int64, where
+            assert np.array_equal(keys, expected), where
+            assert np.array_equal(OrbitStructure._key_table(struct),
+                                  expected), where
+
+
+def test_block_group_orders():
+    # the order from the layout, prod over classes of k! (w!)^k, against
+    # P! 2^P (2-charge, P pairs) and p! ((n/p)!)^p (subblock)
+    for n in range(1, 19):
+        pairs = len(_two_charge_pairs(n))
+        c = two_charge()
+        assert c.orbits.order(c, n) == math.factorial(pairs) * 2 ** pairs, n
+        for p in range(1, n + 1):
+            if n % p == 0:
+                c = subblock(p, 0)
+                assert c.orbits.order(c, n) == \
+                    math.factorial(p) * math.factorial(n // p) ** p, (p, n)
 
 
 def test_block_orbits_match_key_pass():
@@ -534,10 +601,7 @@ def test_block_orbits_match_key_pass():
     # bincount of the chunked keys: sizes, representatives, and the index,
     # built only when first read
     for n in range(1, 17):
-        structures = [orbit_structure(two_charge(), n)]
-        structures += [orbit_structure(subblock(p, 0), n)
-                       for p in range(1, n + 1) if n % p == 0]
-        for struct in structures:
+        for struct in block_structures(n):
             assert struct._index is None
             keys = OrbitStructure._key_table(struct)
             counts = np.bincount(keys)
@@ -553,34 +617,20 @@ def test_block_orbits_match_key_pass():
             assert struct.index.dtype == np.int64
 
 
-def test_block_tables_invariance_and_values_at_reps(monkeypatch):
-    # the families' self-convolution block tables pass the group's table
-    # check and, read at the representatives, equal the whole array there,
-    # which is what the structure keeps; the trivial group keeps the whole
-    # array at its representatives.  A table that depends on more than its
-    # block's weight fails the check, and so does a block table unlike the
-    # others of its class, and the structure then refuses its counts
+def test_block_tables_invariance_and_values_at_reps():
+    # the families' per-weight self-convolution factors, read at the
+    # representatives, equal the whole array there, which is what the
+    # structure keeps, and the whole array passes the chunked check that
+    # it is constant on the orbits; the trivial group keeps the whole array
+    # at its representatives
     for c, n in [(two_charge(), 9), (two_charge(), 10), (subblock(2, 1), 8),
                  (subblock(3, 2), 9), (subblock(4, 1), 12)]:
         struct = orbit_structure(c, n)
-        tables = c.self_convolution_blocks(n)
         whole = self_convolution(c, n)
-        assert struct.invariant_tables(tables)
-        assert np.array_equal(struct.table_values(tables), whole[struct.reps])
         assert np.array_equal(struct.conv, whole[struct.reps])
+        assert np.array_equal(struct._checked_at_reps(whole), struct.conv)
         trivial = orbit_structure(c, n, trivial=True)
         assert np.array_equal(trivial.conv, whole)
-        skewed = [t.copy() for t in tables]
-        skewed[1][1] += 1
-        assert not struct.invariant_tables(skewed)
-        assert not struct.invariant_tables(
-            tables[:1] + [2 * tables[1]] + tables[2:])
-        assert not struct.invariant_tables(tables[:-1])
-        monkeypatch.setattr(type(c), "self_convolution_blocks",
-                            lambda self, n: skewed)
-        with pytest.raises(AssertionError):
-            orbit_structure(c, n).conv
-        monkeypatch.undo()
 
 
 def test_orbit_structure_matches_generator_closure():

