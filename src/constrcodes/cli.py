@@ -3,8 +3,10 @@ computational subcommands, reference-table reproduction, and the property
 verification suites.
 
 Exit codes: 0 success, 1 verification failure, table mismatch or internal
-error, 2 usage or input error, 3 resource cap exceeded, 4 solver iteration
-limit.  They follow the exception class, never the message text.
+error, 2 usage or input error, 3 resource cap exceeded, 4 the LP solver
+returned no optimum (`SolverError`: infeasible, unbounded, iteration limit
+or numerical error).  They follow the exception class, never the message
+text.
 """
 
 import argparse
@@ -19,12 +21,12 @@ import numpy as np
 
 from .constraints import (char_sum_array, char_sum_int, even_strict,
                           fixed_weight, member_array, member_int, odd_relaxed,
-                          odd_strict, orbit_structure, parse_constraint, rll,
-                          shell_sums, subblock, two_charge)
-from .counting import (code_weight_distribution, constrained_weight_distribution,
-                       count_brute, count_in_code, count_odd_in_code,
-                       macwilliams, rm_subblock_count_plotkin,
-                       weight_distribution)
+                          odd_strict, orbit_structure, parse_constraint,
+                          parse_params, rll, shell_sums, subblock, two_charge)
+from .counting import (COUNT_CAP, code_weight_distribution,
+                       constrained_weight_distribution, count_brute,
+                       count_in_code, count_odd_in_code, macwilliams,
+                       rm_subblock_count_plotkin, weight_distribution)
 from .errors import CapExceeded
 from .gf2 import (BinaryLinearCode, BitMatrix, CodeFormatError, dual_code,
                   gf2_rank, hamming_code, load_code, reed_muller,
@@ -53,16 +55,7 @@ def parse_code(text):
         if not rest:
             raise ValueError("file: requires a path")
         return load_code(rest)
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq or not val:
-                raise ValueError("bad code parameter %r in %r" % (item, text))
-            try:
-                params[key] = int(val)
-            except ValueError as exc:
-                raise ValueError("non-integer parameter %r in %r" % (item, text)) from exc
+    head, params = parse_params(text, "code")
     try:
         if head == "rm":
             return reed_muller(params["m"], params["r"])
@@ -139,7 +132,7 @@ def run_count(args):
     started = time.perf_counter()
     code = parse_code(args.code)
     constraint = parse_constraint(args.constraint)
-    cap = 24 if args.max_n is None else args.max_n
+    cap = COUNT_CAP if args.max_n is None else args.max_n
     if args.method == "brute":
         value, method = count_brute(code, constraint, cap=cap), "brute_enumeration"
     else:

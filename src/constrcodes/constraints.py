@@ -27,6 +27,8 @@ from .spectral import (_CHUNK, _check_conv_cap, _parity, _popcount,
                        krawtchouk_table, self_convolution_counts,
                        weight_class_sums, word_chunks)
 
+# largest n of a pass over the 2^n words one by one (`member_ints`) or
+# keyed into orbits (`orbit_structure`)
 MEMBER_ENUM_CAP = 22
 # largest n of the shell sums, and so of `fourier --n` and `weight-dist --n`
 FULL_SPACE_CAP = 22
@@ -89,10 +91,11 @@ def member_array(c, n, words):
     return c.member(n, _word_array(c, n, words))
 
 
-def member_ints(c, n, cap=MEMBER_ENUM_CAP):
+def member_ints(c, n):
     """Members of A as a list of packed ints (enumeration order)."""
-    if n > cap:
-        raise CapExceeded("member enumeration refuses n=%d > cap %d" % (n, cap))
+    if n > MEMBER_ENUM_CAP:
+        raise CapExceeded("member enumeration refuses n=%d > cap %d"
+                          % (n, MEMBER_ENUM_CAP))
     c.check_length(n)
     return [x for x in range(1 << n) if member_int(c, n, x)]
 
@@ -1000,20 +1003,27 @@ def fixed_weight(i):
     return FixedWeight(i)
 
 
-def parse_constraint(text):
-    """Parse the CLI grammar: `2charge`, `subblock:p=<int>,z=<int>`,
-    `rll:d=<int>`, `odd-strict`, `odd`, `even-strict`, `weight:i=<int>`."""
+def parse_params(text, what):
+    """The head and the {name: int} parameters of `head:name=<int>,...`,
+    the grammar of constraints and codes; `what` names it in the errors."""
     head, _, rest = text.partition(":")
     params = {}
     if rest:
         for item in rest.split(","):
             key, eq, val = item.partition("=")
             if not eq or not val:
-                raise ValueError("bad constraint parameter %r in %r" % (item, text))
+                raise ValueError("bad %s parameter %r in %r" % (what, item, text))
             try:
                 params[key] = int(val)
             except ValueError as exc:
                 raise ValueError("non-integer parameter %r in %r" % (item, text)) from exc
+    return head, params
+
+
+def parse_constraint(text):
+    """Parse the CLI grammar: `2charge`, `subblock:p=<int>,z=<int>`,
+    `rll:d=<int>`, `odd-strict`, `odd`, `even-strict`, `weight:i=<int>`."""
+    head, params = parse_params(text, "constraint")
     family = FAMILIES.get(head)
     if family is None:
         raise ValueError("unknown constraint %r" % text)

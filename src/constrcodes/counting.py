@@ -97,7 +97,12 @@ def count_in_code(code, constraint, method="auto", cap=ENUMERATION_CAP):
     raise ValueError("method must be 'auto', 'dual', or 'direct'")
 
 
-def count_brute(code, constraint, cap=24):
+# default most codewords, as a power of 2, that `count_brute` and the
+# `count` command enumerate; `count --max-n` sets another
+COUNT_CAP = 24
+
+
+def count_brute(code, constraint, cap=COUNT_CAP):
     """Oracle: enumerate the code and test membership word by word."""
     if code.k > cap:
         raise CapExceeded("enumeration of 2^%d codewords exceeds the cap" % code.k)
@@ -133,7 +138,12 @@ def weight_distribution(constraint, n):
     return _krawtchouk_transform(shell, 1 << n, "weight-%d count is not an integer")
 
 
-def constrained_weight_distribution(code, constraint, n_cap=18, dual_cap=14):
+# largest n and dual dimension n - k of `constrained_weight_distribution`
+SUBCODE_N_CAP = 18
+SUBCODE_DUAL_CAP = 14
+
+
+def constrained_weight_distribution(code, constraint):
     """Weight distribution of C ∩ A, by one pass over the 2^k codewords
     (`span_chunks`): the weights of the members of A among them, counted.
     Every count is at most 2^k, so int64 is exact.
@@ -141,13 +151,15 @@ def constrained_weight_distribution(code, constraint, n_cap=18, dual_cap=14):
     The caps are those of the dual-coset transform
     a_i = (|C| / 4^n) sum_j K_i(j) sum_{w(s)=j} T(s), T(s) the sum of F_A
     over the dual coset s + C-perp, which the tests keep as the oracle:
-    it refuses n > n_cap and dual dimensions n - k > dual_cap.
+    it refuses n > SUBCODE_N_CAP and dual dimensions n - k > SUBCODE_DUAL_CAP.
     """
     n, k = code.n, code.k
-    if n > n_cap:
-        raise CapExceeded("full-space pass refuses n=%d > cap %d" % (n, n_cap))
-    if n - k > dual_cap:
-        raise CapExceeded("dual dimension %d exceeds cap %d" % (n - k, dual_cap))
+    if n > SUBCODE_N_CAP:
+        raise CapExceeded("full-space pass refuses n=%d > cap %d"
+                          % (n, SUBCODE_N_CAP))
+    if n - k > SUBCODE_DUAL_CAP:
+        raise CapExceeded("dual dimension %d exceeds cap %d"
+                          % (n - k, SUBCODE_DUAL_CAP))
     constraint.check_length(n)
     counts = np.zeros(n + 1, dtype=np.int64)
     for words in span_chunks(code.generator.data):
@@ -167,7 +179,7 @@ def macwilliams(dist, code_size):
         "the distribution of a linear code of size %d" % code_size)
 
 
-def code_weight_distribution(code, cap=ENUMERATION_CAP):
+def code_weight_distribution(code):
     """Weight distribution of a code, enumerating the smaller of C and C-perp."""
     n, k = code.n, code.k
     primal = k <= n - k
@@ -175,7 +187,7 @@ def code_weight_distribution(code, cap=ENUMERATION_CAP):
         rows, dim, what = code.generator.data, k, "codewords"
     else:
         rows, dim, what = code.parity_check.data, n - k, "dual codewords"
-    if dim > cap:
+    if dim > ENUMERATION_CAP:
         raise CapExceeded("enumeration of 2^%d %s exceeds the cap" % (dim, what))
     counts = [0] * (n + 1)
     for x in iterate_span(rows):
@@ -209,7 +221,7 @@ def _intersect_spans(rows_u, rows_w, n):
     return [v >> n for v in _echelonize(stacked).values() if not v & mask]
 
 
-def two_charge_structure(code, cap=24):
+def two_charge_structure(code):
     """Predict N(C; 2-charge set) from C-perp ∩ V_B, without counting.
 
     All character sums of the 2-charge set vanish outside the span V_B of the
@@ -217,12 +229,12 @@ def two_charge_structure(code, cap=24):
     is linear in the pair-vector coefficients.  The criterion holds when the
     sign is positive on all of I = C-perp ∩ V_B; then with t = dim I,
     N = |C| * 2^(t + floor(n/2) - n).  Otherwise signs cancel and N = 0.
+    The intersection comes from one echelon form of the two spans, so no
+    dual dimension is refused.
     """
     n, k = code.n, code.k
     if n < 3:
         raise ValueError("the 2-charge set needs blocklength n >= 3")
-    if n - k > cap:
-        raise CapExceeded("dual dimension %d exceeds cap %d" % (n - k, cap))
     inter = _intersect_spans(code.parity_check.data, two_charge_basis(n), n)
     dim = len(inter)
     pairs = _two_charge_pairs(n)
@@ -278,10 +290,10 @@ def _odd_prediction(label):
     return None
 
 
-def count_odd_in_code(code, method="auto"):
+def count_odd_in_code(code):
     """N(C; odd set): the strict variant for odd n, the relaxed one for even n."""
     constraint = odd_strict() if code.n % 2 else odd_relaxed()
-    result = count_in_code(code, constraint, method=method)
+    result = count_in_code(code, constraint)
     return OddCountReport(result.value, constraint, _odd_prediction(code.label))
 
 

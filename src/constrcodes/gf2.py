@@ -11,6 +11,8 @@ import numpy as np
 from .errors import CapExceeded
 from .spectral import _CHUNK
 
+# most codewords, as a power of 2, that an enumeration here or in
+# `counting` takes on
 ENUMERATION_CAP = 26
 
 
@@ -43,16 +45,6 @@ class BitWord:
                 bits |= 1 << i
         return cls(len(s), bits)
 
-    @classmethod
-    def from_support(cls, n, positions):
-        """Build a word from a collection of 1-indexed coordinate positions."""
-        bits = 0
-        for p in positions:
-            if not 1 <= p <= n:
-                raise ValueError("position %d out of range [1, %d]" % (p, n))
-            bits |= 1 << (p - 1)
-        return cls(n, bits)
-
     def get(self, i):
         """Coordinate i (1-indexed)."""
         if not 1 <= i <= self.n:
@@ -61,11 +53,6 @@ class BitWord:
 
     def weight(self):
         return self.bits.bit_count()
-
-    def dot(self, other):
-        if self.n != other.n:
-            raise ValueError("length mismatch: %d vs %d" % (self.n, other.n))
-        return (self.bits & other.bits).bit_count() & 1
 
     def __xor__(self, other):
         if self.n != other.n:
@@ -98,13 +85,6 @@ class BitMatrix:
         self.data = data
         self.rows = len(data)
         self.cols = cols
-
-    @classmethod
-    def from_strings(cls, rows):
-        words = [BitWord.from_string(r) for r in rows]
-        if words and any(w.n != words[0].n for w in words):
-            raise ValueError("rows have inconsistent lengths")
-        return cls([w.bits for w in words], words[0].n if words else 0)
 
     def row_words(self):
         return [BitWord(self.cols, r) for r in self.data]
@@ -334,7 +314,7 @@ class CosetDecomposition:
         self.reps = reps
 
 
-def coset_decompose(super_code, sub_code, cap=ENUMERATION_CAP):
+def coset_decompose(super_code, sub_code):
     """Decompose super_code into cosets of sub_code.
 
     Representatives are the lexicographically least member of each coset;
@@ -355,8 +335,9 @@ def coset_decompose(super_code, sub_code, cap=ENUMERATION_CAP):
     m_dim = super_code.k - sub_code.k
     if len(comp) != m_dim:
         raise AssertionError("complement dimension mismatch")
-    if m_dim > cap:
-        raise CapExceeded("coset count 2^%d exceeds the cap of 2^%d" % (m_dim, cap))
+    if m_dim > ENUMERATION_CAP:
+        raise CapExceeded("coset count 2^%d exceeds the cap of 2^%d"
+                          % (m_dim, ENUMERATION_CAP))
     reps = sorted((_reduce(w, sub_basis) for w in iterate_span(comp)),
                   key=lambda b: _lex_key(b, super_code.n))
     if len(set(reps)) != 1 << m_dim:
@@ -365,9 +346,9 @@ def coset_decompose(super_code, sub_code, cap=ENUMERATION_CAP):
                               [BitWord(super_code.n, b) for b in reps])
 
 
-def coset_weight_enumerator(rep, sub_code, cap=ENUMERATION_CAP):
+def coset_weight_enumerator(rep, sub_code):
     """Weight enumerator (counts indexed 0..n) of the coset rep + sub_code."""
-    if sub_code.k > cap:
+    if sub_code.k > ENUMERATION_CAP:
         raise CapExceeded("enumeration of 2^%d codewords exceeds the cap" % sub_code.k)
     r = rep.bits if isinstance(rep, BitWord) else int(rep)
     counts = [0] * (sub_code.n + 1)

@@ -288,6 +288,8 @@ class _Simplex:
         # (rhs, basic values) solved for at the last refactorization, until
         # the next exchange or bound flip
         self._final = None
+        # most iterations of the solve, primal and dual together
+        self.limit = ITERATION_LIMIT
 
     def normalized(self, b):
         """Right-hand sides b of the model, normalized, on the rows in use."""
@@ -314,18 +316,20 @@ class _Simplex:
         return out
 
     def _basis_times(self, v, w):
-        """B v + orig w for the basis matrix B, with v by basis position and
-        w by model variable, zero at the basic ones: each basic unit column
-        adds its one exact term, and the entries of v at basic model
-        variables go into w, so that one product reads orig."""
+        """B v + orig w for the basis matrix B, one row of the result for
+        each pair of rows v and w of the arrays v and w, v by basis position
+        and w by model variable, zero at the basic ones: each basic unit
+        column adds its one exact term, and the entries of v at basic model
+        variables go into w, so that one product reads orig for all rows."""
         basis = self.basis
         urow = self.unit_row[basis]
         unit = urow >= 0
-        out = np.zeros(len(v))
-        out[urow[unit]] = self.unit_sign[basis[unit]] * v[unit]
         struct = ~unit
-        w[basis[struct]] = v[struct]
-        out += self.orig @ w
+        out = np.zeros(v.shape)
+        for row, x, y in zip(out, v, w):
+            row[urow[unit]] = self.unit_sign[basis[unit]] * x[unit]
+            y[basis[struct]] = x[struct]
+        out += w @ self.orig.T
         return out
 
     def _drift(self, rhs, col, entering):
@@ -334,17 +338,16 @@ class _Simplex:
         upper bound, times it) - rhs, relative to max(1, |rhs|, |x_B|), and
         the residual of the tableau column col of the nonbasic variable
         `entering`, B col - its column, relative to max(1, |col|), in max
-        norms.  Also kept in the counters as the largest seen."""
+        norms; both from one product with orig.  Also kept in the counters
+        as the largest seen."""
         nvars = self.orig.shape[1]
-        w = np.zeros(nvars)
+        w = np.zeros((2, nvars))
         uppers = self.nonbasic[self.sign < 0]
-        w[uppers] = self.ub[uppers]
-        values = self._basis_times(self.xb, w)
-        values -= rhs
-        w = np.zeros(nvars)
+        w[0, uppers] = self.ub[uppers]
         if entering < nvars:
-            w[entering] = -1.0
-        column = self._basis_times(col, w)
+            w[1, entering] = -1.0
+        values, column = self._basis_times(np.array((self.xb, col)), w)
+        values -= rhs
         if entering >= nvars:
             column[self.unit_row[entering]] -= self.unit_sign[entering]
         scale = max(1.0, float(np.abs(rhs).max(initial=0.0)),
@@ -506,7 +509,7 @@ class _Simplex:
         self.xb[r] = theta
         self._exchange(r, q, col)
 
-    def primal(self, cost, rhs, limit, final=None):
+    def primal(self, cost, rhs, final=None):
         """Run bounded-variable simplex pivots until optimal or interrupted.
 
         cost is the objective to minimize, by label, and rhs the normalized
@@ -517,7 +520,7 @@ class _Simplex:
         tableau unless some column can still improve.  Returns 'optimal',
         'unbounded', or 'iteration_limit'.
         """
-        state, tab, ub = self.state, self.tab, self.ub
+        state, tab, ub, limit = self.state, self.tab, self.ub, self.limit
         basis, nonbasic, sign, ubb = (self.basis, self.nonbasic, self.sign,
                                       self.ubb)
         m, nn = len(basis), len(nonbasic)
@@ -695,7 +698,7 @@ class _Simplex:
         self.ub = self.ub[:a0]
         self.cost = self.cost[:a0]
 
-    def evaluate(self, rhs, limit):
+    def evaluate(self, rhs):
         """Move the current basis to the normalized right-hand sides rhs.
 
         The tableau is freshly factored and does not depend on rhs, so only
@@ -717,7 +720,7 @@ class _Simplex:
             if len(bad) and bad[bad.argmax()]:
                 # the repair pivots on a freshly factored tableau
                 self._reinvert(rhs)
-                status = self.dual(rhs, limit)
+                status = self.dual(rhs)
         self._clip()
         return status
 
@@ -727,7 +730,7 @@ class _Simplex:
         excess = np.maximum(-self.xb, self.xb - self.ubb)
         return excess > FEAS_TOL * np.maximum(1.0, np.abs(self.xb))
 
-    def dual(self, rhs, limit):
+    def dual(self, rhs):
         """Bounded dual simplex pivots from a dual feasible basis until the
         basic values, on a freshly factored tableau, keep their bounds.
 
@@ -759,7 +762,7 @@ class _Simplex:
                 since_reinvert = since_check = 0
                 reduced = cost[nonbasic] - cost[basis] @ tab.dense()
                 continue
-            if state["iterations"] >= limit:
+            if state["iterations"] >= self.limit:
                 return "iteration_limit"
             if state["repair_pivots"] >= REPAIR_LIMIT:
                 return "numerical_error"
@@ -853,7 +856,7 @@ def _solution(status, state, value=None, primal=None):
     return LpSolution(status, value, primal, state["iterations"], stats)
 
 
-def _optimize(model, state, limit):
+def _optimize(model, state):
     """Phases 1 and 2 over the model: the status and the simplex, whose
     basis is, when 'optimal', optimal for slightly perturbed right-hand
     sides, and whose last refactorization has solved for the true ones,
@@ -862,7 +865,7 @@ def _optimize(model, state, limit):
     if sx.a0 < len(sx.ub):
         cost1 = np.zeros(len(sx.ub))
         cost1[sx.a0:] = 1.0
-        status = sx.primal(cost1, sx.rhs, limit)
+        status = sx.primal(cost1, sx.rhs)
         if status != "optimal":
             return status, sx
         if sx.xb[sx.basis >= sx.a0].sum() > FEAS_TOL:
@@ -878,13 +881,14 @@ def _optimize(model, state, limit):
     # final basis against the true right-hand sides
     rhs = sx.rhs
     lift = _lift_scales(len(rhs)) * np.maximum(1.0, np.abs(rhs))
-    perturbed = rhs + sx._basis_times(lift, np.zeros(sx.orig.shape[1]))
+    perturbed = rhs + sx._basis_times(lift[None],
+                                      np.zeros((1, sx.orig.shape[1])))[0]
     sx.xb += lift
     sx._clip()
-    return sx.primal(sx.cost, perturbed, limit, final=rhs), sx
+    return sx.primal(sx.cost, perturbed, final=rhs), sx
 
 
-def solve(model, limit=ITERATION_LIMIT):
+def solve(model):
     """Two-phase bounded primal simplex over the model (0 <= x <= ub), on a
     condensed tableau of the nonbasic columns, with a dual simplex repair
     of the final basis at the unperturbed right-hand sides."""
@@ -892,9 +896,9 @@ def solve(model, limit=ITERATION_LIMIT):
     upper = model.upper
     if len(upper) and upper[upper.argmin()] < 0:
         return _solution("infeasible", state)
-    status, sx = _optimize(model, state, limit)
+    status, sx = _optimize(model, state)
     if status == "optimal":
-        status = sx.evaluate(sx.rhs, limit)
+        status = sx.evaluate(sx.rhs)
     if status != "optimal":
         return _solution(status, state)
     primal = sx.point()[:model.nvars()]
@@ -981,10 +985,12 @@ def del_classic(n, d):
     return BoundReport(n, d, None, value, value, solution=sol, model=model)
 
 
-def del_full(n, d, cap=12):
-    """The 2^n-variable Delsarte LP, for cross-validating symmetrization."""
-    if n > cap:
-        raise CapExceeded("del_full refuses n=%d > cap %d" % (n, cap))
+def del_full(n, d):
+    """The 2^n-variable Delsarte LP, for cross-validating symmetrization;
+    its 2^n rows are capped like the orbit rows of the constrained LP."""
+    if 2 ** n > ORBIT_ROW_CAP:
+        raise CapExceeded("del_full refuses n=%d: 2^n rows > cap %d"
+                          % (n, ORBIT_ROW_CAP))
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     # f(0) = 1 substituted; f = 0 below distance d drops those variables
@@ -1049,11 +1055,14 @@ def del_constrained_orbits(structure, d):
                        solution=sol, model=model, structure=structure)
 
 
-def del_constrained(n, d, constraint, cap=12):
+def del_constrained(n, d, constraint):
     """The constrained Delsarte LP, solved over the orbits of the
-    constraint's symmetry group (see `del_constrained_orbits`)."""
-    if n > cap:
-        raise CapExceeded("del_constrained refuses n=%d > cap %d" % (n, cap))
+    constraint's symmetry group (see `del_constrained_orbits`); refuses n
+    at which the 2^n rows of the unsymmetrized LP exceed ORBIT_ROW_CAP,
+    whatever the group."""
+    if 2 ** n > ORBIT_ROW_CAP:
+        raise CapExceeded("del_constrained refuses n=%d: 2^n rows > cap %d"
+                          % (n, ORBIT_ROW_CAP))
     return del_constrained_sym(n, d, constraint)
 
 
@@ -1115,7 +1124,11 @@ def _undominated(matrix):
     return np.sort(order[keep]).tolist()
 
 
-def gensph(n, d, constraint, cap=16, structure=None):
+# largest n of the sphere-packing LP, whose balls enumerate up to 2^n words
+GENSPH_N_CAP = 16
+
+
+def gensph(n, d, constraint, structure=None):
     """Generalized sphere-packing bound with radius t = floor((d-1)/2).
 
     The bound is the minimum fractional transversal: weights on the members
@@ -1129,8 +1142,8 @@ def gensph(n, d, constraint, cap=16, structure=None):
     weight can move to the other) and is dropped.  `structure` is the
     constraint's `orbit_structure` at length n, built here when not given.
     """
-    if n > cap:
-        raise CapExceeded("gensph refuses n=%d > cap %d" % (n, cap))
+    if n > GENSPH_N_CAP:
+        raise CapExceeded("gensph refuses n=%d > cap %d" % (n, GENSPH_N_CAP))
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     t = (d - 1) // 2
@@ -1170,26 +1183,35 @@ class CertificateRejected(ValueError):
     """The supplied dual certificate violates one of its conditions."""
 
 
-def dual_certificate_bound(n, d, constraint, beta, tol=1e-9, cap=16):
+# largest n of a dual certificate, a vector of 2^n entries, and the
+# tolerance of its conditions, relative to 2^n
+CERTIFICATE_N_CAP = 16
+CERTIFICATE_TOL = 1e-9
+
+
+def dual_certificate_bound(n, d, constraint, beta):
     """Verify a dual certificate and return the bound it implies.
 
-    beta is a length-2^n real vector.  Conditions: its transform is
-    nonnegative everywhere; beta <= 0 at weights >= d; beta sums to 2^n.
-    The certified bound is beta(0) * min(classic optimum, |A|).
+    beta is a length-2^n real vector.  Conditions, each up to
+    CERTIFICATE_TOL times 2^n: its transform is nonnegative everywhere;
+    beta <= 0 at weights >= d; beta sums to 2^n.  The certified bound is
+    beta(0) * min(classic optimum, |A|).
     """
-    if n > cap:
-        raise CapExceeded("dual_certificate_bound refuses n=%d > cap %d" % (n, cap))
+    if n > CERTIFICATE_N_CAP:
+        raise CapExceeded("dual_certificate_bound refuses n=%d > cap %d"
+                          % (n, CERTIFICATE_N_CAP))
     beta = [float(v) for v in beta]
     if len(beta) != 1 << n:
         raise ValueError("beta must have 2^%d entries" % n)
     transform = wht(beta).values
     scale = float(1 << n)
-    if min(transform) < -tol * scale:
+    slack = CERTIFICATE_TOL * scale
+    if min(transform) < -slack:
         raise CertificateRejected("transform of beta is negative somewhere")
     heavy = _popcount(np.arange(1 << n, dtype=np.int64)) >= d
-    if (np.array(beta)[heavy] > tol * scale).any():
+    if (np.array(beta)[heavy] > slack).any():
         raise CertificateRejected("beta is positive at a point of weight >= d")
-    if abs(sum(beta) - scale) > tol * scale:
+    if abs(sum(beta) - scale) > slack:
         raise CertificateRejected("beta does not sum to 2^n")
     constraint.check_length(n)
     size = cardinality(constraint, n)

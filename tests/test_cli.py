@@ -75,6 +75,11 @@ def test_parse_code_grammar():
         parse_code("rm:m=3")
     with pytest.raises(ValueError):
         parse_code("mystery:z=1")
+    # the parameter parser is the constraint grammar's, naming the code
+    with pytest.raises(ValueError, match="bad code parameter 'm=' in"):
+        parse_code("rm:m=,r=1")
+    with pytest.raises(ValueError, match="non-integer parameter 'm=x' in"):
+        parse_code("rm:m=x,r=1")
 
 
 def test_bound_examples(capsys):

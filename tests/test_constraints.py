@@ -132,6 +132,10 @@ def test_parse_constraint_rejects_garbage():
                  "weight", "rll:d=0", "rll:d=1,p=2", "2charge:p=1"]:
         with pytest.raises(ValueError):
             parse_constraint(text)
+    with pytest.raises(ValueError, match="bad constraint parameter 'p=' in"):
+        parse_constraint("subblock:p=,z=1")
+    with pytest.raises(ValueError, match="non-integer parameter 'd=x' in"):
+        parse_constraint("rll:d=x")
 
 
 def test_check_length_errors():

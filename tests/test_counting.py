@@ -12,18 +12,19 @@ from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
                          odd_strict, reed_muller, rll, rm_subblock_count_plotkin,
                          simplex_code, subblock, two_charge,
                          two_charge_structure, weight_distribution, zero_code)
+from constrcodes import counting
 from constrcodes.constraints import char_sum_array
 from constrcodes.counting import _krawtchouk_transform
 from constrcodes.spectral import weight_class_sums, word_chunks
 from test_constraints import all_constraints
 
 
-def random_code(rng, n):
+def random_code(rng, n, k=None):
     while True:
-        k = rng.randint(1, n - 1)
-        rows = [rng.randint(1, (1 << n) - 1) for _ in range(k)]
+        dim = rng.randint(1, n - 1) if k is None else k
+        rows = [rng.randint(1, (1 << n) - 1) for _ in range(dim)]
         mat = BitMatrix(rows, n)
-        if gf2_rank(mat) == k:
+        if gf2_rank(mat) == dim:
             return BinaryLinearCode(generator=mat)
 
 
@@ -212,13 +213,15 @@ def test_syndrome_table_matches_row_parities():
             assert np.array_equal(_syndrome_table(rows, n), expected), (n, rows)
 
 
-def test_constrained_weight_distribution_refuses_int64_overflow():
+def test_constrained_weight_distribution_refuses_int64_overflow(monkeypatch):
     # the oracle's dual-coset sums reach 2^(2n-k) = 2^64 here; the code-side
     # pass counts at most 2^k = 1 word per weight
     with pytest.raises(CapExceeded):
         dual_coset_weight_distribution(zero_code(32), rll(1))
+    monkeypatch.setattr(counting, "SUBCODE_N_CAP", 32)
+    monkeypatch.setattr(counting, "SUBCODE_DUAL_CAP", 32)
     assert constrained_weight_distribution(
-        zero_code(32), rll(1), n_cap=32, dual_cap=32).counts == [1] + [0] * 32
+        zero_code(32), rll(1)).counts == [1] + [0] * 32
 
 
 def test_macwilliams_identity_on_dual_pairs():
@@ -242,6 +245,16 @@ def test_two_charge_structure_predicts_count():
             code = random_code(rng, n)
             struct = two_charge_structure(code)
             assert struct.predicted_count == count_brute(code, two_charge())
+    # the prediction intersects two spans by echelon reduction, so dual
+    # dimensions of 25..30 are cheap; RM(5, 1) (dual dimension 26) meets
+    # the criterion
+    codes = [zero_code(n) for n in range(25, 31)]
+    codes += [reed_muller(5, 1), simplex_code(5)]
+    codes += [random_code(rng, 30, k) for k in range(1, 6) for _ in range(3)]
+    predicted = [two_charge_structure(code).predicted_count for code in codes]
+    assert predicted == [count_in_code(code, two_charge()).value
+                         for code in codes]
+    assert predicted[6] == 2
 
 
 def test_odd_counts_match_closed_forms():

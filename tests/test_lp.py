@@ -17,8 +17,8 @@ from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
                          orbit_structure, rll, solve, subblock, two_charge)
 from constrcodes import constraints, lp
 from constrcodes.constraints import OrbitStructure, self_convolution
-from constrcodes.lp import (DELAY, ITERATION_LIMIT, _counters, _dedupe,
-                            _optimize, _Simplex, _Tableau, _undominated)
+from constrcodes.lp import (DELAY, _counters, _dedupe, _optimize, _Simplex,
+                            _Tableau, _undominated)
 from constrcodes.spectral import self_convolution_counts
 
 TOL = 1e-6
@@ -72,9 +72,10 @@ def test_solve_negative_upper_bound_is_infeasible():
     assert solve(model).status == "infeasible"
 
 
-def test_solve_iteration_limit():
+def test_solve_iteration_limit(monkeypatch):
     model = LpModel("min", [2, 3], [[1, 1], [1, -1]], [">=", "="], [10, 2])
-    assert solve(model, limit=0).status == "iteration_limit"
+    monkeypatch.setattr(lp, "ITERATION_LIMIT", 0)
+    assert solve(model).status == "iteration_limit"
 
 
 def test_solve_covering_lp():
@@ -234,7 +235,7 @@ def test_block_refactorization_matches_dense_solve():
     # repeated row's structure: those must be refused, not solved into
     # entries of order 1e15
     assert min(_check_block_refactorization(sx, rng, 1000)) > 0
-    status, sx = _optimize(model, _counters(), ITERATION_LIMIT)
+    status, sx = _optimize(model, _counters())
     assert status == "optimal" and len(sx.kept) == 5
     # one slack per kept inequality row, so no unit columns collide
     assert _check_block_refactorization(sx, rng, 300)[:2] == (0, 300)
@@ -298,11 +299,10 @@ def test_dual_repair_of_a_basis_optimal_for_shifted_rhs():
         model = LpModel(sense, objective, coeffs, relations, rhs, upper)
         state = _counters()
         status, sx = _optimize(LpModel(sense, objective, coeffs, relations,
-                                       shifted, upper), state, ITERATION_LIMIT)
+                                       shifted, upper), state)
         if status != "optimal":
             continue
-        assert sx.evaluate(sx.normalized(model.rhs), ITERATION_LIMIT) \
-            == "optimal"
+        assert sx.evaluate(sx.normalized(model.rhs)) == "optimal"
         repaired += state["repair_pivots"] > 0
         x = sx.point()[:n]
         lhs = coeffs @ x
