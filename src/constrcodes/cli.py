@@ -4,8 +4,8 @@ verification suites.
 
 Exit codes: 0 success, 1 verification failure, table mismatch or internal
 error, 2 usage or input error, 3 resource cap exceeded, 4 the LP solver
-returned no optimum (`SolverError`: infeasible, unbounded, iteration limit
-or numerical error).  They follow the exception class, never the message
+returned no optimum (`SolverError`: unbounded, iteration limit or
+numerical error).  They follow the exception class, never the message
 text.
 """
 
@@ -659,6 +659,14 @@ def run_verify(args):
 # argument parsing and dispatch
 
 
+def _max_n(text):
+    """argparse type of the --max-n options: an integer, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("%d is negative" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="constrcodes",
@@ -676,7 +684,10 @@ def build_parser():
     p.add_argument("--constraint", required=True)
     p.add_argument("--method", choices=("auto", "dual", "direct", "brute"),
                    default="auto")
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=_max_n, default=None,
+                   help="largest log2 of the words a count enumerates "
+                        "(k for direct and brute, n-k for dual), not the "
+                        "length n; default %d" % COUNT_CAP)
 
     p = sub.add_parser("weight-dist", help="weight distribution of a "
                        "constrained set or constrained subcode")
@@ -706,7 +717,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the property suites")
     common(p)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=_max_n, default=None,
+                   help="largest length n a suite checks (default: each "
+                        "suite's own)")
     p.add_argument("--suites", default=None,
                    help="comma-separated subset of: %s" % ", ".join(VERIFY_SUITES))
     p.add_argument("--inject-fault", action="store_true",

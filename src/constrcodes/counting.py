@@ -78,7 +78,8 @@ def count_in_code(code, constraint, method="auto", cap=ENUMERATION_CAP):
                 "of 2^%d" % (k, n - k, cap))
     if method == "dual":
         if n - k > cap:
-            raise CapExceeded("dual enumeration of 2^%d words exceeds the cap" % (n - k))
+            raise CapExceeded("dual enumeration of 2^%d words exceeds the cap "
+                              "of 2^%d" % (n - k, cap))
         total = sum(char_sum_int(constraint, n, s)
                     for s in iterate_span(code.parity_check.data))
         value, rem = divmod(total, 1 << (n - k))
@@ -90,7 +91,8 @@ def count_in_code(code, constraint, method="auto", cap=ENUMERATION_CAP):
         return CountResult(value, "dual_sum", dual_dimension_used=n - k)
     if method == "direct":
         if k > cap:
-            raise CapExceeded("enumeration of 2^%d codewords exceeds the cap" % k)
+            raise CapExceeded("enumeration of 2^%d codewords exceeds the cap "
+                              "of 2^%d" % (k, cap))
         value = sum(1 for x in iterate_span(code.generator.data)
                     if member_int(constraint, n, x))
         return CountResult(value, "direct_membership")
@@ -105,7 +107,8 @@ COUNT_CAP = 24
 def count_brute(code, constraint, cap=COUNT_CAP):
     """Oracle: enumerate the code and test membership word by word."""
     if code.k > cap:
-        raise CapExceeded("enumeration of 2^%d codewords exceeds the cap" % code.k)
+        raise CapExceeded("enumeration of 2^%d codewords exceeds the cap of "
+                          "2^%d" % (code.k, cap))
     constraint.check_length(code.n)
     return sum(1 for x in iterate_span(code.generator.data)
                if member_int(constraint, code.n, x))

@@ -1,30 +1,32 @@
-"""Dense LP modeling, a bundled two-phase simplex solver, and the bound
-programs: Delsarte's LP (classic, full, constrained, symmetrized), the
-generalized sphere-packing baseline, and dual-certificate verification.
+"""Dense LP modeling, a bundled simplex solver for LPs feasible at the
+origin, and the bound programs: Delsarte's LP (classic, full, constrained,
+symmetrized), the generalized sphere-packing baseline, and dual-certificate
+verification.
 
 All programs are small and dense by LP standards, so a tableau simplex with
 numpy suffices; no external solver is required.  Each builder hands its
 arrays (matrix `rows`, `relations`, `rhs`, and `upper` with inf for no bound)
 straight to an `LpModel`, `_dedupe` keeping each row's first occurrence.
-The solver keeps the condensed tableau B^-1 A_N, m rows by the nonbasic
-columns only: a pivot exchanges one basic and one nonbasic label.  It
-writes its pivot row and column exactly and leaves its rank-1 update of the
-other entries pending; every DELAY pivots the pending updates reach the
+Every bound program's LP holds at x = 0, and `LpModel` accepts no other:
+so the slacks, one per row, are a feasible starting basis, and the solver
+needs no phase 1.  It keeps the condensed tableau B^-1 A_N, m rows by the
+nonbasic columns only: a pivot exchanges one basic and one nonbasic label.
+It writes its pivot row and column exactly and leaves its rank-1 update of
+the other entries pending; every DELAY pivots the pending updates reach the
 tableau as one matrix product, so the m x |N| rewrite runs in BLAS-3, not
 as two numpy passes per pivot.  Only the model's own columns are stored:
-every slack and artificial column is a signed unit vector, kept as its row
-and sign, and each product with one is its single exact term, so a solve
-holds no m x m array.  A refactorization eliminates the basic unit columns
-directly and factors only the block of the other basic columns on the rows
-those leave free; it solves for the nonbasic columns and the right-hand
-side together.  It runs when the exchanges have drifted from the model:
-every DELAY pivots the residuals of the basic values and of the entering
-column are measured against the model's columns, and past DRIFT_TOL, or
-REINVERT_CAP pivots after the last one, the tableau is rebuilt.  Phase 2
-runs on perturbed right-hand sides; the refactorization that confirms the
-final basis solves for the true ones as well, and if the basic values there
-leave their bounds, dual simplex pivots repair the basis (it stays dual
-feasible).
+the slack of row i is the unit vector e_i, and each product with one is its
+single exact term, so a solve holds no m x m array.  A refactorization
+eliminates the basic slacks directly and factors only the block of the
+other basic columns on the rows those leave free; it solves for the
+nonbasic columns and the right-hand side together.  It runs when the
+exchanges have drifted from the model: every DELAY pivots the residuals of
+the basic values and of the entering column are measured against the
+model's columns, and past DRIFT_TOL, or REINVERT_CAP pivots after the last
+one, the tableau is rebuilt.  The simplex runs on perturbed right-hand
+sides; the refactorization that confirms the final basis solves for the
+true ones as well, and if the basic values there leave their bounds, dual
+simplex pivots repair the basis (it stays dual feasible).
 """
 
 import math
@@ -74,8 +76,11 @@ PAIR_BLOCK = 1 << 16
 
 
 class LpModel:
-    """max/min objective . x subject to rows @ x (relations: "<=", ">=" or
-    "=") rhs, row by row, and 0 <= x <= upper, inf (the default) for none."""
+    """max/min objective . x subject to rows @ x (relations: "<=" or ">=")
+    rhs, row by row, and 0 <= x <= upper, inf (the default) for none.
+
+    The model must be feasible at the origin: ValueError for a <= row with
+    rhs < 0, a >= row with rhs > 0, or a negative upper bound."""
 
     def __init__(self, sense, objective, rows, relations, rhs, upper=None):
         if sense not in ("max", "min"):
@@ -93,9 +98,14 @@ class LpModel:
                 self.upper.shape) != ((m, nvars), (m,), (m,), (nvars,)):
             raise ValueError("rows, relations, rhs and upper disagree in "
                              "shape with %d variables" % nvars)
-        if not ((self.relations == "<=") | (self.relations == ">=")
-                | (self.relations == "=")).all():
-            raise ValueError("relation must be <=, >=, or =")
+        le, ge = self.relations == "<=", self.relations == ">="
+        if not (le | ge).all():
+            raise ValueError("relation must be <= or >=")
+        if (le & (self.rhs < 0) | ge & (self.rhs > 0)).any():
+            raise ValueError("a row does not hold at the origin: need rhs >= 0 "
+                             "on <= rows and rhs <= 0 on >= rows")
+        if (self.upper < 0).any():
+            raise ValueError("an upper bound is negative")
 
     def nvars(self):
         return len(self.objective)
@@ -211,26 +221,25 @@ class _Tableau:
 
 
 class _Simplex:
-    """The bounded simplex over the model's rows, normalized.
+    """The bounded simplex over the model's rows, normalized to <= rows
+    with nonnegative right-hand sides (a >= row is negated), so that the
+    model, feasible at the origin, starts from the basis of its slacks.
 
-    Variables are labelled in this order: the model's variables, one slack
-    per inequality (+1 on <=, -1 on >=) and one artificial per >= or = row.
-    `orig` holds the normalized columns of the model's variables only, m by
-    nvars.  A slack or artificial column is a signed unit vector, in row
-    unit_row[label] with sign unit_sign[label] (unit_row is -1 for the
-    model's variables), and is never stored: the starting tableau, the
-    refactorizations, the pricing in `_confirm`, the perturbation and the
-    drift residuals write or add it as its one entry.  Row i of the
-    condensed tableau `tab` belongs to the basic variable basis[i] and
-    column j to the nonbasic variable nonbasic[j], and xb holds the basic
-    values.  Variable bounds are ub, by label, with 0 below.  Two arrays by
-    position follow every exchange and bound flip, so that a pivot gathers
-    nothing by label: ubb[i] = ub[basis[i]], and sign[j], the direction in
-    which nonbasic[j] can move off its bound: +1.0 resting at 0, -1.0
-    resting at its upper bound.  `rhs` holds the model's right-hand sides
-    normalized on the rows in use, `cost` the model's objective to
-    minimize, by label, `kept` the model rows still in use (phase 1 drops
-    redundant ones), and `state` the solver counters.
+    Variables are labelled in this order: the model's variables, then the
+    slack of each row, row i's labelled nvars + i.  `orig` holds the
+    normalized columns of the model's variables only, m by nvars.  The
+    slack column of row i is the unit vector e_i and is never stored: the
+    starting tableau, the refactorizations, the pricing in `_confirm`, the
+    perturbation and the drift residuals write or add it as its one entry.
+    Row i of the condensed tableau `tab` belongs to the basic variable
+    basis[i] and column j to the nonbasic variable nonbasic[j], and xb
+    holds the basic values.  Variable bounds are ub, by label, with 0
+    below.  Two arrays by position follow every exchange and bound flip, so
+    that a pivot gathers nothing by label: ubb[i] = ub[basis[i]], and
+    sign[j], the direction in which nonbasic[j] can move off its bound:
+    +1.0 resting at 0, -1.0 resting at its upper bound.  `rhs` holds the
+    model's right-hand sides normalized, `cost` the model's objective to
+    minimize, by label, and `state` the solver counters.
 
     The primal and dual loops refactorize on measured drift, not on a fixed
     count: every DELAY steps `_drift` computes the residuals of the basic
@@ -243,46 +252,24 @@ class _Simplex:
     def __init__(self, model, state):
         self.state = state
         m, nvars = model.rows.shape
-        le_raw = model.relations == "<="
-        ge_raw = model.relations == ">="
-        # the model's relations, for the final check against its rows
-        self.relation_masks = le_raw, ge_raw
-        # normalize: divide each row by its largest coefficient, negated
-        # where the rhs is negative so that every rhs is >= 0
+        # normalize: divide each row by its largest coefficient, negated on
+        # the >= rows so that every row is <= with rhs >= 0
         self.scale = np.abs(model.rows).max(axis=1, initial=0.0)
         self.scale[self.scale == 0] = 1.0
-        flip = model.rhs < 0
-        np.negative(self.scale, out=self.scale, where=flip)
-        self.kept = np.arange(m)
-        le = np.where(flip, ge_raw, le_raw)
-
-        # the slacks of <= rows and the artificials form the starting basis
-        # B = I
-        slack_rows = (le_raw | ge_raw).nonzero()[0]
-        art_rows = (~le).nonzero()[0]
-        self.a0 = nvars + len(slack_rows)
-        total = self.a0 + len(art_rows)
-        self.unit_row = np.concatenate((_filled(nvars, -1, int),
-                                        slack_rows, art_rows))
-        self.unit_sign = _filled(total, 1.0)
-        self.unit_sign[nvars:self.a0] = np.where(le[slack_rows], 1.0, -1.0)
+        np.negative(self.scale, out=self.scale,
+                    where=model.relations == ">=")
         self.orig = model.rows / self.scale[:, None]
-        self.basis = np.empty(m, dtype=int)
-        self.basis[slack_rows] = np.arange(nvars, self.a0)
-        self.basis[art_rows] = np.arange(self.a0, total)
-        # the nonbasic slacks are those of the >= rows, which hold
-        # artificials
-        self.nonbasic = np.concatenate((np.arange(nvars),
-                                        nvars + (~le[slack_rows]).nonzero()[0]))
-        self.tab = _Tableau(self._columns(self.nonbasic,
-                                          np.zeros((m, len(self.nonbasic)))))
-        self.rhs = self.normalized(model.rhs)
+        # the slacks form the starting basis B = I
+        self.basis = np.arange(nvars, nvars + m)
+        self.nonbasic = np.arange(nvars)
+        self.tab = _Tableau(self.orig.copy())
+        self.rhs = model.rhs / self.scale
         self.xb = self.rhs.copy()
-        self.ub = _filled(total, np.inf)
+        self.ub = _filled(nvars + m, np.inf)
         self.ub[:nvars] = model.upper
         self.ubb = self.ub[self.basis]
-        self.sign = _filled(len(self.nonbasic), 1.0)
-        self.cost = np.zeros(total)
+        self.sign = _filled(nvars, 1.0)
+        self.cost = np.zeros(nvars + m)
         self.cost[:nvars] = \
             -model.objective if model.sense == "max" else model.objective
         # (rhs, basic values) solved for at the last refactorization, until
@@ -290,10 +277,6 @@ class _Simplex:
         self._final = None
         # most iterations of the solve, primal and dual together
         self.limit = ITERATION_LIMIT
-
-    def normalized(self, b):
-        """Right-hand sides b of the model, normalized, on the rows in use."""
-        return (b / self.scale)[self.kept]
 
     def point(self):
         """Every variable's value at the current basis, by label."""
@@ -305,29 +288,31 @@ class _Simplex:
 
     def _columns(self, labels, out):
         """Write the columns of the variables `labels` into out, which is
-        zero, each unit column as its one entry."""
-        unit = labels >= self.orig.shape[1]
-        if not unit.any():
+        zero, each slack column as its one entry."""
+        nvars = self.orig.shape[1]
+        slack = labels >= nvars
+        if not slack.any():
             return np.take(self.orig, labels, axis=1, out=out)
-        kept = (~unit).nonzero()[0]
-        out[:, kept] = self.orig[:, labels[kept]]
-        unit = unit.nonzero()[0]
-        out[self.unit_row[labels[unit]], unit] = self.unit_sign[labels[unit]]
+        own = (~slack).nonzero()[0]
+        out[:, own] = self.orig[:, labels[own]]
+        slack = slack.nonzero()[0]
+        out[labels[slack] - nvars, slack] = 1.0
         return out
 
     def _basis_times(self, v, w):
         """B v + orig w for the basis matrix B, one row of the result for
         each pair of rows v and w of the arrays v and w, v by basis position
-        and w by model variable, zero at the basic ones: each basic unit
-        column adds its one exact term, and the entries of v at basic model
+        and w by model variable, zero at the basic ones: each basic slack
+        adds its one exact term, and the entries of v at basic model
         variables go into w, so that one product reads orig for all rows."""
         basis = self.basis
-        urow = self.unit_row[basis]
-        unit = urow >= 0
-        struct = ~unit
+        nvars = self.orig.shape[1]
+        slack = basis >= nvars
+        srow = basis[slack] - nvars
+        struct = ~slack
         out = np.zeros(v.shape)
         for row, x, y in zip(out, v, w):
-            row[urow[unit]] = self.unit_sign[basis[unit]] * x[unit]
+            row[srow] = x[slack]
             y[basis[struct]] = x[struct]
         out += w @ self.orig.T
         return out
@@ -349,7 +334,7 @@ class _Simplex:
         values, column = self._basis_times(np.array((self.xb, col)), w)
         values -= rhs
         if entering >= nvars:
-            column[self.unit_row[entering]] -= self.unit_sign[entering]
+            column[entering - nvars] -= 1.0
         scale = max(1.0, float(np.abs(rhs).max(initial=0.0)),
                     float(np.abs(self.xb).max(initial=0.0)))
         drift = max(float(np.abs(values).max(initial=0.0)) / scale,
@@ -363,35 +348,32 @@ class _Simplex:
         """B^-1 y for the basis matrix B, the columns of the basic variables,
         or None when B is singular or nearly so; with `cost`, by label, and y
         2-d, the pair of that and the simplex multipliers B^-T cost[basis],
-        from the same block in one batched solve.  The basic unit columns are
+        from the same block in one batched solve.  The basic slacks are
         eliminated directly: only the block of the other basic columns on the
-        rows no basic unit column covers is factored, and the covered rows
-        follow by one product.  The block counts as nearly singular when a
-        solved column of y shows its condition number to exceed 1 / RCOND_MIN
+        rows no basic slack covers is factored, and the covered rows follow
+        by one product.  The block counts as nearly singular when a solved
+        column of y shows its condition number to exceed 1 / RCOND_MIN
         (`_near_singular`); LU with partial pivoting flags only exact
         singularity, and returns entries of order 1 / eps for a block of
         deficient rank."""
         basis = self.basis
-        urow = self.unit_row[basis]
-        unit = urow >= 0
-        cols = (~unit).nonzero()[0]
-        covered = urow[unit]
+        nvars = self.orig.shape[1]
+        slack = basis >= nvars
+        cols = (~slack).nonzero()[0]
+        covered = basis[slack] - nvars
         free = _filled(len(basis), True, bool)
         free[covered] = False
         rows = free.nonzero()[0]
-        if len(rows) != len(cols):  # two basic unit columns share a row
-            return None
         structural = basis[cols]
-        sign = self.unit_sign[basis[unit]]
         cross = self.orig[covered[:, None], structural] \
             if len(cols) and len(covered) else None
         out = np.empty_like(y)
         if cost is not None:
-            # a basic unit column fixes the multiplier of its row, and the
+            # a basic slack fixes the multiplier of its row, and the
             # structural columns the others: block^T prices = their costs
             # less what the covered rows already pay
             prices = np.empty(len(basis))
-            prices[covered] = cost[basis[unit]] * sign
+            prices[covered] = cost[basis[slack]]
         if len(cols):
             block, part = self.orig[rows[:, None], structural], y[rows]
             try:
@@ -414,8 +396,7 @@ class _Simplex:
             rest = y[covered]
             if cross is not None:
                 rest -= cross @ out[cols]
-            rest *= sign[:, None] if y.ndim == 2 else sign
-            out[unit] = rest
+            out[slack] = rest
         self.state["refactorizations"] += 1
         return out if cost is None else (out, prices)
 
@@ -468,12 +449,8 @@ class _Simplex:
         if solved is None:
             return True
         values, prices = solved
-        # every column's price by label, a unit column's the one multiplier
-        # of its row (a slack of a row phase 1 dropped is never nonbasic)
-        nvars = self.orig.shape[1]
-        priced = np.concatenate((prices @ self.orig,
-                                 prices[self.unit_row[nvars:]]
-                                 * self.unit_sign[nvars:]))
+        # every column's price by label, a slack's the multiplier of its row
+        priced = np.concatenate((prices @ self.orig, prices))
         nonbasic = self.nonbasic
         reduced = cost[nonbasic] - priced[nonbasic]
         reduced *= self.sign
@@ -499,15 +476,6 @@ class _Simplex:
         self.sign[q] = -1.0 if at_upper else 1.0
         self._final = None
         return row
-
-    def _enter_at_zero(self, r, q):
-        """Exchange a nonbasic variable resting at 0 into the basis at row
-        r, outside the pricing loop (artificial drive-out)."""
-        col = self.tab.column(q)
-        theta = self.xb[r] / col[r]
-        self.xb -= theta * col
-        self.xb[r] = theta
-        self._exchange(r, q, col)
 
     def primal(self, cost, rhs, final=None):
         """Run bounded-variable simplex pivots until optimal or interrupted.
@@ -662,42 +630,6 @@ class _Simplex:
             since_check += 1
             fresh = False
 
-    def drop_artificials(self):
-        """After phase 1 has brought every artificial to 0: drive the basic
-        artificials out of the basis, or drop their rows, whose tableau rows
-        are zero on the other columns and so are redundant; then drop the
-        artificial columns."""
-        a0 = self.a0
-        keep = np.ones(len(self.basis), dtype=bool)
-        for i in np.nonzero(self.basis >= a0)[0]:
-            row = np.abs(self.tab.row(i))
-            row[(self.nonbasic >= a0) | (self.sign < 0)] = 0.0
-            cand = np.nonzero(row > PIVOT_TOL)[0]
-            if len(cand):
-                self._enter_at_zero(
-                    i, int(cand[np.argmin(self.nonbasic[cand])]))
-            else:
-                keep[i] = False
-        # the row dropped with a basic artificial is the row of its unit
-        # column; a slack of a dropped row, nonbasic, is a zero column from
-        # then on and goes as well
-        rows = np.ones(len(keep), dtype=bool)
-        rows[self.unit_row[self.basis[~keep]]] = False
-        renumber = np.where(rows, np.cumsum(rows) - 1, -1)
-        unit_row = self.unit_row[:a0]
-        urow = self.unit_row[self.nonbasic]
-        real = (self.nonbasic < a0) & ((urow < 0) | rows[urow])
-        self.tab = _Tableau(self.tab.dense()[keep][:, real])
-        self.nonbasic, self.sign = self.nonbasic[real], self.sign[real]
-        self.xb, self.basis = self.xb[keep], self.basis[keep]
-        self.ubb = self.ubb[keep]
-        self.orig, self.kept = self.orig[rows], self.kept[rows]
-        self.rhs = self.rhs[rows]
-        self.unit_row = np.where(unit_row >= 0, renumber[unit_row], -1)
-        self.unit_sign = self.unit_sign[:a0]
-        self.ub = self.ub[:a0]
-        self.cost = self.cost[:a0]
-
     def evaluate(self, rhs):
         """Move the current basis to the normalized right-hand sides rhs.
 
@@ -737,10 +669,10 @@ class _Simplex:
         The basic variable furthest beyond a bound leaves at that bound;
         the ratio test over its row picks the entering variable whose
         reduced cost reaches 0 first, so every reduced cost keeps its sign.
-        The reduced costs are the phase-2 objective's.  Returns 'optimal',
+        The reduced costs are the model objective's.  Returns 'optimal',
         'iteration_limit', or 'numerical_error' when no variable can enter
-        (the rows would be infeasible, which phase 1 ruled out) or the
-        repair runs past REPAIR_LIMIT pivots.
+        (the rows would be infeasible, which the origin's feasibility rules
+        out) or the repair runs past REPAIR_LIMIT pivots.
         """
         state, tab, ub = self.state, self.tab, self.ub
         basis, nonbasic, cost = self.basis, self.nonbasic, self.cost
@@ -857,28 +789,16 @@ def _solution(status, state, value=None, primal=None):
 
 
 def _optimize(model, state):
-    """Phases 1 and 2 over the model: the status and the simplex, whose
-    basis is, when 'optimal', optimal for slightly perturbed right-hand
-    sides, and whose last refactorization has solved for the true ones,
-    sx.rhs, as well."""
+    """The primal simplex over the model from the basis of its slacks: the
+    status and the simplex, whose basis is, when 'optimal', optimal for
+    slightly perturbed right-hand sides, and whose last refactorization has
+    solved for the true ones, sx.rhs, as well."""
     sx = _Simplex(model, state)
-    if sx.a0 < len(sx.ub):
-        cost1 = np.zeros(len(sx.ub))
-        cost1[sx.a0:] = 1.0
-        status = sx.primal(cost1, sx.rhs)
-        if status != "optimal":
-            return status, sx
-        if sx.xb[sx.basis >= sx.a0].sum() > FEAS_TOL:
-            return "infeasible", sx
-        sx.drop_artificials()
-
     # anti-degeneracy: raise each basic value by a tiny random amount, that
-    # is, perturb the right-hand sides along the basis, so ratio-test ties
-    # become generically unique while the basis stays feasible and the rows
-    # stay consistent (phase 1 runs unperturbed, so a duplicated equality
-    # row is dropped, not taken for an infeasible one).  Which bases are
-    # optimal depends only on the reduced costs, so the caller evaluates the
-    # final basis against the true right-hand sides
+    # is, perturb the right-hand sides along the slack basis, so ratio-test
+    # ties become generically unique while the basis stays feasible.  Which
+    # bases are optimal depends only on the reduced costs, so the caller
+    # evaluates the final basis against the true right-hand sides
     rhs = sx.rhs
     lift = _lift_scales(len(rhs)) * np.maximum(1.0, np.abs(rhs))
     perturbed = rhs + sx._basis_times(lift[None],
@@ -889,13 +809,12 @@ def _optimize(model, state):
 
 
 def solve(model):
-    """Two-phase bounded primal simplex over the model (0 <= x <= ub), on a
-    condensed tableau of the nonbasic columns, with a dual simplex repair
-    of the final basis at the unperturbed right-hand sides."""
+    """Bounded primal simplex over the model (0 <= x <= ub), feasible at the
+    origin, from the basis of its slacks, on a condensed tableau of the
+    nonbasic columns, with a dual simplex repair of the final basis at the
+    unperturbed right-hand sides.  Returns 'optimal', 'unbounded',
+    'iteration_limit' or 'numerical_error'."""
     state = _counters()
-    upper = model.upper
-    if len(upper) and upper[upper.argmin()] < 0:
-        return _solution("infeasible", state)
     status, sx = _optimize(model, state)
     if status == "optimal":
         status = sx.evaluate(sx.rhs)
@@ -907,9 +826,7 @@ def solve(model):
     coeffs, b = model.rows, model.rhs
     excess = coeffs @ primal
     excess -= b
-    le, ge = sx.relation_masks
-    np.negative(excess, out=excess, where=ge)
-    np.abs(excess, out=excess, where=~(le | ge))
+    np.negative(excess, out=excess, where=model.relations == ">=")
     slack = np.abs(coeffs) @ np.abs(primal)
     np.maximum(slack, np.abs(b), out=slack)
     np.maximum(slack, 1.0, out=slack)
@@ -1037,8 +954,7 @@ def del_constrained_orbits(structure, d):
     # f(0) = u0, its upper bound, is optimal: the zero word is always a
     # singleton orbit (the smallest representative) with coefficient +1 in
     # every transform row and in the objective.  Every right-hand side is
-    # then -u0 < 0, so the all-slack origin is strictly feasible and no
-    # phase 1 is needed
+    # then -u0 < 0, so the origin is strictly feasible, as `solve` needs
     reps = structure.reps
     u0 = min(float(conv[reps.argmin()]), delsarte)
     columns = np.flatnonzero((_popcount(reps) >= d) & (conv > 0))

@@ -222,13 +222,18 @@ def test_verify_selected_suites(capsys):
 
 
 def test_verify_max_n_zero_runs_no_case(capsys):
-    # an explicit --max-n 0 is a length cap of 0, not the default sizes
+    # an explicit --max-n 0 is a length cap of 0, not the default sizes; a
+    # negative one is a usage error
     code, out = run(capsys, "verify", "--max-n", "0", "--suites", "charsum")
     assert code == 0
     assert out.split() == ["charsum", "PASS", "(0", "cases)"]
     code, out = run(capsys, "verify", "--max-n", "0")
     assert code == 0
     assert out.count("PASS (0 cases)") == len(VERIFY_SUITES)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-n", "-3"])
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
 
 
 def test_verify_injected_fault(capsys):
@@ -320,10 +325,16 @@ def test_exit_code_distance_out_of_range(capsys):
 
 
 def test_count_max_n_zero_is_a_cap(capsys):
-    # an explicit --max-n 0 refuses both enumerations, not the default cap
-    code, _ = run(capsys, "count", "--code", "hamming:m=3",
-                  "--constraint", "rll:d=1", "--max-n", "0")
-    assert code == 3
+    # an explicit --max-n 0 refuses both enumerations, not the default cap,
+    # and names it; a negative one is a usage error
+    assert main(["count", "--code", "hamming:m=3", "--constraint", "rll:d=1",
+                 "--max-n", "0"]) == 3
+    assert "the cap of 2^0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--code", "hamming:m=3", "--constraint", "rll:d=1",
+              "--max-n", "-1"])
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
 
 
 def test_output_is_deterministic(capsys):

@@ -16,6 +16,7 @@ from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
                          member_ints, odd_relaxed, odd_strict, orbit_char_sum,
                          orbit_structure, rll, solve, subblock, two_charge)
 from constrcodes import constraints, lp
+from constrcodes.cli import TABLE_BUILDERS, _evaluate_cell
 from constrcodes.constraints import OrbitStructure, self_convolution
 from constrcodes.lp import (DELAY, _counters, _dedupe, _optimize, _Simplex,
                             _Tableau, _undominated)
@@ -35,24 +36,38 @@ def test_solve_simple_max():
 
 
 def test_solve_min_with_equality():
-    model = LpModel("min", [2, 3], [[1, 1], [1, -1]], [">=", "="], [10, 2])
-    sol = solve(model)
+    # an = row is refused: the solver takes only <= and >= rows; the same
+    # minimum over <= rows with negated costs is solved
+    with pytest.raises(ValueError, match="relation"):
+        LpModel("min", [2, 3], [[1, 1], [1, -1]], [">=", "="], [10, 2])
+    sol = solve(LpModel("min", [-2, -3], [[1, 1], [1, -1]], ["<=", "<="],
+                        [10, 2]))
     assert sol.status == "optimal"
-    assert sol.value == pytest.approx(24)
-    assert sol.primal[0] == pytest.approx(6)
-    assert sol.primal[1] == pytest.approx(4)
+    assert sol.value == pytest.approx(-30)
+    assert sol.primal == pytest.approx([0, 10])
 
 
 def test_solve_negative_rhs_normalization():
-    model = LpModel("min", [1, 1], [[-1, -1]], ["<="], [-5])
-    sol = solve(model)
+    # a <= row with a negative rhs does not hold at the origin and is
+    # refused; a >= row with rhs <= 0 is negated into a <= row, and one with
+    # rhs 0 starts with its slack basic at 0
+    with pytest.raises(ValueError, match="origin"):
+        LpModel("min", [1, 1], [[-1, -1]], ["<="], [-5])
+    sol = solve(LpModel("max", [1, 1], [[-1, -1]], [">="], [-5]))
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(5)
+    sol = solve(LpModel("max", [1, 2], [[1, -1], [1, 1]], [">=", "<="],
+                        [0, 4]))
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(6)
+    assert sol.primal == pytest.approx([2, 2])
 
 
 def test_solve_infeasible():
-    model = LpModel("max", [1], [[1], [1]], [">=", "<="], [2, 1])
-    assert solve(model).status == "infeasible"
+    # an infeasible LP fails at the origin too: its >= row with a positive
+    # rhs is refused before any solve
+    with pytest.raises(ValueError, match="origin"):
+        LpModel("max", [1], [[1], [1]], [">=", "<="], [2, 1])
 
 
 def test_solve_unbounded():
@@ -68,20 +83,27 @@ def test_solve_respects_upper_bounds():
 
 
 def test_solve_negative_upper_bound_is_infeasible():
-    model = LpModel("max", [1], [[1]], ["<="], [1], upper=[-1])
-    assert solve(model).status == "infeasible"
+    # a negative upper bound leaves no point, the origin included: refused
+    with pytest.raises(ValueError, match="upper bound"):
+        LpModel("max", [1], [[1]], ["<="], [1], upper=[-1])
 
 
 def test_solve_iteration_limit(monkeypatch):
-    model = LpModel("min", [2, 3], [[1, 1], [1, -1]], [">=", "="], [10, 2])
+    model = LpModel("max", [2, 3], [[1, 1], [1, -1]], ["<=", "<="], [10, 2])
     monkeypatch.setattr(lp, "ITERATION_LIMIT", 0)
     assert solve(model).status == "iteration_limit"
 
 
 def test_solve_covering_lp():
-    # fractional vertex cover of a triangle: each edge covered, optimum 3/2
+    # fractional vertex cover of a triangle, each edge covered, optimum
+    # 3/2: the covering form (>= 1 rows) fails at the origin and is
+    # refused, and its dual, the fractional matching of the triangle
+    # (each vertex in at most weight 1 of edges), is solved
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-    sol = solve(LpModel("min", [1, 1, 1], rows, [">="] * 3, [1, 1, 1]))
+    with pytest.raises(ValueError, match="origin"):
+        LpModel("min", [1, 1, 1], rows, [">="] * 3, [1, 1, 1])
+    sol = solve(LpModel("max", [1, 1, 1], np.transpose(rows), ["<="] * 3,
+                        [1, 1, 1]))
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(1.5)
 
@@ -178,35 +200,24 @@ def test_delayed_tableau_matches_dense_exchanges(monkeypatch):
 
 def _dense_columns(sx):
     """Oracle: every column of the simplex, by label, as one array; the
-    simplex stores only the model's variables and writes each slack or
-    artificial as the signed unit vector (unit_row, unit_sign)."""
-    m, nvars = sx.orig.shape
-    full = np.zeros((m, len(sx.ub)))
-    full[:, :nvars] = sx.orig
-    labels = np.flatnonzero(sx.unit_row >= 0)
-    full[sx.unit_row[labels], labels] = sx.unit_sign[labels]
-    return full
+    simplex stores only the model's variables and writes the slack of row
+    i as the unit vector e_i."""
+    return np.hstack((sx.orig, np.eye(len(sx.orig))))
 
 
 def _check_block_refactorization(sx, rng, tries):
-    """Random bases over the simplex's columns: None when two basic unit
-    columns share a row or the basis matrix is singular (the repeated row
-    makes such bases, which LU need not flag exactly: the near-singular
-    check must), else the block solve against np.linalg.solve.  Returns
-    the number of each kind."""
+    """Random bases over the simplex's columns: None when the basis matrix
+    is singular (the repeated row makes such bases, which LU need not flag
+    exactly: the near-singular check must), else the block solve against
+    np.linalg.solve.  Returns the number of each kind."""
     full = _dense_columns(sx)
     m, total = full.shape
     y = rng.normal(size=(m, 5))
-    shared = solved = singular = 0
+    solved = singular = 0
     for _ in range(tries):
         sx.basis = np.sort(rng.choice(total, size=m, replace=False))
         matrix = full[:, sx.basis]
-        rows = sx.unit_row[sx.basis]
-        rows = rows[rows >= 0]
-        if len(np.unique(rows)) < len(rows):
-            shared += 1
-            assert sx._solve_basis(y) is None
-        elif np.linalg.matrix_rank(matrix) == m:
+        if np.linalg.matrix_rank(matrix) == m:
             solved += 1
             for rhs in (y, y[:, 0]):
                 assert np.allclose(sx._solve_basis(rhs),
@@ -216,29 +227,24 @@ def _check_block_refactorization(sx, rng, tries):
             singular += 1
             for rhs in (y, y[:, 0]):
                 assert sx._solve_basis(rhs) is None
-    return shared, solved, singular
+    return solved, singular
 
 
 def test_block_refactorization_matches_dense_solve():
-    # bases mixing the model's variables with +1 and -1 slacks and
-    # artificials, before and after phase 1 drops a redundant row
+    # bases mixing the model's variables with the slacks of <= rows and of
+    # >= rows, which the simplex negates into <= rows
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=(6, 4))
-    coeffs[5] = coeffs[4]  # a repeated equality row, dropped by phase 1
-    rhs = coeffs @ [1.0, 2.0, 1.0, 0.5] + [1.0, -1.0, -1.0, 1.0, 0.0, 0.0]
+    coeffs[5] = coeffs[4]  # a repeated row
     model = LpModel("max", np.ones(4), coeffs,
-                    ["<=", ">=", ">=", "<=", "=", "="], rhs,
-                    upper=np.full(4, 10.0))
+                    ["<=", ">=", ">=", "<=", "<=", "<="],
+                    [1.0, -1.0, 0.0, 2.0, 0.5, 0.5], upper=np.full(4, 10.0))
     sx = _Simplex(model, _counters())
-    assert (sx.unit_sign == -1).any() and sx.a0 < len(sx.ub)
-    # the matrix has rank m - 1 on the bases holding both copies of the
-    # repeated row's structure: those must be refused, not solved into
-    # entries of order 1e15
+    assert (sx.scale < 0).sum() == 2
+    # the matrix has rank m - 1 on the bases holding neither slack of the
+    # repeated row: those must be refused, not solved into entries of
+    # order 1e15
     assert min(_check_block_refactorization(sx, rng, 1000)) > 0
-    status, sx = _optimize(model, _counters())
-    assert status == "optimal" and len(sx.kept) == 5
-    # one slack per kept inequality row, so no unit columns collide
-    assert _check_block_refactorization(sx, rng, 300)[:2] == (0, 300)
     # a zero column makes the factored block singular
     coeffs[:, 2] = 0.0
     sx = _Simplex(LpModel("max", np.ones(4), coeffs, ["<="] * 6, np.ones(6)),
@@ -268,9 +274,7 @@ def _vertex_optimum(model):
         x = np.linalg.solve(matrix, [b for _, b in chosen])
         lhs = model.rows @ x
         ok = np.where(model.relations == "<=", lhs <= model.rhs + 1e-9,
-                      np.where(model.relations == ">=",
-                               lhs >= model.rhs - 1e-9,
-                               np.abs(lhs - model.rhs) <= 1e-9))
+                      lhs >= model.rhs - 1e-9)
         if ok.all() and (x >= -1e-9).all() and (x <= model.upper + 1e-9).all():
             value = sign * float(model.objective @ x)
             best = value if best is None else max(best, value)
@@ -283,16 +287,16 @@ def test_dual_repair_of_a_basis_optimal_for_shifted_rhs():
     # repair must reach the true optimum
     have_highs = importlib.util.find_spec("scipy") is not None
     rng = np.random.default_rng(12)
-    m, n = 6, 3
+    m, n = 8, 3
     repaired = 0
     for _ in range(40):
         coeffs = rng.integers(-3, 4, size=(m, n)).astype(float)
-        relations = np.where(rng.random(m) < 0.7, "<=", ">=")
-        at = coeffs @ rng.uniform(0, 4, size=n)
-        rhs = np.where(relations == "<=", at + rng.uniform(0.5, 3, size=m),
-                       at - rng.uniform(0.5, 3, size=m))
-        # a shift that keeps each rhs's sign, so both share one normalization
-        shifted = rhs + rng.uniform(-1, 1, size=m) * np.abs(rhs) * 0.8
+        relations = np.where(rng.random(m) < 0.5, "<=", ">=")
+        rhs = np.where(relations == "<=", 1.0, -1.0) * rng.uniform(0.5, 3,
+                                                                  size=m)
+        # a positive factor keeps each rhs's sign, so the shifted model
+        # holds at the origin too
+        shifted = rhs * rng.uniform(0.2, 3, size=m)
         objective = rng.integers(-4, 5, size=n)
         sense = ("max", "min")[int(rng.integers(2))]
         upper = np.full(n, 6.0)
@@ -302,7 +306,7 @@ def test_dual_repair_of_a_basis_optimal_for_shifted_rhs():
                                        shifted, upper), state)
         if status != "optimal":
             continue
-        assert sx.evaluate(sx.normalized(model.rhs)) == "optimal"
+        assert sx.evaluate(model.rhs / sx.scale) == "optimal"
         repaired += state["repair_pivots"] > 0
         x = sx.point()[:n]
         lhs = coeffs @ x
@@ -323,14 +327,9 @@ def _highs(model):
     sign = -1.0 if model.sense == "max" else 1.0
     # HiGHS takes >= rows as <= rows with both sides negated
     flip = np.where(model.relations == ">=", -1.0, 1.0)
-    ub = model.relations != "="
-    eq = ~ub
     res = linprog(
-        sign * model.objective,
-        A_ub=(flip[:, None] * model.rows)[ub] if ub.any() else None,
-        b_ub=(flip * model.rhs)[ub] if ub.any() else None,
-        A_eq=model.rows[eq] if eq.any() else None,
-        b_eq=model.rhs[eq] if eq.any() else None,
+        sign * model.objective, A_ub=flip[:, None] * model.rows,
+        b_ub=flip * model.rhs,
         bounds=[(0, u if np.isfinite(u) else None) for u in model.upper],
         method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
@@ -338,35 +337,32 @@ def _highs(model):
 
 
 def _random_bounded_lp(rng, m, n):
-    """A random LP over 0 <= x <= ub (some variables unbounded) mixing <=,
-    >= and = rows; most are feasible by construction around a random point,
-    some have random right-hand sides, and some repeat an equality row."""
+    """A random LP over 0 <= x <= ub (some variables unbounded) mixing <=
+    and >= rows that hold at the origin: a <= row's rhs is at least 0 and a
+    >= row's at most 0, and a quarter of them are 0, which makes the
+    starting basis degenerate; some models repeat a row, once negated and
+    flipped to the other relation."""
     upper = np.full(n, np.inf)
     for j in range(n):
         if rng.random() < 0.7:
             upper[j] = rng.integers(1, 6)
-    x0 = np.array([rng.uniform(0, 5.0 if np.isinf(u) else u) for u in upper])
-    feasible = rng.random() < 0.8
     rows, rels, rhs = [], [], []
     for _ in range(m):
-        coeffs = rng.integers(-3, 4, size=n).astype(float)
-        rel = ("<=", ">=", "=")[rng.choice(3, p=[0.45, 0.35, 0.2])]
-        at = float(coeffs @ x0) if feasible else float(rng.integers(-5, 10))
-        rows.append(coeffs)
-        rels.append(rel)
-        rhs.append({"<=": at + rng.uniform(0, 2), ">=": at - rng.uniform(0, 2),
-                    "=": at}[rel])
-    if "=" in rels and rng.random() < 0.5:
-        first = rels.index("=")
-        rows.append(rows[first])
-        rels.append("=")
-        rhs.append(rhs[first])
+        rows.append(rng.integers(-3, 4, size=n).astype(float))
+        rels.append(("<=", ">=")[int(rng.random() < 0.4)])
+        size = 0.0 if rng.random() < 0.25 else rng.uniform(0, 5)
+        rhs.append(size if rels[-1] == "<=" else -size)
+    if rng.random() < 0.3:
+        rows.append(-rows[0])
+        rels.append({"<=": ">=", ">=": "<="}[rels[0]])
+        rhs.append(-rhs[0])
     objective = rng.integers(-4, 5, size=n)
     return LpModel(("max", "min")[int(rng.integers(2))], objective, rows,
                    rels, rhs, upper)
 
 
 def test_solve_random_lps_against_highs():
+    # optimal, unbounded and degenerate (a zero rhs at the optimum) draws
     rng = np.random.default_rng(2024)
     seen = set()
     for m, n in [(8, 4), (12, 5), (3, 7), (5, 12), (6, 6)]:
@@ -377,21 +373,26 @@ def test_solve_random_lps_against_highs():
             assert ours.status == status
             if status == "optimal":
                 assert ours.value == pytest.approx(value, rel=1e-6, abs=1e-6)
+                if (model.rhs == 0).any():
+                    seen.add("degenerate")
             seen.add(status)
-    assert seen == {"optimal", "infeasible", "unbounded"}
+    assert seen == {"optimal", "unbounded", "degenerate"}
 
 
 def test_solve_duplicated_equality_rows_against_highs():
-    # a repeated equality row leaves an artificial basic in a redundant row,
-    # which phase 1 must drop
-    model = LpModel("min", [1, 2, 3],
-                    [[1, 1, 1], [1, 1, 1], [2, 2, 2], [1, -1, 0]],
-                    ["=", "=", "=", ">="], [4, 4, 8, 1],
+    # x + y + z <= 4 written four ways (twice, doubled, and negated as a >=
+    # row): identical once normalized, so four slacks start basic on copies
+    # of one row
+    model = LpModel("max", [1, 2, 3],
+                    [[1, 1, 1], [1, 1, 1], [2, 2, 2], [-1, -1, -1],
+                     [1, -1, 0]],
+                    ["<=", "<=", "<=", ">=", "<="], [4, 4, 8, -4, 1],
                     upper=[np.inf, np.inf, 2])
     status, value = _highs(model)
     sol = solve(model)
     assert sol.status == status == "optimal"
     assert sol.value == pytest.approx(value, rel=1e-6)
+    assert sol.value == pytest.approx(10)
 
 
 @pytest.mark.parametrize("dd,d", [(2, 4), (2, 5), (2, 6), (2, 7), (1, 6),
@@ -404,10 +405,11 @@ def test_constrained_delsarte_models_against_highs(dd, d):
     assert sol.value == pytest.approx(value, rel=1e-6)
 
 
-def test_pivot_counts_are_pinned():
-    # the pricing, tie-breaks, Bland switch and refactorization schedule
-    # decide these counts: the unsymmetrized Table VI models at n = 10 and
-    # three classic models.  They hold under any number of BLAS threads
+def test_pivot_counts_are_pinned(monkeypatch):
+    # the start basis, pricing, tie-breaks, Bland switch and refactorization
+    # schedule decide these counts: the unsymmetrized Table VI models at
+    # n = 10, three classic models, and the totals over the small models of
+    # Tables II, III and IV.  They hold under any number of BLAS threads
     # (CI runs the suite with one), since near-ties of Devex scores go to
     # the smallest label.  Refactorization follows measured drift, with a
     # cap of REINVERT_CAP pivots: each of Table VI's twelve constrained
@@ -426,6 +428,18 @@ def test_pivot_counts_are_pinned():
                                    for d in range(2, 8)}, (1, 2): 2}
     for (n, d), count in {(13, 2): 14, (15, 4): 14, (18, 3): 31}.items():
         assert del_classic(n, d).solution.iterations == count, (n, d)
+    # (solves, pivots, refactorizations) over every cell of a table
+    solves = []
+    monkeypatch.setattr(lp, "solve",
+                        lambda model: solves.append(solve(model)) or solves[-1])
+    for table, totals in {"II": (23, 103, 23), "III": (16, 136, 16),
+                          "IV": (14, 125, 14)}.items():
+        solves.clear()
+        for _, cells in TABLE_BUILDERS[table]()[1]:
+            assert all(_evaluate_cell(c)["status"] == "OK" for c in cells)
+        assert (len(solves), sum(s.iterations for s in solves),
+                sum(s.stats["refactorizations"] for s in solves)) == totals, \
+            table
 
 
 def test_drift_check_refactorizes_a_corrupted_tableau(monkeypatch):
@@ -760,7 +774,12 @@ def test_gensph_model_matches_word_by_word_build():
 
 
 def test_gensph_orbit_aggregation_matches_direct():
-    # the symmetrized LP must agree with a direct run on the raw member form
+    # the symmetrized LP must agree with a direct run on the raw member
+    # form: the packing LP over the distinct sets of members covering a
+    # point, each member in at most weight 1 of them, solved here, and its
+    # dual, the covering LP over the members, which fails at the origin, by
+    # HiGHS when scipy is present
+    have_highs = importlib.util.find_spec("scipy") is not None
     for c, n, d in [(two_charge(), 8, 3), (subblock(2, 1), 8, 5),
                     (rll(1), 8, 3), (rll(1), 9, 7), (rll(2), 8, 3),
                     (rll(2), 8, 5), (even_strict(), 8, 3), (even_strict(), 7, 5)]:
@@ -775,10 +794,23 @@ def test_gensph_orbit_aggregation_matches_direct():
         rows = np.zeros((len(distinct), len(members)))
         for i, cover in enumerate(distinct):
             rows[i, [index[x] for x in cover]] = 1.0
-        direct = solve(LpModel("min", np.ones(len(members)), rows,
-                               [">="] * len(rows), np.ones(len(rows))))
+        direct = solve(LpModel("max", np.ones(len(rows)), rows.T,
+                               ["<="] * len(members), np.ones(len(members))))
         assert direct.status == "optimal"
-        assert gensph(n, d, c).lp_value == pytest.approx(direct.value, abs=1e-6)
+        value = gensph(n, d, c).lp_value
+        assert value == pytest.approx(direct.value, abs=1e-6)
+        if have_highs:
+            covering = _highs_covering(rows)
+            assert value == pytest.approx(covering, abs=1e-6)
+
+
+def _highs_covering(rows):
+    """Optimum of min sum x subject to rows @ x >= 1, x >= 0, by HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = linprog(np.ones(rows.shape[1]), A_ub=-rows,
+                  b_ub=-np.ones(len(rows)), method="highs")
+    assert res.status == 0
+    return res.fun
 
 
 def test_undominated_columns():
