@@ -105,13 +105,12 @@ COUNT_CAP = 24
 
 
 def count_brute(code, constraint, cap=COUNT_CAP):
-    """Oracle: enumerate the code and test membership word by word."""
+    """Oracle: enumerate the code and test membership word by word, the
+    direct path of `count_in_code`; the cap is checked before the length."""
     if code.k > cap:
         raise CapExceeded("enumeration of 2^%d codewords exceeds the cap of "
                           "2^%d" % (code.k, cap))
-    constraint.check_length(code.n)
-    return sum(1 for x in iterate_span(code.generator.data)
-               if member_int(constraint, code.n, x))
+    return count_in_code(code, constraint, method="direct", cap=cap).value
 
 
 def _krawtchouk_transform(values, divisor, message):

@@ -4,12 +4,13 @@ symmetrized), the generalized sphere-packing baseline, and dual-certificate
 verification.
 
 All programs are small and dense by LP standards, so a tableau simplex with
-numpy suffices; no external solver is required.  Each builder hands its
-arrays (matrix `rows`, `relations`, `rhs`, and `upper` with inf for no bound)
-straight to an `LpModel`, `_dedupe` keeping each row's first occurrence.
-Every bound program's LP holds at x = 0, and `LpModel` accepts no other:
-so the slacks, one per row, are a feasible starting basis, and the solver
-needs no phase 1.  It keeps the condensed tableau B^-1 A_N, m rows by the
+numpy suffices; no external solver is required.  Every bound program is
+one form, max objective . x subject to rows @ x <= rhs with rhs >= 0 and
+0 <= x <= upper: each builder hands its arrays (matrix `rows`, `rhs`, and
+`upper` with inf for no bound) straight to an `LpModel`, `_dedupe` keeping
+each row's first occurrence.  The origin satisfies every such LP, so the
+slacks, one per row, are a feasible starting basis, and the solver needs
+no phase 1.  It keeps the condensed tableau B^-1 A_N, m rows by the
 nonbasic columns only: a pivot exchanges one basic and one nonbasic label.
 It writes its pivot row and column exactly and leaves its rank-1 update of
 the other entries pending; every DELAY pivots the pending updates reach the
@@ -76,34 +77,26 @@ PAIR_BLOCK = 1 << 16
 
 
 class LpModel:
-    """max/min objective . x subject to rows @ x (relations: "<=" or ">=")
-    rhs, row by row, and 0 <= x <= upper, inf (the default) for none.
+    """max objective . x subject to rows @ x <= rhs and 0 <= x <= upper,
+    inf (the default) for no bound.
 
-    The model must be feasible at the origin: ValueError for a <= row with
-    rhs < 0, a >= row with rhs > 0, or a negative upper bound."""
+    The model must be feasible at the origin: ValueError for a negative rhs
+    or a negative upper bound."""
 
-    def __init__(self, sense, objective, rows, relations, rhs, upper=None):
-        if sense not in ("max", "min"):
-            raise ValueError("sense must be 'max' or 'min'")
-        self.sense = sense
+    def __init__(self, objective, rows, rhs, upper=None):
         self.objective = np.asarray(objective, dtype=float)
         nvars = len(self.objective)
         self.rows = np.ascontiguousarray(rows, dtype=float)
-        self.relations = np.asarray(relations)
         self.rhs = np.asarray(rhs, dtype=float)
         self.upper = np.full(nvars, np.inf) if upper is None else \
             np.asarray(upper, dtype=float)
         m = len(self.rows)
-        if (self.rows.shape, self.relations.shape, self.rhs.shape,
-                self.upper.shape) != ((m, nvars), (m,), (m,), (nvars,)):
-            raise ValueError("rows, relations, rhs and upper disagree in "
-                             "shape with %d variables" % nvars)
-        le, ge = self.relations == "<=", self.relations == ">="
-        if not (le | ge).all():
-            raise ValueError("relation must be <= or >=")
-        if (le & (self.rhs < 0) | ge & (self.rhs > 0)).any():
-            raise ValueError("a row does not hold at the origin: need rhs >= 0 "
-                             "on <= rows and rhs <= 0 on >= rows")
+        if (self.rows.shape, self.rhs.shape, self.upper.shape) != \
+                ((m, nvars), (m,), (nvars,)):
+            raise ValueError("rows, rhs and upper disagree in shape with %d "
+                             "variables" % nvars)
+        if (self.rhs < 0).any():
+            raise ValueError("a row does not hold at the origin: rhs < 0")
         if (self.upper < 0).any():
             raise ValueError("an upper bound is negative")
 
@@ -137,11 +130,10 @@ class LpSolution:
 def dump_model(model, path):
     """Plain-text dump: the objective, each constraint, each variable bound."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%s %s\n" % (model.sense,
-                              " ".join("%.17g" % v for v in model.objective)))
-        for coeffs, rel, rhs in zip(model.rows, model.relations, model.rhs):
-            fh.write("%s %s %.17g\n"
-                     % (" ".join("%.17g" % v for v in coeffs), rel, rhs))
+        fh.write("max %s\n" % " ".join("%.17g" % v for v in model.objective))
+        for coeffs, rhs in zip(model.rows, model.rhs):
+            fh.write("%s <= %.17g\n"
+                     % (" ".join("%.17g" % v for v in coeffs), rhs))
         for j in np.flatnonzero(np.isfinite(model.upper)):
             row = ["0"] * model.nvars()
             row[j] = "1"
@@ -221,9 +213,9 @@ class _Tableau:
 
 
 class _Simplex:
-    """The bounded simplex over the model's rows, normalized to <= rows
-    with nonnegative right-hand sides (a >= row is negated), so that the
-    model, feasible at the origin, starts from the basis of its slacks.
+    """The bounded simplex over the model's rows, each divided by its
+    largest coefficient, from the basis of their slacks, which rhs >= 0
+    makes feasible.
 
     Variables are labelled in this order: the model's variables, then the
     slack of each row, row i's labelled nvars + i.  `orig` holds the
@@ -238,7 +230,7 @@ class _Simplex:
     that a pivot gathers nothing by label: ubb[i] = ub[basis[i]], and
     sign[j], the direction in which nonbasic[j] can move off its bound:
     +1.0 resting at 0, -1.0 resting at its upper bound.  `rhs` holds the
-    model's right-hand sides normalized, `cost` the model's objective to
+    model's right-hand sides normalized, `cost` the negated objective, to
     minimize, by label, and `state` the solver counters.
 
     The primal and dual loops refactorize on measured drift, not on a fixed
@@ -252,12 +244,9 @@ class _Simplex:
     def __init__(self, model, state):
         self.state = state
         m, nvars = model.rows.shape
-        # normalize: divide each row by its largest coefficient, negated on
-        # the >= rows so that every row is <= with rhs >= 0
+        # normalize: divide each row by its largest coefficient
         self.scale = np.abs(model.rows).max(axis=1, initial=0.0)
         self.scale[self.scale == 0] = 1.0
-        np.negative(self.scale, out=self.scale,
-                    where=model.relations == ">=")
         self.orig = model.rows / self.scale[:, None]
         # the slacks form the starting basis B = I
         self.basis = np.arange(nvars, nvars + m)
@@ -270,8 +259,7 @@ class _Simplex:
         self.ubb = self.ub[self.basis]
         self.sign = _filled(nvars, 1.0)
         self.cost = np.zeros(nvars + m)
-        self.cost[:nvars] = \
-            -model.objective if model.sense == "max" else model.objective
+        self.cost[:nvars] = -model.objective
         # (rhs, basic values) solved for at the last refactorization, until
         # the next exchange or bound flip
         self._final = None
@@ -822,11 +810,10 @@ def solve(model):
         return _solution(status, state)
     primal = sx.point()[:model.nvars()]
     # re-verify primal feasibility against the original model: no row may
-    # miss its relation by more than FEAS_TOL relative to its terms
+    # exceed its rhs by more than FEAS_TOL relative to its terms
     coeffs, b = model.rows, model.rhs
     excess = coeffs @ primal
     excess -= b
-    np.negative(excess, out=excess, where=model.relations == ">=")
     slack = np.abs(coeffs) @ np.abs(primal)
     np.maximum(slack, np.abs(b), out=slack)
     np.maximum(slack, 1.0, out=slack)
@@ -875,9 +862,9 @@ def _solved(model, what):
 
 
 def _dedupe(rows, rhs):
-    """The rows of `rows` and `rhs` (one relation for all) with each distinct
-    (rhs, row) kept at its first occurrence only, in the original order.
-    Rows compare as the bytes of their floats, -0.0 turned into 0.0 first."""
+    """The rows of `rows` and `rhs` with each distinct (rhs, row) kept at
+    its first occurrence only, in the original order.  Rows compare as the
+    bytes of their floats, -0.0 turned into 0.0 first."""
     key = np.ascontiguousarray(np.column_stack((rhs, rows)) + 0.0)
     _, first = np.unique(key.view((np.void, key.itemsize * key.shape[1])),
                          return_index=True)
@@ -889,14 +876,14 @@ def del_classic(n, d):
     """The distance-distribution form of Delsarte's LP.
 
     Variables a_d..a_n (a_0 = 1 substituted, a_1..a_{d-1} = 0): maximize
-    1 + sum a_j subject to sum_j a_j K_k(j) >= -K_k(0) for every k.
+    1 + sum a_j subject to sum_j a_j K_k(j) >= -K_k(0) for every k, stated
+    as -sum_j a_j K_k(j) <= K_k(0).
     """
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     kraw = np.array(krawtchouk_table(n).table, dtype=float)
-    rows, rhs = _dedupe(kraw[:, d:], -kraw[:, 0])
-    model = LpModel("max", np.ones(n + 1 - d), rows,
-                    np.full(len(rows), ">="), rhs)
+    rows, rhs = _dedupe(-kraw[:, d:], kraw[:, 0])
+    model = LpModel(np.ones(n + 1 - d), rows, rhs)
     sol = _solved(model, "del_classic(%d, %d)" % (n, d))
     value = 1.0 + sol.value
     return BoundReport(n, d, None, value, value, solution=sol, model=model)
@@ -910,13 +897,13 @@ def del_full(n, d):
                           % (n, ORBIT_ROW_CAP))
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
-    # f(0) = 1 substituted; f = 0 below distance d drops those variables
+    # f(0) = 1 substituted; f = 0 below distance d drops those variables;
+    # each transform row, >= -1, is stated negated
     words = np.arange(1 << n, dtype=np.int64)
     variables = words[_popcount(words) >= d]
-    rows, rhs = _dedupe(1.0 - 2.0 * _parity(words[:, None] & variables),
-                        np.full(1 << n, -1.0))
-    model = LpModel("max", np.ones(len(variables)), rows,
-                    np.full(len(rows), ">="), rhs)
+    rows, rhs = _dedupe(2.0 * _parity(words[:, None] & variables) - 1.0,
+                        np.ones(1 << n))
+    model = LpModel(np.ones(len(variables)), rows, rhs)
     sol = _solved(model, "del_full(%d, %d)" % (n, d))
     value = 1.0 + sol.value
     return BoundReport(n, d, None, value, value, solution=sol, model=model)
@@ -953,14 +940,14 @@ def del_constrained_orbits(structure, d):
     size = cardinality(constraint, n)
     # f(0) = u0, its upper bound, is optimal: the zero word is always a
     # singleton orbit (the smallest representative) with coefficient +1 in
-    # every transform row and in the objective.  Every right-hand side is
-    # then -u0 < 0, so the origin is strictly feasible, as `solve` needs
+    # every transform row and in the objective.  Each transform row, >= -u0,
+    # is stated negated, -char_sums <= u0, so the origin is strictly
+    # feasible, as `solve` needs
     reps = structure.reps
     u0 = min(float(conv[reps.argmin()]), delsarte)
     columns = np.flatnonzero((_popcount(reps) >= d) & (conv > 0))
-    rows, rhs = _dedupe(structure.char_sums(columns), np.full(len(reps), -u0))
-    model = LpModel("max", structure.sizes[columns], rows,
-                    np.full(len(rows), ">="), rhs, upper=conv[columns])
+    rows, rhs = _dedupe(-structure.char_sums(columns), np.full(len(reps), u0))
+    model = LpModel(structure.sizes[columns], rows, rhs, upper=conv[columns])
     sol = _solved(model, "constrained Delsarte LP (%d, %d, %s) over the %s "
                   "group" % (n, d, constraint, structure.group))
     value = u0 + sol.value
@@ -1087,8 +1074,7 @@ def gensph(n, d, constraint, structure=None):
     matrix = np.zeros((len(members), len(covered)))
     matrix[row, column] = np.concatenate(counts) / struct.sizes[orbit]
     rows = matrix[:, _undominated(matrix)]
-    model = LpModel("max", np.ones(rows.shape[1]), rows,
-                    np.full(len(rows), "<="), np.ones(len(rows)))
+    model = LpModel(np.ones(rows.shape[1]), rows, np.ones(len(rows)))
     sol = _solved(model, "gensph(%d, 2t+1=%d, %s)" % (n, 2 * t + 1, constraint))
     return BoundReport(n, d, constraint, sol.value, sol.value,
                        comparators={"cardinality": cardinality(constraint, n)},

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from constrcodes import hamming_code, save_code
+from constrcodes import (LpModel, del_constrained_sym, hamming_code,
+                         save_code, solve, two_charge)
 from constrcodes.cli import VERIFY_SUITES, main, parse_code
 
 
@@ -139,13 +140,50 @@ def test_bound_all_builds_one_orbit_structure(capsys, monkeypatch):
         assert calls == [(constraint, n)]
 
 
+def _parse_lp_dump(text):
+    """The LpModel of an `--lp-dump` file: the objective on its `max` line,
+    then one `coefficients <= b` line per row, then one per finite upper
+    bound, a unit row on its variable, in variable order."""
+    head, *lines = text.splitlines()
+    word, *objective = head.split()
+    assert word == "max"
+    parsed = []
+    for line in lines:
+        left, right = line.split(" <= ")
+        parsed.append((left.split(), float(right)))
+    # the bound lines: the longest tail of unit rows, columns ascending
+    upper = np.full(len(objective), np.inf)
+    nbounds, last = 0, len(objective)
+    for words, b in reversed(parsed):
+        ones = [j for j, v in enumerate(words) if v != "0"]
+        if len(ones) != 1 or words[ones[0]] != "1" or ones[0] >= last:
+            break
+        last = ones[0]
+        upper[last] = b
+        nbounds += 1
+    rows = parsed[:len(parsed) - nbounds]
+    return LpModel([float(v) for v in objective],
+                   np.array([[float(v) for v in words] for words, _ in rows]),
+                   [b for _, b in rows], upper)
+
+
 def test_bound_lp_dump(tmp_path, capsys):
+    # the dump parses back into the program's model (%.17g round-trips
+    # every float), and solving that gives the same optimum, bit for bit
     path = tmp_path / "model.lp"
     code, _ = run(capsys, "bound", "--n", "9", "--d", "3",
                   "--constraint", "2charge", "--lp", "del-sym",
                   "--lp-dump", str(path))
     assert code == 0
-    assert path.read_text().startswith("max")
+    parsed = _parse_lp_dump(path.read_text())
+    report = del_constrained_sym(9, 3, two_charge())
+    model = report.model
+    assert (parsed.rhs >= 0).all()
+    assert np.isfinite(parsed.upper).all()
+    for name in ("objective", "rows", "rhs", "upper"):
+        assert np.array_equal(getattr(parsed, name), getattr(model, name)), \
+            name
+    assert solve(parsed).value == report.solution.value
 
 
 def test_fourier_single_word(capsys):
