@@ -132,8 +132,90 @@ def char_sum_array(c, n, words):
     """Exact F_A(s) for each packed word s of an integer array, as int64.
     |F_A(s)| <= |A| <= 2^n, and every family's intermediate values are
     character sums of shorter sets or partial products bounded the same
-    way, so nothing overflows at n <= ARRAY_CAP."""
+    way, so nothing overflows at n <= ARRAY_CAP.  The suffix recurrences
+    run a byte at a time (`_byte_walk`), and every partial sum of a window
+    update is at most 2^n in magnitude too (`_transfer_tables`)."""
     return c.char_sum(n, _word_array(c, n, words))
+
+
+# bits of s per table lookup of a suffix recurrence: one byte, since both
+# paths read the bytes of s (`int.to_bytes`, a uint8 view of the int64 array)
+TABLE_BITS = 8
+
+
+def _walk(step, window, value, width, m):
+    """`window` after `width` one-bit steps of a suffix recurrence, the
+    first making length m + 1, reading the bits of `value` top first."""
+    for i in range(width - 1, -1, -1):
+        m += 1
+        window = step(window, (value >> i) & 1, m)
+    return window
+
+
+@functools.cache
+def _byte_table(step, size, rows, parity):
+    """Per byte value, the first `rows` rows of the integer matrix of
+    TABLE_BITS steps on a window of `size` values, from a length of the
+    given parity (its column j is the walk from the j-th unit window),
+    row-major in a tuple; and the same entries as an int64 array, one row
+    per matrix entry."""
+    units = [tuple(int(i == j) for i in range(size)) for j in range(size)]
+    table = []
+    for value in range(1 << TABLE_BITS):
+        columns = [_walk(step, unit, value, TABLE_BITS, parity)
+                   for unit in units]
+        table.append(tuple(columns[j][i]
+                           for i in range(rows) for j in range(size)))
+    return tuple(table), np.array(table, dtype=np.int64).T.copy()
+
+
+def _transfer_tables(step, start, rows, lead, parity):
+    """The tables of a suffix recurrence given by its one-bit step
+    `step(window, bit, m)`, linear in the window, from the window `start`
+    at length 0, for lengths n = lead (mod TABLE_BITS): per value of the
+    leading `lead` bits, the first `rows` values of the window after them,
+    as a tuple and as an int64 array with one row per window value; then
+    `_byte_table`, whose `parity` is that of n for a step that reads the
+    parity of m, and 0 for one that does not.
+
+    A step writes the value at length l as a combination, with
+    coefficients 0 or +-1, of window values of shorter lengths l' (the
+    constant 1 counting as length 0), each a character sum at most
+    2^{max(l', 0)} in magnitude, and these bounds weighted by the absolute
+    coefficients sum to at most 2^l: 2^{l-1} + 2^{max(l-d-1, 0)} for `Rll`,
+    2^{max(l-1, 0)} + [l even] + 2^{max(l-2, 0)} for `EvenStrict`.  So a
+    table entry M_ij is a signed count of walks of at most TABLE_BITS
+    steps, and sum_j |M_ij| 2^{l_j} <= 2^{l+TABLE_BITS} <= 2^n for a byte
+    read from lengths l_j at length l: every partial sum of a window update
+    is at most 2^n in magnitude."""
+    table = tuple(_walk(step, start, value, lead, 0)[:rows]
+                  for value in range(1 << lead))
+    return ((table, np.array(table, dtype=np.int64).T.copy())
+            + _byte_table(step, len(start), rows, parity))
+
+
+def _byte_walk(tables, n, s):
+    """A suffix recurrence on s a byte at a time, from its
+    `_transfer_tables`: the window after the leading n mod TABLE_BITS bits
+    of s, and an iterable of the matrices of the following bytes of s, top
+    first, both read from the big-endian bytes of s.  A Python int s gives
+    tuples of Python ints (so no numpy scalar reaches the int path); an
+    int64 array, the table columns gathered at its words' bytes, every
+    byte's matrix into one buffer (one allocation per call, not one per
+    byte), so each must be used before the next is read."""
+    lead, lead_array, table, table_array = tables
+    full = n // TABLE_BITS
+    if isinstance(s, np.ndarray):
+        data = s[..., None].astype(">i8", order="C").view(np.uint8)
+        data = np.moveaxis(data, -1, 0)[7 - full:]
+        matrix = np.empty((len(table_array),) + s.shape, dtype=np.int64)
+        # a byte indexes every table, so "clip" never clips; "raise" would
+        # gather into a temporary and copy it to `matrix`
+        return (np.take(lead_array, data[0], axis=1),
+                (np.take(table_array, byte, axis=1, out=matrix, mode="clip")
+                 for byte in data[1:]))
+    data = s.to_bytes(full + 1, "big")
+    return lead[data[0]], map(table.__getitem__, data[1:])
 
 
 def cardinality(c, n):
@@ -776,6 +858,19 @@ class Subblock(ConstraintSpec):
             for w in range(width + 1)]}
 
 
+def _rll_step(window, bit, m):
+    """One coordinate of `Rll.char_sum`'s recurrence on the window of the
+    last d + 1 values, F^(m-d-1) .. F^(m-1)."""
+    return window[1:] + (window[-1] + (1 - 2 * bit) * window[0],)
+
+
+@functools.cache
+def _rll_tables(d, lead):
+    """`_transfer_tables` of `_rll_step` for d = 1, 2 and n = lead (mod
+    TABLE_BITS), from the window of ones."""
+    return _transfer_tables(_rll_step, (1,) * (d + 1), d + 1, lead, 0)
+
+
 class Rll(ConstraintSpec):
     """The (d, infinity)-RLL set: any two ones are at least d + 1 apart."""
 
@@ -804,9 +899,28 @@ class Rll(ConstraintSpec):
         with F^(m) = 1 for m <= 0: a member of length m is 0 and a member of
         length m - 1, or 1, then d zeros (as many as fit) and a member of
         length m - d - 1.  The coordinate read at length m is bit n - m of
-        s; |F^(m)| <= 2^m."""
-        back = -self.d - 1
-        vals = [1] * (self.d + 1)
+        s; |F^(m)| <= 2^m.
+
+        For d <= 2 the recurrence runs a byte at a time on the window of
+        the last d + 1 values (`_byte_walk` of `_rll_step`); for larger d,
+        where a window update costs more than the bits it replaces, a bit
+        at a time."""
+        d = self.d
+        if d == 1:
+            (a, b), matrices = _byte_walk(_rll_tables(1, n % TABLE_BITS), n, s)
+            for m00, m01, m10, m11 in matrices:
+                a, b = m00 * a + m01 * b, m10 * a + m11 * b
+            return b
+        if d == 2:
+            (a, b, c), matrices = _byte_walk(_rll_tables(2, n % TABLE_BITS),
+                                             n, s)
+            for m00, m01, m02, m10, m11, m12, m20, m21, m22 in matrices:
+                a, b, c = (m00 * a + m01 * b + m02 * c,
+                           m10 * a + m11 * b + m12 * c,
+                           m20 * a + m21 * b + m22 * c)
+            return c
+        back = -d - 1
+        vals = [1] * (d + 1)
         for i in range(n - 1, -1, -1):
             vals.append(vals[-1] + (1 - 2 * ((s >> i) & 1)) * vals[back])
         return vals[-1]
@@ -884,6 +998,20 @@ class OddRelaxed(ConstraintSpec):
         return (self.member(n, s) << half) + ((s == 0) << half) - 1
 
 
+def _even_strict_step(window, bit, m):
+    """One coordinate of `EvenStrict.char_sum`'s recurrence on the window
+    (F^(m-2), F^(m-1), 1)."""
+    prev2, prev1, one = window
+    return prev1, (1 - 2 * bit) * (prev1 - (1 - m % 2) * one) + prev2, one
+
+
+@functools.cache
+def _even_strict_tables(lead):
+    """`_transfer_tables` of `_even_strict_step` for n = lead (mod
+    TABLE_BITS), from (1, 1, 1), the byte tables of the parity of n."""
+    return _transfer_tables(_even_strict_step, (1, 1, 1), 2, lead, lead % 2)
+
+
 class EvenStrict(ConstraintSpec):
     """Every run of zeros, the leading and trailing runs included, has even
     length; the all-zeros word is a member by convention."""
@@ -913,12 +1041,14 @@ class EvenStrict(ConstraintSpec):
             F^(m)(t) = (-1)^{t & 1} (F^(m-1)(t >> 1) - [m even]) + F^(m-2)(t >> 2)
 
         over the length-m suffixes t of s (its top m coordinates), m = 1..n,
-        from F^(-1) = F^(0) = 1; |F^(m)| <= 2^m."""
-        prev2 = prev1 = 1
-        for m in range(1, n + 1):
-            sign = 1 - 2 * ((s >> (n - m)) & 1)
-            prev2, prev1 = prev1, sign * (prev1 - 1 + m % 2) + prev2
-        return prev1
+        from F^(-1) = F^(0) = 1; |F^(m)| <= 2^m.  It runs a byte at a time
+        on the window (F^(m-1), F^(m), 1) (`_byte_walk` of
+        `_even_strict_step`)."""
+        (a, b), matrices = _byte_walk(_even_strict_tables(n % TABLE_BITS),
+                                      n, s)
+        for m00, m01, m02, m10, m11, m12 in matrices:
+            a, b = m00 * a + m01 * b + m02, m10 * a + m11 * b + m12
+        return b
 
     def shell_sums(self, n):
         """The recurrence of `char_sum` summed over the suffixes t of each

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -11,8 +13,10 @@ from constrcodes import (CapExceeded, cardinality, char_sum_array,
                          orbit_char_sum, orbit_structure, parse_constraint,
                          rll, self_convolution_counts, shell_sums, subblock,
                          two_charge, two_charge_basis, weight_class_sums, wht)
-from constrcodes.constraints import (FAMILIES, OddRelaxed, OrbitStructure,
-                                     _two_charge_pairs, self_convolution)
+from constrcodes.constraints import (FAMILIES, TABLE_BITS, OddRelaxed,
+                                     OrbitStructure, _even_strict_tables,
+                                     _rll_tables, _two_charge_pairs,
+                                     self_convolution)
 from constrcodes.spectral import _popcount, krawtchouk
 from constrcodes.gf2 import BitWord, iterate_span
 
@@ -304,13 +308,31 @@ def check_against_int_oracle(c, n, words):
         assert sum_arr.tolist() == sums, (str(c), n)
 
 
+def seam_words(n):
+    """Ones on both sides of each seam between the bytes that the
+    run-length sums read, and between their leading n mod 8 bits and the
+    first full byte: at the bits q - 1, q - 2 or q - 3 and q of every seam
+    q = 8j, counted from the bottom bit, and for each gap one word with
+    every seam of it; the same at the seams q = n - 8j, counted from the
+    top."""
+    seams = list(range(8, n, 8)) + [n - q for q in range(8, n, 8)]
+    words = []
+    for gap in (1, 2, 3):
+        pairs = [1 << q | 1 << (q - gap) for q in seams if q >= gap]
+        words += pairs
+        words.append(functools.reduce(operator.or_, pairs, 0))
+    return words
+
+
 def long_words(rng, n):
     """All zeros, all ones, uniform words, sparse words (where the
-    run-length sets have members), words off the odd and off the even
-    coordinates (the odd-strict and odd members), 2-charge members and
-    words of the span of the pair basis, and even-strict members."""
+    run-length sets have members), ones on both sides of the byte seams
+    (`seam_words`), words off the odd and off the even coordinates (the
+    odd-strict and odd members), 2-charge members and words of the span of
+    the pair basis, and even-strict members."""
     odd_coordinates = ((1 << (n + 1)) - 1) // 3
     words = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(60)]
+    words += seam_words(n)
     words += [sum(1 << i for i in rng.sample(range(n), rng.randint(1, 6)))
               for _ in range(60)]
     words += [rng.getrandbits(n) & ~odd_coordinates for _ in range(20)]
@@ -361,6 +383,24 @@ def test_int_methods_match_oracle_beyond_int64():
             check_against_int_oracle(c, n, words)
         with pytest.raises(CapExceeded):
             member_array(cases[0], n, [0])
+
+
+def test_byte_tables_bound_every_partial_sum():
+    # each byte matrix M, read at a length l from window values of lengths
+    # l_j (the even-strict constant at length 0), has sum_j |M_ij| 2^{l_j}
+    # <= 2^{l+8}: the bound that keeps every partial sum of a window update
+    # at most 2^n in magnitude, so the int64 path is exact
+    for lead in range(TABLE_BITS):
+        length = 2 * TABLE_BITS + lead
+        for tables, lengths in ((_rll_tables(1, lead), (-1, 0)),
+                                (_rll_tables(2, lead), (-2, -1, 0)),
+                                (_even_strict_tables(lead), (-1, 0, -length))):
+            lengths = [length + l for l in lengths]
+            for matrix in tables[2]:
+                for i in range(0, len(matrix), len(lengths)):
+                    row = matrix[i:i + len(lengths)]
+                    assert sum(abs(m) << l for m, l in zip(row, lengths)) \
+                        <= 1 << (length + TABLE_BITS), (lead, matrix)
 
 
 def test_array_methods_check_words_and_cap():
