@@ -107,10 +107,9 @@ class LpModel:
 class LpSolution:
     """Solver outcome: status, objective value, primal point, iteration
     count (pivots plus bound flips), and the solver counters in `stats`:
-    degenerate pivots, bound flips, basis factorizations, whether Bland's
-    rule took over, the dual simplex pivots that repaired the final basis,
-    and the largest drift residual measured (`max_residual`, see
-    `_Simplex._drift`)."""
+    degenerate pivots, bound flips, basis factorizations, the dual simplex
+    pivots that repaired the final basis, and the largest drift residual
+    measured (`max_residual`, see `_Simplex._drift`)."""
 
     __slots__ = ("status", "value", "primal", "iterations", "stats")
 
@@ -279,13 +278,10 @@ class _Simplex:
         zero, each slack column as its one entry."""
         nvars = self.orig.shape[1]
         slack = labels >= nvars
-        if not slack.any():
-            return np.take(self.orig, labels, axis=1, out=out)
         own = (~slack).nonzero()[0]
         out[:, own] = self.orig[:, labels[own]]
         slack = slack.nonzero()[0]
         out[labels[slack] - nvars, slack] = 1.0
-        return out
 
     def _basis_times(self, v, w):
         """B v + orig w for the basis matrix B, one row of the result for
@@ -473,14 +469,15 @@ class _Simplex:
         drifts (see the class); `final`, when given, is solved for by the
         same refactorizations (see `evaluate`).  Optimality is confirmed on
         a fresh factorization of the basis (`_confirm`), which rebuilds no
-        tableau unless some column can still improve.  Returns 'optimal',
-        'unbounded', or 'iteration_limit'.
+        tableau unless some column can still improve.  No anti-cycling rule
+        runs: the perturbed right-hand sides of `_optimize` make ratio-test
+        ties generically unique, and ITERATION_LIMIT ends a stalled solve.
+        Returns 'optimal', 'unbounded', or 'iteration_limit'.
         """
         state, tab, ub, limit = self.state, self.tab, self.ub, self.limit
         basis, nonbasic, sign, ubb = (self.basis, self.nonbasic, self.sign,
                                       self.ubb)
         m, nn = len(basis), len(nonbasic)
-        bland_after = 5 * (m + nn + m)  # rows plus all columns, basic included
         gamma = np.empty(nn)  # Devex reference weights
         gamma.fill(1.0)
         # work buffers: pricing over the columns, the ratio test over the
@@ -521,26 +518,20 @@ class _Simplex:
                 reduced = cost[nonbasic] - cost[basis] @ tab.dense()
                 gamma.fill(1.0)
                 continue
-            # ties (see TIE_TOL), and every choice under Bland's rule, go to
-            # the smallest label
-            if state["bland"]:
-                cand = eligible.nonzero()[0]
+            # Devex pricing: largest reduced cost relative to the reference
+            # weights, approximating the steepest-edge criterion; ties (see
+            # TIE_TOL) go to the smallest label
+            np.multiply(reduced, reduced, score)
+            np.divide(score, gamma, score)
+            np.multiply(score, eligible, score)
+            q = int(score.argmax())
+            top = score[q]
+            near = top - top * TIE_TOL
+            score[q] = -1.0
+            if score[score.argmax()] >= near:
+                score[q] = top
+                cand = (score >= near).nonzero()[0]
                 q = int(cand[nonbasic[cand].argmin()])
-            else:
-                # Devex pricing: largest reduced cost relative to the
-                # reference weights, approximating the steepest-edge
-                # criterion
-                np.multiply(reduced, reduced, score)
-                np.divide(score, gamma, score)
-                np.multiply(score, eligible, score)
-                q = int(score.argmax())
-                top = score[q]
-                near = top - top * TIE_TOL
-                score[q] = -1.0
-                if score[score.argmax()] >= near:
-                    score[q] = top
-                    cand = (score >= near).nonzero()[0]
-                    q = int(cand[nonbasic[cand].argmin()])
             entering = nonbasic[q]
             direction = sign[q]
             # col is the rate of decrease of each basic value per unit step of
@@ -591,8 +582,6 @@ class _Simplex:
             best = max(float(ratios[r]), 0.0)
             if best < PIVOT_TOL:
                 state["degenerate_pivots"] += 1
-                if state["degenerate_pivots"] > bland_after:
-                    state["bland"] = True
             np.multiply(col, best, size)
             np.subtract(xb, size, xb)
             xb[r] = ub[entering] - best if direction < 0 else best
@@ -767,8 +756,7 @@ def _filled(count, value, dtype=float):
 
 def _counters():
     return {"iterations": 0, "degenerate_pivots": 0, "bound_flips": 0,
-            "refactorizations": 0, "bland": False, "repair_pivots": 0,
-            "max_residual": 0.0}
+            "refactorizations": 0, "repair_pivots": 0, "max_residual": 0.0}
 
 
 def _solution(status, state, value=None, primal=None):
@@ -892,7 +880,7 @@ def del_classic(n, d):
 def del_full(n, d):
     """The 2^n-variable Delsarte LP, for cross-validating symmetrization;
     its 2^n rows are capped like the orbit rows of the constrained LP."""
-    if 2 ** n > ORBIT_ROW_CAP:
+    if n > ORBIT_ROW_CAP.bit_length() - 1:
         raise CapExceeded("del_full refuses n=%d: 2^n rows > cap %d"
                           % (n, ORBIT_ROW_CAP))
     if not 1 <= d <= n:
@@ -963,7 +951,7 @@ def del_constrained(n, d, constraint):
     constraint's symmetry group (see `del_constrained_orbits`); refuses n
     at which the 2^n rows of the unsymmetrized LP exceed ORBIT_ROW_CAP,
     whatever the group."""
-    if 2 ** n > ORBIT_ROW_CAP:
+    if n > ORBIT_ROW_CAP.bit_length() - 1:
         raise CapExceeded("del_constrained refuses n=%d: 2^n rows > cap %d"
                           % (n, ORBIT_ROW_CAP))
     return del_constrained_sym(n, d, constraint)

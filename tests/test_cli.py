@@ -334,6 +334,19 @@ def test_exit_code_internal_error(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("internal error: invariant violated")
 
 
+def test_exit_code_solver_error(capsys, monkeypatch):
+    # a bound program whose solve stops at the iteration limit reports it
+    # as a solver error, exit 4, with --lp all as with one program
+    from constrcodes import lp
+    monkeypatch.setattr(lp, "ITERATION_LIMIT", 1)
+    for argv in (("--constraint", "rll:d=1", "--lp", "all"), ()):
+        code = main(["bound", "--n", "8", "--d", "3", *argv])
+        err = capsys.readouterr().err
+        assert code == 4, argv
+        assert err.startswith("solver error: "), argv
+        assert "solver returned iteration_limit" in err, argv
+
+
 def test_exit_code_resource_cap(capsys):
     code, _ = run(capsys, "weight-dist", "--constraint", "2charge",
                   "--n", "30")

@@ -3,6 +3,7 @@ its one check: no public function takes one as a parameter, except the cap
 of `count_in_code` and `count_brute`, which `count --max-n` sets."""
 
 import inspect
+import time
 
 import pytest
 
@@ -10,8 +11,8 @@ from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
                          code_weight_distribution,
                          constrained_weight_distribution, coset_decompose,
                          coset_weight_enumerator, del_constrained, del_full,
-                         dual_certificate_bound, gensph, member_ints, rll,
-                         two_charge, zero_code)
+                         dual_certificate_bound, fixed_weight, gensph,
+                         member_ints, rll, two_charge, zero_code)
 from constrcodes import cli, constraints, counting, gf2, lp, spectral
 from test_counting import full_code
 
@@ -111,3 +112,30 @@ def test_no_public_function_takes_a_limit():
                           for p in inspect.signature(fn).parameters
                           if p.endswith("cap") or p in ("limit", "tol")}
     assert found == {"count_in_code.cap", "count_brute.cap"}
+
+
+# a length far past every cap, refused from n itself: 2^n is never formed
+HUGE_N = 10 ** 20
+
+
+@pytest.mark.parametrize("call", [
+    lambda: del_full(HUGE_N, 2),
+    lambda: del_constrained(HUGE_N, 2, fixed_weight(4)),
+    lambda: del_constrained(HUGE_N, 3, rll(1))],
+    ids=["del_full", "del_constrained-weight", "del_constrained-rll"])
+def test_huge_length_is_refused_at_once(call):
+    started = time.perf_counter()
+    with pytest.raises(CapExceeded, match="refuses n=%d: 2\\^n rows > cap"
+                                          % HUGE_N):
+        call()
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("lp_choice", ["auto", "del", "all"])
+def test_huge_length_bound_exits_at_once(capsys, lp_choice):
+    started = time.perf_counter()
+    code = cli.main(["bound", "--n", str(HUGE_N), "--d", "2",
+                     "--constraint", "weight:i=4", "--lp", lp_choice])
+    assert code == 3
+    assert time.perf_counter() - started < 1.0
+    assert "2^n rows > cap" in capsys.readouterr().err

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from constrcodes import (BinaryLinearCode, BitMatrix, CapExceeded,
-                         CertificateRejected, LpModel, cardinality,
-                         count_brute, del_classic,
+                         CertificateRejected, LpModel, SolverError,
+                         cardinality, count_brute, del_classic,
                          del_constrained, del_constrained_orbits,
                          del_constrained_sym, del_full, dual_certificate_bound,
                          dump_model, even_strict, fixed_weight, gf2_rank,
@@ -128,11 +128,10 @@ def test_solve_reports_counters():
     model = LpModel([1, 2], [[1, 1]], [10], upper=[3, 4])
     sol = solve(model)
     assert set(sol.stats) == {"degenerate_pivots", "bound_flips",
-                              "refactorizations", "bland", "repair_pivots",
+                              "refactorizations", "repair_pivots",
                               "max_residual"}
     assert sol.stats["bound_flips"] >= 1
     assert sol.stats["refactorizations"] >= 1
-    assert sol.stats["bland"] is False
     assert sol.stats["repair_pivots"] == 0
     assert sol.iterations >= sol.stats["bound_flips"]
 
@@ -369,7 +368,7 @@ def test_constrained_delsarte_models_against_highs(dd, d):
 
 
 def test_pivot_counts_are_pinned(monkeypatch):
-    # the start basis, pricing, tie-breaks, Bland switch and refactorization
+    # the start basis, the rhs lift, pricing, tie-breaks and refactorization
     # schedule decide these counts: the unsymmetrized Table VI models at
     # n = 10, three classic models, and the totals over the small models of
     # Tables II, III and IV.  They hold under any number of BLAS threads
@@ -427,6 +426,102 @@ def test_drift_check_refactorizes_a_corrupted_tableau(monkeypatch):
     assert sol.stats["max_residual"] > lp.DRIFT_TOL
     assert sol.stats["refactorizations"] > 1
     assert sol.value == pytest.approx(_highs(model)[1], rel=1e-9)
+
+
+def _hide_x2_after_first_exchange(monkeypatch):
+    """Make the first exchange return a wrong pivot row, the tableau itself
+    untouched: max 2 x1 + x2 s.t. x1 <= 3, x1 + x2 <= 4 pivots x1 in at
+    row 0, and the reduced costs, updated from that row, then show x2,
+    which still improves, as if it could not."""
+    original, exchanges = lp._Tableau.exchange, []
+
+    def hiding(self, r, q, col):
+        row = original(self, r, q, col)
+        exchanges.append(q)
+        if len(exchanges) > 1:
+            return row
+        assert (r, q) == (0, 0)
+        row = row.copy()
+        row[1] = 1.0
+        return row
+
+    monkeypatch.setattr(lp._Tableau, "exchange", hiding)
+    return LpModel([2, 1], [[1, 0], [1, 1]], [3, 4])
+
+
+def test_rejected_confirm_rebuilds_the_tableau_and_resumes(monkeypatch):
+    # the stale reduced costs stop the pivots one short of the optimum: the
+    # confirm's fresh prices find x2, the tableau is rebuilt, and x2 enters
+    model = _hide_x2_after_first_exchange(monkeypatch)
+    rebuilds, original = [], lp._Simplex._reinvert
+
+    def counted(self, *args):
+        rebuilds.append(original(self, *args))
+        return rebuilds[-1]
+
+    monkeypatch.setattr(lp._Simplex, "_reinvert", counted)
+    sol = solve(model)
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(7)
+    assert sol.primal == pytest.approx([3, 1])
+    assert rebuilds == [True]
+    assert sol.iterations == 2
+    # the rejected confirm, the rebuild and the confirm of the optimum
+    assert sol.stats["refactorizations"] == 3
+
+
+def test_rejected_confirm_on_a_singular_basis_stops_the_pivots(monkeypatch):
+    # the rebuild after the rejected confirm finds the block singular: the
+    # primal ends at the basis it has, whose point, lifted to the perturbed
+    # right-hand sides and never evaluated at the true ones, the final
+    # feasibility check refuses
+    model = _hide_x2_after_first_exchange(monkeypatch)
+    checks = []
+    monkeypatch.setattr(lp, "_near_singular",
+                        lambda *args: checks.append(0) or len(checks) > 1)
+    status, sx = _optimize(model, _counters())
+    assert status == "optimal"
+    assert len(checks) == 2
+    assert sx.point()[:2] == pytest.approx([3, 0])
+    assert solve(model).status == "numerical_error"
+
+
+def test_singular_confirm_leaves_the_point_to_the_final_check(monkeypatch):
+    # a confirm that finds the block singular accepts the exchanged tableau
+    # as it stands, unevaluated at the true right-hand sides: the final
+    # check sees the rows exceeded by the lift and reports it
+    monkeypatch.setattr(lp, "_near_singular", lambda *args: True)
+    model = LpModel([1, 1], [[1, 1], [1, 0]], [4, 3])
+    status, sx = _optimize(model, _counters())
+    assert status == "optimal"
+    assert sx.point()[:2] == pytest.approx([3, 1])
+    sol = solve(model)
+    assert sol.status == "numerical_error"
+    assert sol.stats["refactorizations"] == 0
+
+
+def test_beales_cycling_lp_against_highs():
+    # Beale's example cycles under Dantzig's rule with the smallest-index
+    # tie-break, from its degenerate start; on the lifted right-hand sides,
+    # with no anti-cycling rule, it takes two pivots, neither degenerate
+    model = LpModel([0.75, -20, 0.5, -6],
+                    [[0.25, -8, -1, 9], [0.5, -12, -0.5, 3], [0, 0, 1, 0]],
+                    [0, 0, 1])
+    status, value = _highs(model)
+    sol = solve(model)
+    assert sol.status == status == "optimal"
+    assert sol.value == pytest.approx(value, rel=1e-9)
+    assert sol.value == pytest.approx(1.25)
+    assert sol.primal == pytest.approx([1, 0, 1, 0])
+    assert sol.iterations == 2
+    assert sol.stats["degenerate_pivots"] == 0
+
+
+def test_bound_program_without_optimum_raises(monkeypatch):
+    monkeypatch.setattr(lp, "ITERATION_LIMIT", 1)
+    with pytest.raises(SolverError, match="del_classic\\(13, 2\\): solver "
+                                          "returned iteration_limit"):
+        del_classic(13, 2)
 
 
 def test_simplex_stores_only_the_model_columns():
